@@ -79,6 +79,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def next_prime(n: int) -> int:
+    """The smallest prime > n."""
+    q = max(n + 1, 2)
+    while not is_prime(q):
+        q += 1
+    return q
+
+
 @lru_cache(maxsize=8)
 def _prime_list(limit: int) -> tuple:
     sieve = bytearray([1]) * (limit + 1)

@@ -249,10 +249,9 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
         raise ValueError("k must be >= 2")
     if l < 0 or m < 0:
         raise ValueError("l and m must be >= 0")
-    n_max = DEFAULT_N_MAX
-    if l + m > n_max:
-        raise ValueError(f"l + m = {l + m} beyond computed range {n_max}")
-    ps, xi, coeffs = _engine(k, digits, p0, n_max, guard)
+    ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
+    if l + m > coeffs.n_max:
+        raise ValueError(f"l + m = {l + m} beyond computed range {coeffs.n_max}")
     with mp.workdps(digits + 20):
         if method == "direct":
             return coeffs.a[l + m] * mpf(comb(l + m, l))
@@ -287,10 +286,9 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
     consecutive kth powers (the one-sided law)."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    n_max = DEFAULT_N_MAX
-    if l > n_max + guard:
-        raise ValueError(f"l = {l} beyond computed range {n_max + guard}")
-    ps, xi, coeffs = _engine(k, digits, p0, n_max, guard)
+    ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
+    if l > xi.r_max - guard:
+        raise ValueError(f"l = {l} beyond computed range {xi.r_max - guard}")
     with mp.workdps(digits + 20):
         P = ps.p(1).hi()
         if method == "xi_alternating":

@@ -18,6 +18,7 @@ exact integer arithmetic on kth powers.  The two routes stay independent.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -119,18 +120,20 @@ def _window_counts(k: int, lo: int, hi: int, N: int) -> dict:
 
 def empirical_table(k: int, N: int, threads: int = 1) -> EmpiricalCounts:
     """Exact cell counts for 1 <= n <= N via a single enumeration sweep
-    (optionally over disjoint n-windows merged deterministically)."""
+    (optionally over disjoint n-windows merged deterministically).  The
+    worker count, one per window, is clamped to the CPUs present."""
     if k < 2 or N < 1:
         raise ValueError("need k >= 2, N >= 1")
     bound = (N + 2) ** k - 1
-    if threads <= 1 or N < 4 * threads:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or N < 4 * workers:
         counts = _window_counts(k, 1, N + 1, N)
     else:
-        edges = [1 + (N * i) // threads for i in range(threads)] + [N + 1]
-        jobs = [(k, edges[i], edges[i + 1], N) for i in range(threads)
+        edges = [1 + (N * i) // workers for i in range(workers)] + [N + 1]
+        jobs = [(k, edges[i], edges[i + 1], N) for i in range(workers)
                 if edges[i] < edges[i + 1]]
         counts = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             for part in pool.map(_window_counts_star, jobs):
                 for cell, c in part.items():
                     counts[cell] = counts.get(cell, 0) + c

@@ -21,8 +21,12 @@ independent routes:
   evaluated with small primes multiplied in exactly (log1p-accumulated to
   keep relative precision when the factors are 1 + tiny) and the remaining
   primes handled through the formal logarithm of the factor polynomial,
-  whose powers reduce to prime-zeta tails.  Truncations carry proven
-  bounds; this is the precision route.
+  whose powers reduce to prime-zeta tails (zetas.prime_zeta_tail, the
+  sieved log-zeta cascade).  Every truncation depth comes from its proven
+  bound: the formal log stops at the smallest order whose tail bound is
+  below target, which for large m is order k, i.e. no prime-zeta tail at
+  all; and a small prime whose factor sum is below the working floor is
+  moved into the radius by 0 <= log1p(x) <= x.  This is the precision route.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import fsum, gcd
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import is_squarefree, mobius_sieve, shape_tuples, squarefree_sieve
+from .arith import is_squarefree, mobius_sieve, next_prime, shape_tuples, squarefree_sieve
 from .bounded import ErrorBoundedReal
 from .zetas import prime_zeta_tail, primes_upto, zeta
 
@@ -228,14 +232,17 @@ def _box_sum_generic(k: int, m: int, B: int) -> float:
     return fsum(terms)
 
 
-@lru_cache(maxsize=64)
-def _log_coeffs(k: int, t_max: int) -> tuple:
-    """Exact coefficients (c_t, h_t) for t = 0..t_max of log(1 + g) and of
+_T_CAP = 600
+
+
+@lru_cache(maxsize=None)
+def _log_coeffs(k: int) -> tuple:
+    """Exact coefficients (c_t, h_t) for t = 0.._T_CAP of log(1 + g) and of
     -log(1 - g), where g(x) = x^(k+1) + ... + x^(2k-1).  h dominates |c|."""
     support = set(range(k + 1, 2 * k))
-    c = [Fraction(0)] * (t_max + 1)
-    h = [Fraction(0)] * (t_max + 1)
-    for t in range(1, t_max + 1):
+    c = [Fraction(0)] * (_T_CAP + 1)
+    h = [Fraction(0)] * (_T_CAP + 1)
+    for t in range(1, _T_CAP + 1):
         at = Fraction(1 if t in support else 0)
         sc = at
         sh = at
@@ -246,15 +253,6 @@ def _log_coeffs(k: int, t_max: int) -> tuple:
         c[t] = sc
         h[t] = sh
     return tuple(c), tuple(h)
-
-
-def _next_prime_after(n: int) -> int:
-    from .arith import is_prime
-
-    q = n + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 @lru_cache(maxsize=None)
@@ -278,39 +276,51 @@ def _power_sum_euler_once(k, m, digits, p0):
         # small at the first omitted prime (keeps the log series geometric)
         p0_eff = max(p0, 2)
         while True:
-            q = _next_prime_after(p0_eff)
+            q = next_prime(p0_eff)
             y = mpf(q) ** (-mpf(m) / k)
             gy = sum(y ** (k + j) for j in range(1, k))
             if gy <= mpf("0.5"):
                 break
             p0_eff = q
 
+        # a prime whose factor sum s_p is below the floor enters through the
+        # radius alone, by 0 <= log1p(s_p) <= s_p; s_p falls as p grows
+        floor = mpf(10) ** (-(digits + 12))
         L = ErrorBoundedReal.exact(0)
+        dropped = mpf(0)
         for p in primes_upto(p0_eff):
+            terms = [mpf(p) ** (-mpf(m * (k + j)) / k) for j in range(1, k)]
+            factor_sum = sum(terms)
+            if dropped or factor_sum < floor:
+                dropped += factor_sum
+                continue
             s_p = ErrorBoundedReal.exact(0)
-            for j in range(1, k):
-                t = mpf(p) ** (-mpf(m * (k + j)) / k)
+            for t in terms:
                 s_p = s_p + ErrorBoundedReal(t, t * mp.eps * 4)
             L = L + s_p.log1p()
+        if dropped:
+            half = dropped * mpf("0.500001")
+            L = L + ErrorBoundedReal(half, half)
 
-        # formal-log tail over primes > p0_eff: sum_t c_t * PZT(t m / k)
-        target = mpf(10) ** (-(digits + 2))
-        t_max = 2 * k + 2
-        while True:
-            c, h = _log_coeffs(k, t_max)
-            # bound on everything past t_max:
-            #   sum_{t>t_max} h_t q^{-tm/k} * (1 + q/(s'-1)),  s' = (t_max+1)m/k
+        # formal-log tail over primes > p0_eff: sum_t c_t * PZT(t m / k), cut
+        # at the smallest t_max whose bound on everything past it is below
+        # target:  sum_{t>t_max} h_t q^{-tm/k} * (1 + q/(s'-1)),  s' = (t_max+1)m/k
+        # (the padding term repays the rounding of neg_log - partial_h).  The
+        # target is the floor the cascade's log-zeta terms are computed to
+        # (digits + 6, then 4 deeper), so the cut never dominates the radius.
+        target = mpf(10) ** (-(digits + 10))
+        c, h = _log_coeffs(k)
+        neg_log = -mp.log1p(-gy)
+        partial_h = mpf(0)
+        for t_max in range(k, _T_CAP + 1):
+            if h[t_max]:
+                partial_h += mpf(h[t_max].numerator) / h[t_max].denominator * y**t_max
             s_prime = mpf(m * (t_max + 1)) / k
-            neg_log = -mp.log(1 - gy)
-            partial_h = sum(
-                mpf(h[t].numerator) / h[t].denominator * y**t
-                for t in range(t_max + 1) if h[t]
-            )
-            tail = (neg_log - partial_h) * (1 + q / (s_prime - 1)) * mpf("1.000001")
-            if tail < target or t_max > 600:
+            tail = ((neg_log - partial_h) * (1 + q / (s_prime - 1)) * mpf("1.000001")
+                    + neg_log * mp.eps * 4 * (t_max + 2))
+            if tail < target:
                 break
-            t_max += k + 1
-        if tail >= target:
+        else:
             return None
         for t in range(k + 1, t_max + 1):
             if not c[t]:

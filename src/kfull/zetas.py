@@ -5,10 +5,18 @@ the Bernoulli term of order 2J is bounded in absolute value by the first
 omitted term, which becomes the reported radius.  N and J adapt until the
 radius meets the requested precision.
 
-prime_zeta(s) = sum over primes p of p^(-s) is computed from the Moebius
-cascade  sum_{n>=1} mu(n)/n * log zeta(n s),  truncated where the tail
-bound  sum_{n>N} 3*2^(-ns)/n  (valid since log zeta(x) <= zeta(x) - 1
-<= 3*2^(-x) for x >= 2) drops below the target.
+Prime zeta tails P_{>p0}(s) = sum over primes p > p0 of p^(-s) come from
+Cohen's sieved Moebius cascade (H. Cohen, "High precision computation of
+Hardy-Littlewood constants", 1998):
+
+    P_{>p0}(s) = sum_{n>=1} mu(n)/n * Lambda(n s),
+    Lambda(x)  = log zeta(x) + sum_{p <= p0} log(1 - p^(-x)),
+
+where 0 <= Lambda(x) <= q^(-x) * (1 + q/(x-1)) and q is the first prime
+past p0.  That bound truncates the cascade and replaces every Lambda value
+it already certifies, so zeta is only evaluated where its digits are used.
+Lambda is memoized on the exact rational x, which many (s, n) pairs share.
+prime_zeta(s) is the p0 = 1 case.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from functools import lru_cache
 
 from mpmath import bernfrac, mp, mpf
 
-from .arith import mobius_sieve
+from .arith import _prime_list, mobius_sieve, next_prime
 from .bounded import ErrorBoundedReal
 
 _MAX_EM_DOUBLINGS = 24
@@ -96,46 +104,84 @@ def _zeta_em(s: mpf, N: int, target: mpf):
         j += 1
 
 
+def _exact(s) -> Fraction:
+    """s as an exact rational; the cascade's cache is keyed on it."""
+    if isinstance(s, (int, float, Fraction)):
+        return Fraction(s)
+    man, exp = mpf(s).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _sieved_bound(x: mpf, q: int) -> mpf:
+    """Upper bound on Lambda(x) = sum_{p >= q} -log(1 - p^(-x)), x > 1.
+
+    Lambda(x) = sum over prime powers n = p^j >= q of n^(-x)/j, which is at
+    most sum_{n >= q} n^(-x) <= q^(-x) + q^(1-x)/(x-1).  The factor 1.000001
+    covers the rounding of this evaluation.
+    """
+    return mpf(q) ** (-x) * (1 + q / (x - 1)) * mpf("1.000001")
+
+
 @lru_cache(maxsize=4096)
-def prime_zeta(s, digits: int = 15) -> ErrorBoundedReal:
-    """Sum of p^(-s) over primes, for real s > 1.  Memoized like zeta."""
+def _sieved_log_zeta(x: Fraction, p0: int, digits: int) -> ErrorBoundedReal:
+    """Lambda(x) = log zeta(x) + sum_{p <= p0} log(1 - p^(-x)), the log of the
+    Euler product over primes p > p0, to absolute radius ~10^(-digits).
+
+    0 <= Lambda(x) <= _sieved_bound(x, q), q the first prime past p0; once
+    that bound is below 10^(-digits) the interval [0, bound] is returned and
+    no zeta value is computed.  Keyed on the exact x, which the cascade
+    reaches from many (s, n) pairs.
+    """
+    with mp.workdps(digits + 12):
+        xm = _to_mpf(x)
+        bound = _sieved_bound(xm, next_prime(p0))
+        if bound < mpf(10) ** (-digits):
+            return ErrorBoundedReal(bound / 2, bound / 2)
+        # one log of zeta(x) * prod_{p <= p0} (1 - p^(-x)), which is 1 + Lambda
+        acc = zeta(x, digits + 2)
+        for p in primes_upto(p0):
+            t = mpf(p) ** (-xm)
+            acc = acc * ErrorBoundedReal(mp.fsub(1, t, exact=True), t * mp.eps * 4)
+        return acc.log()
+
+
+def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
+    """Sum of p^(-s) over primes p > p0, for real s > 1.
+
+    Cohen's sieved cascade  sum_{n>=1} mu(n)/n * Lambda(n s),  truncated at
+    the first N whose remainder bound  sum_{n>N} bound(n s)/n  is below
+    10^(-digits-2).  With q the first prime past p0 that remainder is at
+    most  q^(-(N+1)s) * (1 + q/((N+1)s - 1)) / ((N+1) * (1 - q^(-s))).
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    s = _exact(s)
+    if not s > 1:
+        raise ValueError(f"prime zeta requires s > 1, got {s}")
+    q = next_prime(p0)
     with mp.workdps(digits + 12):
         sm = _to_mpf(s)
-        if not sm > 1:
-            raise ValueError(f"prime_zeta requires s > 1, got {s}")
         target = mpf(10) ** (-digits - 2)
-        # choose n_max from the tail bound 3*2^(-(n+1)s)/(n+1)/(1-2^(-s))
-        ln2 = mp.log(2)
         n_max = 1
         while True:
-            tail = 3 * mp.exp(-(n_max + 1) * sm * ln2) / ((n_max + 1) * (1 - mpf(2) ** (-sm)))
-            if tail < target or n_max > 4 * mp.dps:
+            rest = _sieved_bound((n_max + 1) * sm, q) / ((n_max + 1) * (1 - mpf(q) ** (-sm)))
+            if rest < target:
                 break
             n_max += 1
         mu = mobius_sieve(n_max)
         acc = ErrorBoundedReal.exact(0)
         for n in range(1, n_max + 1):
-            if mu[n] == 0:
-                continue
-            z = zeta(n * sm, digits + 4)
-            acc = acc + z.log() * (mpf(mu[n]) / n)
-        return acc.widened(tail)
+            if mu[n]:
+                acc = acc + _sieved_log_zeta(n * s, p0, digits + 4) * (mpf(mu[n]) / n)
+        return acc.widened(rest)
 
 
-def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
-    """Sum of p^(-s) over primes p > p0 (cancellation tracked in the radius)."""
-    with mp.workdps(digits + 12):
-        sm = _to_mpf(s)
-        acc = prime_zeta(sm, digits)
-        for p in primes_upto(p0):
-            t = mpf(p) ** (-sm)
-            acc = acc - ErrorBoundedReal(t, t * mp.eps * 4)
-        return acc
+@lru_cache(maxsize=4096)
+def prime_zeta(s, digits: int = 15) -> ErrorBoundedReal:
+    """Sum of p^(-s) over all primes, for real s > 1: the p0 = 1 case of
+    prime_zeta_tail.  Memoized like zeta."""
+    return prime_zeta_tail(s, 1, digits)
 
 
 def primes_upto(limit: int) -> tuple:
-    from .arith import _prime_list
-
     return _prime_list(limit) if limit >= 2 else ()

@@ -15,6 +15,7 @@ from kfull.arith import (
     is_squarefree,
     mobius_sieve,
     moebius,
+    next_prime,
     shape_tuples,
     squarefree_sieve,
 )
@@ -57,6 +58,9 @@ def test_is_prime_small():
             sieve[j] = False
     for n in range(1001):
         assert is_prime(n) == sieve[n], n
+    primes = [n for n in range(1001) if sieve[n]]
+    for n in range(-1, 997):
+        assert next_prime(n) == next(p for p in primes if p > n), n
 
 
 def test_moebius_examples():

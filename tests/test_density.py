@@ -334,3 +334,11 @@ def test_k4_engine_scales_depth():
     assert C4.lo() > 0 and float(C4.radius) < 1e-12
     n4 = normalization_check(4)
     assert n4.contains(1) and float(n4.radius) < 1e-6
+    # the range checks follow the depth the engine built, past the default 44
+    co = series_coefficients(4)
+    assert co.n_max > 45
+    assert density_A(4, 0, 45).agrees_with(co.a[45])
+    assert density_A(4, 20, 25).hi() >= 0
+    with pytest.raises(ValueError):
+        density_A(4, 0, co.n_max + 1)
+    assert density_shiu(4, 90).hi() >= 0

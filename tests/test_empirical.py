@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mpf
 
+from kfull import empirical
 from kfull.arith import factorize, introot
 from kfull.bounded import ErrorBoundedReal
 from kfull.density import DensityTable, SubsetSpec, build_table
@@ -82,6 +83,38 @@ def test_empirical_threads_deterministic():
     except OSError:
         pytest.skip("process pool unavailable in sandbox")
     assert base.counts == multi.counts
+
+
+def test_empirical_workers_clamped(monkeypatch):
+    # a recording stand-in for the pool: runs the windows in-process, so no
+    # worker process starts
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(empirical, "ProcessPoolExecutor", RecordingPool)
+    base = empirical_table(2, 3000, threads=1)
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
+    assert empirical_table(2, 3000, threads=10**6).counts == base.counts
+    assert seen == [3, 3]
+    assert empirical_table(2, 3000, threads=2).counts == base.counts
+    assert seen == [3, 3, 2, 2]
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: None)
+    assert empirical_table(2, 3000, threads=8).counts == base.counts
+    assert seen == [3, 3, 2, 2]  # one CPU: a single in-process window
 
 
 def test_members_B_example_list():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -152,6 +153,17 @@ def test_k2_closed_form():
             e = power_sum_euler(2, m, 30)
             cf = zeta(Fraction(3 * m, 2), 35) / zeta(3 * m, 35) - 1
             assert e.agrees_with(cf), m
+
+
+def test_euler_large_m_needs_no_zeta():
+    # for large m the proven formal-log tail bound is below target at once,
+    # so no prime-zeta tail, and hence no zeta value, is computed
+    before = zeta.cache_info().misses
+    e = power_sum_euler.__wrapped__(2, 100, 60)
+    assert zeta.cache_info().misses == before
+    assert e.radius <= mpf(10) ** (-60)
+    with mp.workdps(140):
+        assert e.contains(mpmath.zeta(150) / mpmath.zeta(300) - 1)
 
 
 def test_euler_radius_contract_and_reference(reference):

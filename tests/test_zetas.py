@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -55,10 +56,11 @@ def test_prime_zeta_against_direct_sum(reference):
 
 
 def test_prime_zeta_against_library():
-    for s in (1.5, 2.5, 6):
+    for s in (1.5, 2.5, 6, Fraction(4, 3), 30):
         pz = prime_zeta(s, 25)
+        x = Fraction(s)
         with mp.workdps(40):
-            assert pz.contains(mpmath.primezeta(mpf(s))), s
+            assert pz.contains(mpmath.primezeta(mpf(x.numerator) / x.denominator)), s
 
 
 def test_prime_zeta_large_s_dominated_by_two():
@@ -74,6 +76,20 @@ def test_prime_zeta_tail_matches_direct():
     tail = (10**6) ** (-1)
     t = prime_zeta_tail(2, 100, 25)
     assert abs(float(t.value) - direct) <= tail + float(t.radius) + 1e-12
+
+
+@pytest.mark.parametrize("s", [Fraction(4, 3), Fraction(2), Fraction(30)])
+def test_prime_zeta_tail_encloses_direct_sum(s):
+    # primes 101..10^5 summed directly bound the tail from below; adding the
+    # integral bound on n > 10^5 bounds it from above.  At s = 30 the whole
+    # tail sits far below the 40-digit target.
+    with mp.workdps(50):
+        sm = mpf(s.numerator) / s.denominator
+        direct = mp.fsum(mpf(p) ** (-sm) for p in _prime_list(10**5) if p > 100)
+        rest = mpf(10) ** (5 * (1 - sm)) / (sm - 1)
+        t = prime_zeta_tail(s, 100, 40)
+        assert t.radius <= mpf(10) ** (-40)
+        assert t.lo() <= direct + rest and direct <= t.hi()
 
 
 def test_prime_zeta_rejects_bad_s():
