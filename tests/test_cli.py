@@ -134,6 +134,17 @@ def test_empirical_csv(capsys):
     assert sum(int(r["count"]) for r in rows) == 100
 
 
+def test_empirical_large_k_hit_counts(capsys):
+    # k = 80 puts about 300 k-full values in one interval; the count must
+    # neither crash nor wrap at 255
+    code, out, _ = run_cli(capsys, "empirical", "--k", "80", "--N", "6",
+                           "--format", "csv")
+    assert code == 0
+    rows = parse_csv(out)
+    assert sum(int(r["count"]) for r in rows) == 6
+    assert max(max(int(r["l"]), int(r["m"])) for r in rows) > 255
+
+
 def test_empirical_compare_columns(capsys):
     code, out, _ = run_cli(capsys, "empirical", "--k", "2", "--N", "500",
                            "--format", "csv", "--compare")

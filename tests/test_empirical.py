@@ -4,7 +4,7 @@ import pytest
 from mpmath import mpf
 
 from kfull import empirical
-from kfull.arith import factorize, introot
+from kfull.arith import enumerate_kfull, factorize, introot
 from kfull.bounded import ErrorBoundedReal
 from kfull.density import DensityTable, SubsetSpec, build_table
 from kfull.empirical import (
@@ -40,6 +40,16 @@ def test_classify_pair_against_factoring_oracle():
         left = sum(1 for v in range(lo + 1, mid) if is_proper_kfull_by_factoring(v, 2))
         right = sum(1 for v in range(mid + 1, hi) if is_proper_kfull_by_factoring(v, 2))
         assert classify_pair(n, 2) == (left, right), n
+
+
+def test_classify_pair_k3_against_factoring_oracle():
+    # one pass over v < 62^3 buckets each proper 3-full v by its cube root
+    hits = [0] * 62
+    for v in range(2, 62**3):
+        if is_proper_kfull_by_factoring(v, 3):
+            hits[introot(v, 3)] += 1
+    for n in range(1, 61):
+        assert classify_pair(n, 3) == (hits[n], hits[n + 1]), n
 
 
 def test_interval_hits_structure():
@@ -85,10 +95,9 @@ def test_empirical_threads_deterministic():
     assert base.counts == multi.counts
 
 
-def test_empirical_workers_clamped(monkeypatch):
-    # a recording stand-in for the pool: runs the windows in-process, so no
-    # worker process starts
-    seen = []
+def recording_pool(seen):
+    """A stand-in for the process pool that runs the windows in-process (so
+    no worker process starts) and records its size and job count in seen."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -105,7 +114,61 @@ def test_empirical_workers_clamped(monkeypatch):
             seen.append(len(jobs))
             return map(fn, jobs)
 
-    monkeypatch.setattr(empirical, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def oracle_counts(k, N):
+    """Cell counts by the heap-merge stream: bucket every proper k-full
+    v < (N+2)^k by floor(v^(1/k)), then read left(n), right(n) off it."""
+    hits = [0] * (N + 2)
+    for v, _ in enumerate_kfull(k, (N + 2) ** k - 1):
+        hits[introot(v, k)] += 1
+    counts = {}
+    for n in range(1, N + 1):
+        cell = (hits[n], hits[n + 1])
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("k,N", [(k, N) for k in (2, 3, 4) for N in (1, 2, 3, 997)]
+                         + [(6, 1500), (12, 40), (80, 6)])
+def test_empirical_table_matches_heap_merge_oracle(k, N):
+    # k=6, N=1500 and k=12, N=40 reach past 2^63: the Python-int route;
+    # k=80, N=6 has about 300 hits at one n, past a byte-wide counter
+    assert empirical_table(k, N).counts == oracle_counts(k, N)
+
+
+def test_empirical_window_straddling_int64():
+    # 55201^4 > 2^63 > 55100^4: one window holds chunks on both routes
+    assert empirical_table(4, 55_200).counts == oracle_counts(4, 55_200)
+
+
+@pytest.mark.parametrize("k,N", [(2, 997), (3, 997), (4, 300), (2, 3000)])
+def test_empirical_window_edges_match_oracle(monkeypatch, k, N):
+    seen = []
+    monkeypatch.setattr(empirical, "ProcessPoolExecutor", recording_pool(seen))
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
+    assert empirical_table(k, N, threads=3).counts == oracle_counts(k, N)
+    assert seen == [3, 3]
+
+
+@pytest.mark.parametrize("k,M,a0,a1", [
+    (2, 8, 1, 3000),  # int64 powers
+    (4, 2**5, 20_000, 23_000),  # (r+1)^4 passes 2^63: Python ints
+])
+@pytest.mark.parametrize("skew", [0.999, 1.0, 1.001])
+def test_floor_roots_fix_up_repairs_a_bad_seed(k, M, a0, a1, skew):
+    # a seed off by up to tens of units in either direction must still come
+    # out exact: the fix-up is checked, not assumed
+    exact = [introot(a**k * M, k) for a in range(a0, a1)]
+    lam = skew * M ** (1 / k)
+    r = empirical._floor_roots(k, M, lam, a0, a1, exact[0], exact[-1])
+    assert r.dtype == "int64" and r.tolist() == exact
+
+
+def test_empirical_workers_clamped(monkeypatch):
+    seen = []
+    monkeypatch.setattr(empirical, "ProcessPoolExecutor", recording_pool(seen))
     base = empirical_table(2, 3000, threads=1)
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
     assert empirical_table(2, 3000, threads=10**6).counts == base.counts
@@ -143,6 +206,44 @@ def test_members_B_single_shape_left():
         assert right == []
     with pytest.raises(ValueError):
         members_B(2, I, I, 10)
+
+
+def members_by_interval_hits(k, I, J, N):
+    want_left, want_right = I.key_set(), J.key_set()
+    out = []
+    for n in range(1, N + 1):
+        hits = interval_hits(n, k)
+        left = {h.repr.b for h in hits if h.side == "left"}
+        right = {h.repr.b for h in hits if h.side == "right"}
+        if left == want_left and right == want_right:
+            out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("I,J", [
+    ((), ()), (((2,),), ()), ((), ((2,),)), (((2,),), ((3,),)), (((3,),), ((2,),)),
+    (((5,),), ()),
+])
+def test_members_B_matches_interval_hits(I, J):
+    I, J = SubsetSpec(2, I), SubsetSpec(2, J)
+    members = members_B(2, I, J, 400)
+    assert members == members_by_interval_hits(2, I, J, 400)
+    assert members  # every pair has members below 400
+
+
+def test_members_B_edges():
+    empty = SubsetSpec(2, ())
+    two = SubsetSpec(2, ((2,),))
+    for N in (-1, 0, 1, 2):
+        for I, J in ((empty, empty), (two, empty), (empty, two)):
+            assert members_B(2, I, J, N) == members_by_interval_hits(2, I, J, N)
+    assert members_B(2, empty, two, 1) == [1]  # 8 lies in (4, 9)
+    # a shape too large to enter the window has no members
+    big = SubsetSpec(2, ((97,),))
+    assert members_B(2, big, empty, 50) == []
+    k3 = SubsetSpec(3, ((2, 1),))
+    assert members_B(3, k3, SubsetSpec(3, ()), 60) == members_by_interval_hits(
+        3, k3, SubsetSpec(3, ()), 60)
 
 
 def test_lemma_check_examples():
