@@ -9,6 +9,16 @@ kth root, reciprocal) propagate by evaluating at the enclosure endpoints.
 
 All arithmetic happens at the caller's current mpmath precision; values are
 mpf, so enclosures survive context changes once created.
+
+The public constructor, exact() and the coercion of plain numbers validate
+their input: they convert it to mpf and reject a negative radius.  The
+results of the operations below skip that check and are built directly by
+_make.  Each of their values and radii is already an mpf (a result of mpf
+arithmetic, or an operand's own field) and every radius is a sum of
+non-negative terms, so the check could never fail; it only cost a conversion
+and a comparison on every operation.  The conversion also rounded at the
+caller's precision without widening the radius to match, so negation and
+widened() now keep an operand's fields bit for bit: negation is exact.
 """
 
 from __future__ import annotations
@@ -19,14 +29,23 @@ from mpmath import mp, mpf
 
 
 def _slop(v) -> mpf:
-    # rounding envelope for one mpf operation at the current precision
-    return abs(v) * mp.eps * 4
+    # rounding envelope for one mpf operation at the current precision;
+    # scaling by a power of two is exact, so grouping eps * 4 changes no bit
+    return abs(v) * (mp.eps * 4)
 
 
 def _pad(r) -> mpf:
     # radius arithmetic itself rounds; repay that with a relative bump so a
     # computed radius can never undercut the exact one
-    return r + r * mp.eps * 8
+    return r + r * (mp.eps * 8)
+
+
+def _make(v: mpf, r: mpf) -> "ErrorBoundedReal":
+    # internal results only: v and r are mpf and r >= 0 by construction
+    out = object.__new__(ErrorBoundedReal)
+    object.__setattr__(out, "value", v)
+    object.__setattr__(out, "radius", r)
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,17 +91,17 @@ class ErrorBoundedReal:
         return ErrorBoundedReal(mpf(x), mpf(0))
 
     def widened(self, extra) -> "ErrorBoundedReal":
-        return ErrorBoundedReal(self.value, _pad(self.radius + abs(mpf(extra))))
+        return _make(self.value, _pad(self.radius + abs(mpf(extra))))
 
     def __add__(self, other):
         o = _coerce(other)
         v = self.value + o.value
-        return ErrorBoundedReal(v, _pad(self.radius + o.radius) + _slop(v))
+        return _make(v, _pad(self.radius + o.radius) + _slop(v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ErrorBoundedReal(-self.value, self.radius)
+        return _make(mp.fneg(self.value, exact=True), self.radius)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -98,7 +117,7 @@ class ErrorBoundedReal:
             + abs(o.value) * self.radius
             + self.radius * o.radius
         )
-        return ErrorBoundedReal(v, _pad(r) + _slop(v))
+        return _make(v, _pad(r) + _slop(v))
 
     __rmul__ = __mul__
 
@@ -115,7 +134,7 @@ class ErrorBoundedReal:
         if a > b:
             a, b = b, a
         v = (a + b) / 2
-        return ErrorBoundedReal(v, _pad((b - a) / 2) + _slop(v))
+        return _make(v, _pad((b - a) / 2) + _slop(v))
 
     def pow_int(self, n: int) -> "ErrorBoundedReal":
         if n == 0:
@@ -132,7 +151,7 @@ class ErrorBoundedReal:
         if a > b:
             a, b = b, a
         v = (a + b) / 2
-        return ErrorBoundedReal(v, _pad((b - a) / 2) + _slop(v))
+        return _make(v, _pad((b - a) / 2) + _slop(v))
 
     def exp(self) -> "ErrorBoundedReal":
         return self._monotone(mp.exp)

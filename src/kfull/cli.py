@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: table, constants, verify, enumerate, empirical.  Exit codes:
-0 success, 1 verification failure, 2 usage/config error.  Machine formats
+0 success, 1 verification failure, 2 usage/config error or a computation
+that could not finish (uncertifiable bound, out of memory).  Machine formats
 (csv, json) are byte-deterministic for a fixed configuration: rows are
 sorted, enclosures print as 30-digit decimal strings (a float64 round trip
 would exceed the smaller radii), and no timings or timestamps are embedded.
@@ -15,7 +16,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from mpmath import mp
@@ -423,12 +424,9 @@ def cmd_empirical(cfg: RunConfig, compare: bool) -> int:
 
 
 # option precedence is flags > config file > built-in defaults; the parser
-# suppresses unset attributes so merging can tell "given" from "defaulted"
-_DEFAULTS = {
-    "k": 2, "digits": 30, "max_index": 5, "trunc_B": 10_000, "guard": 40,
-    "prime_cutoff": DEFAULT_PRIME_CUTOFF, "N": None, "fmt": "text",
-    "out": None, "threads": 1, "quick": False, "cap": DEFAULT_ENUM_CAP,
-    "tolerance_scale": 1.0, "method": "direct",
+# suppresses unset attributes so merging can tell "given" from "defaulted".
+# RunConfig's fields are the shared options; the rest are command-specific
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)} | {
     "bound": 30.0, "limit": 100, "all": False, "I": None, "J": None,
     "compare": False,
 }
@@ -519,14 +517,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opt = _merge_options(args)
-        cfg = RunConfig(
-            k=opt["k"], max_index=opt["max_index"], digits=opt["digits"],
-            trunc_B=opt["trunc_B"], guard=opt["guard"],
-            prime_cutoff=opt["prime_cutoff"], N=opt["N"], fmt=opt["fmt"],
-            out=opt["out"], threads=opt["threads"], quick=opt["quick"],
-            cap=opt["cap"], tolerance_scale=opt["tolerance_scale"],
-            method=opt["method"],
-        )
+        cfg = RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
         cfg.validate()
         if opt["command"] == "table":
             return cmd_table(cfg)
@@ -539,11 +530,10 @@ def main(argv=None) -> int:
                                  not opt["all"], opt["I"], opt["J"])
         if opt["command"] == "empirical":
             return cmd_empirical(cfg, opt["compare"])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        # ArithmeticError: a bound that could not be certified, or a division
+        # by an enclosure of zero; MemoryError: an input too large to hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 2
 

@@ -30,7 +30,13 @@ not better.  The tracked radii account for both effects honestly.
 
 The inversion route consumes one-sided densities that are themselves
 produced by the xi route, so it is a consistency check of the published
-inversion formula rather than an independent source.
+inversion formula rather than an independent source.  Each one-sided density
+is a memoised value of the engine (_one_sided): a table of cells reads each
+d_j once instead of once per cell that needs it.  The memo is keyed by
+(k, l, digits, p0, guard) and not by the caller's precision; that is sound
+because the sum runs at its own fixed precision digits + 20 over an engine
+that is itself cached by the same key, so a cached value is bit-identical to
+a fresh one whatever precision the caller holds.
 """
 
 from __future__ import annotations
@@ -266,8 +272,7 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
         if method == "inversion":
             acc = ErrorBoundedReal.exact(0)
             for n in range(guard + 1):
-                d_one = density_shiu(k, l + m + n, "xi_alternating", digits, p0, guard)
-                term = d_one * mpf(_trinom(l, m, n))
+                term = _one_sided(k, l + m + n, digits, p0, guard) * mpf(_trinom(l, m, n))
                 acc = acc + term if n % 2 == 0 else acc - term
             # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
             tail = (
@@ -277,6 +282,20 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
             )
             return acc.widened(tail)
     raise ValueError(f"unknown method {method!r}")
+
+
+@lru_cache(maxsize=4096)
+def _one_sided(k: int, l: int, digits: int, p0: int, guard: int) -> ErrorBoundedReal:
+    """d_l = sum_n (-1)^n C(l+n, l) xi_(l+n), truncated after guard + 1 terms;
+    the caller checks that l + guard stays inside the engine's xi range."""
+    ps, xi, _ = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
+    with mp.workdps(digits + 20):
+        acc = ErrorBoundedReal.exact(0)
+        for n in range(guard + 1):
+            term = xi.xi[l + n] * mpf(comb(l + n, l))
+            acc = acc + term if n % 2 == 0 else acc - term
+        P = ps.p(1).hi()
+        return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, guard))
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
@@ -289,15 +308,10 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
     ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
     if l > xi.r_max - guard:
         raise ValueError(f"l = {l} beyond computed range {xi.r_max - guard}")
+    if method == "xi_alternating":
+        return _one_sided(k, l, digits, p0, guard)
     with mp.workdps(digits + 20):
         P = ps.p(1).hi()
-        if method == "xi_alternating":
-            acc = ErrorBoundedReal.exact(0)
-            for n in range(guard + 1):
-                term = xi.xi[l + n] * mpf(comb(l + n, l))
-                acc = acc + term if n % 2 == 0 else acc - term
-            tail = P**l / mp.factorial(l) * _exp_tail(P, guard)
-            return acc.widened(tail)
         if method == "row_sum":
             if l > DEFAULT_N_MAX:
                 raise ValueError("row_sum needs l within the coefficient range")

@@ -1,4 +1,9 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from kfull.bounded import ErrorBoundedReal
@@ -75,3 +80,52 @@ def test_pow_int():
 def test_agrees_with():
     assert ebr(1.0, 1e-9).agrees_with(ebr(1.0 + 1.5e-9, 1e-9))
     assert not ebr(1.0, 1e-12).agrees_with(ebr(1.0 + 1e-9, 1e-12))
+
+
+def frac(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+
+
+def encloses(z, exact: Fraction) -> bool:
+    return frac(z.lo()) <= exact <= frac(z.hi())
+
+
+DPS = st.sampled_from((15, 30, 60))
+VALUES = st.builds(lambda n, e: Fraction(n) * Fraction(10) ** e,
+                   st.integers(-10**30, 10**30), st.integers(-40, 5))
+RADII = st.builds(lambda n, e: Fraction(n) * Fraction(10) ** e,
+                  st.integers(0, 10**20), st.integers(-60, 0))
+
+
+@given(VALUES, RADII, VALUES, RADII, DPS, DPS)
+@settings(deadline=None, max_examples=300)
+def test_operations_enclose_every_endpoint_combination(va, ra, vb, rb, built, used):
+    # operands may carry more bits than the precision the operation runs at
+    with mp.workdps(built):
+        a = ErrorBoundedReal(mpf(va.numerator) / va.denominator,
+                             mpf(ra.numerator) / ra.denominator)
+        b = ErrorBoundedReal(mpf(vb.numerator) / vb.denominator,
+                             mpf(rb.numerator) / rb.denominator)
+    ends_a = (frac(a.lo()), frac(a.hi()))
+    ends_b = (frac(b.lo()), frac(b.hi()))
+    with mp.workdps(used):
+        results = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
+    for z in results.values():
+        assert isinstance(z.value, mpf) and isinstance(z.radius, mpf)
+        assert z.radius >= 0
+    for x, y in product(ends_a, ends_b):
+        assert encloses(results["+"], x + y)
+        assert encloses(results["-"], x - y)
+        assert encloses(results["*"], x * y)
+    for x in ends_a:
+        assert encloses(results["neg"], -x)
+
+
+def test_negation_keeps_radius_at_lower_precision():
+    with mp.workdps(60):
+        x = ErrorBoundedReal(mpf(1) / 3, mpf(1) / 7 * mpf("1e-20"))
+    with mp.workdps(15):
+        y = -x
+    assert y.radius._mpf_ == x.radius._mpf_
+    assert frac(y.value) == -frac(x.value)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kfull import cli, density, empirical
 from kfull.cli import build_parser, main
 
 from conftest import GOLDEN_TABLE_2, MEMBERS_EMPTY_2_40
@@ -233,3 +234,51 @@ def test_empirical_threads_byte_identical(capsys):
         pytest.skip("process pool unavailable in sandbox")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_config_file_feeds_every_option(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_table", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_max": 41, "format": "csv", "prime_cutoff": 500,
+                               "cap": 7, "digits": 33, "tolerance_scale": 0.5}))
+    code, _, _ = run_cli(capsys, "table", "--config", str(cfg), "--digits", "35")
+    assert code == 0
+    got = seen[0]
+    assert (got.guard, got.fmt, got.prime_cutoff, got.cap, got.tolerance_scale) == (
+        41, "csv", 500, 7, 0.5)
+    assert got.digits == 35  # the flag beats the file
+    assert (got.k, got.max_index, got.method, got.N) == (2, 5, "direct", None)
+    # command-specific options come from the file too
+    cfg.write_text(json.dumps({"limit": 30}))
+    code, out, _ = run_cli(capsys, "enumerate", "kfull", "--config", str(cfg))
+    assert code == 0 and out.split() == ["8", "27"]
+    # parser-only names are not config keys
+    cfg.write_text(json.dumps({"command": "table"}))
+    code, _, err = run_cli(capsys, "table", "--config", str(cfg))
+    assert code == 2 and "command" in err
+
+
+def test_uncertifiable_bound_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("could not certify P_2(1) to 30 digits")
+
+    monkeypatch.setattr(density, "build_table", fail)
+    code, out, err = run_cli(capsys, "table", "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: could not certify P_2(1) to 30 digits\n"
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(empirical, "empirical_table", fail)
+    code, out, err = run_cli(capsys, "empirical", "--k", "2", "--N", "100")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError\n"

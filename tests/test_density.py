@@ -3,6 +3,7 @@ from math import comb
 import pytest
 from mpmath import mp, mpf
 
+from kfull import density
 from kfull.bounded import ErrorBoundedReal
 from kfull.density import (
     SubsetSpec,
@@ -186,6 +187,32 @@ def test_shiu_row_sum_route(k):
         a = density_shiu(k, l, "xi_alternating")
         b = density_shiu(k, l, "row_sum")
         assert a.agrees_with(b), l
+
+
+def _bits(x):
+    return (x.value._mpf_, x.radius._mpf_)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_inversion_cells_same_from_cold_or_warm_memo(k):
+    cells = [(l, m) for l in range(4) for m in range(l, 4)]
+    cold = {}
+    for l, m in cells:
+        density._one_sided.cache_clear()
+        cold[(l, m)] = _bits(density_A(k, l, m, "inversion"))
+    for l, m in cells:
+        assert _bits(density_A(k, l, m, "inversion")) == cold[(l, m)], (l, m)
+
+
+def test_one_sided_memo_ignores_caller_precision():
+    density._one_sided.cache_clear()
+    with mp.workdps(15):
+        low = [_bits(density_shiu(2, l)) for l in range(4)]
+    density._one_sided.cache_clear()
+    with mp.workdps(80):
+        high = [_bits(density_shiu(2, l)) for l in range(4)]
+    assert low == high
+    assert density._one_sided.cache_info().maxsize is not None
 
 
 def test_density_B_examples():
