@@ -8,7 +8,10 @@ dividing n.  Every k-full n factors uniquely as
 with b_1*...*b_(k-1) squarefree (so the b_j are squarefree and pairwise
 coprime).  That bijection is what makes representation-driven enumeration
 possible: walk the squarefree coprime tuples b and the cofactor a instead
-of factoring every integer in the range.
+of factoring every integer in the range.  shape_tuples is the one walker
+over those tuples, capped by the radicand (M <= X), by a coordinate box
+(every b_j <= B), or by both; the k-full enumeration, the sweep's shape
+lists, the shape box sums and the box product behind eval_F all read it.
 
 Supported factorization range is 1 <= n <= 2^63 - 1, enforced; the method
 is deterministic trial division (primes up to 10^6, early exit at p*p > n),
@@ -287,14 +290,24 @@ def canonical_repr(n: int, k: int) -> KFullRepr:
     return KFullRepr(k, a, tuple(b))
 
 
-def shape_tuples(k: int, X: int) -> list:
-    """All (M, b) with M = prod b_j^(k+j) <= X over squarefree pairwise-coprime
-    tuples b, including the trivial all-ones tuple (M = 1).  Sorted by M."""
+def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
+    """All (M, b) with M = prod b_j^(k+j) over squarefree pairwise-coprime
+    tuples b, including the trivial all-ones tuple (M = 1).  Sorted by M.
+
+    X caps the radicand (M <= X), box caps every coordinate (b_j <= box);
+    at least one of them must be given.  This is the one walker over the
+    tuples: the enumeration, the shape lists and the box sums all read it."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if X < 1:
+    if X is None and box is None:
+        raise ValueError("shape_tuples needs X or box")
+    if (X is not None and X < 1) or (box is not None and box < 1):
         return []
-    sf = squarefree_sieve(introot(X, k + 1))
+    # every b_j <= introot(X, k+1), since M >= b_j^(k+1)
+    cap = box if X is None else introot(X, k + 1)
+    if box is not None:
+        cap = min(cap, box)
+    sf = squarefree_sieve(cap)
     out = []
 
     def rec(j, m_so_far, prod_so_far, prefix):
@@ -302,7 +315,7 @@ def shape_tuples(k: int, X: int) -> list:
             out.append((m_so_far, tuple(prefix)))
             return
         exp = k + j
-        bmax = introot(X // m_so_far, exp)
+        bmax = cap if X is None else min(cap, introot(X // m_so_far, exp))
         for bj in range(1, bmax + 1):
             if bj > 1 and (not sf[bj] or gcd(bj, prod_so_far) > 1):
                 continue

@@ -2,7 +2,9 @@
 
 Subcommands: table, constants, verify, enumerate, empirical.  Exit codes:
 0 success, 1 verification failure, 2 usage/config error or a computation
-that could not finish (uncertifiable bound, out of memory).  Machine formats
+that could not finish (uncertifiable bound, out of memory); a --config value
+is checked as its flag would be, so a wrong type or choice is a config error.
+Every command hands its result to one writer, _write.  Machine formats
 (csv, json) are byte-deterministic for a fixed configuration: rows are
 sorted, enclosures print as 30-digit decimal strings (a float64 round trip
 would exceed the smaller radii), and no timings or timestamps are embedded.
@@ -83,24 +85,27 @@ def _rad(x) -> str:
     return mp.nstr(x, 8)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _write(cfg: RunConfig, header, rows, doc, text) -> None:
+    """Write one command's result in cfg.fmt to cfg.out, or to stdout.
+
+    csv is header plus rows; json is the object doc() returns and text the
+    string text() returns.  Only the chosen form is built, so rows may be a
+    lazy iterable when no other form reads it."""
+    if cfg.fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        body = buf.getvalue()
+    elif cfg.fmt == "json":
+        body = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
+    else:
+        body = text()
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            fh.write(body)
     else:
-        sys.stdout.write(text)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        sys.stdout.write(body)
 
 
 # -- table ------------------------------------------------------------------
@@ -122,21 +127,16 @@ def _render_table_text(table) -> str:
 def cmd_table(cfg: RunConfig) -> int:
     table = density.build_table(cfg.k, cfg.max_index, cfg.method, cfg.digits,
                                 cfg.prime_cutoff, cfg.guard)
-    if cfg.fmt == "text":
-        _emit(cfg, _render_table_text(table))
-    elif cfg.fmt == "csv":
-        rows = [
-            (table.k, l, m, _num(e.value), _rad(e.radius), table.method)
-            for (l, m), e in table.cells()
-        ]
-        _emit(cfg, _csv_text(("k", "l", "m", "value", "radius", "method"), rows))
-    else:
-        cells = [
-            {"l": l, "m": m, "value": _num(e.value), "radius": _rad(e.radius)}
-            for (l, m), e in table.cells()
-        ]
-        _emit(cfg, _json_text(
-            {"k": table.k, "L": table.L, "method": table.method, "cells": cells}))
+
+    def doc():
+        cells = [{"l": l, "m": m, "value": _num(e.value), "radius": _rad(e.radius)}
+                 for (l, m), e in table.cells()]
+        return {"k": table.k, "L": table.L, "method": table.method, "cells": cells}
+
+    rows = ((table.k, l, m, _num(e.value), _rad(e.radius), table.method)
+            for (l, m), e in table.cells())
+    _write(cfg, ("k", "l", "m", "value", "radius", "method"), rows, doc,
+           lambda: _render_table_text(table))
     return 0
 
 
@@ -162,20 +162,19 @@ def _constants(cfg: RunConfig) -> list:
 
 
 def cmd_constants(cfg: RunConfig) -> int:
-    rows = _constants(cfg)
-    if cfg.fmt == "text":
-        width = max(len(name) for name, _ in rows)
-        body = "".join(
+    named = _constants(cfg)
+
+    def text():
+        width = max(len(name) for name, _ in named)
+        return "".join(
             f"{name:<{width}}  {repr(float(e.value))}  (radius {float(e.radius):.2e})\n"
-            for name, e in rows
+            for name, e in named
         )
-        _emit(cfg, body)
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_text(("name", "value", "radius"),
-                             [(n, _num(e.value), _rad(e.radius)) for n, e in rows]))
-    else:
-        _emit(cfg, _json_text({n: {"value": _num(e.value), "radius": _rad(e.radius)}
-                               for n, e in rows}))
+
+    _write(cfg, ("name", "value", "radius"),
+           ((n, _num(e.value), _rad(e.radius)) for n, e in named),
+           lambda: {n: {"value": _num(e.value), "radius": _rad(e.radius)} for n, e in named},
+           text)
     return 0
 
 
@@ -202,7 +201,8 @@ def run_verify(cfg: RunConfig) -> dict:
     for l in range(6):
         for m in range(l, 6):
             vals = [
-                float(density_val(k, l, m, meth, cfg))
+                float(density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff,
+                                        cfg.guard).value)
                 for meth in ("direct", "inversion", "xi")
             ]
             worst = max(worst, max(vals) - min(vals))
@@ -280,11 +280,6 @@ def run_verify(cfg: RunConfig) -> dict:
     return {"k": k, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def density_val(k, l, m, method, cfg):
-    return density.density_A(k, l, m, method, cfg.digits, cfg.prime_cutoff,
-                             cfg.guard).value
-
-
 def enumerate_lambda_first(k: int, count: int) -> list:
     bound = 4.0
     while True:
@@ -296,13 +291,8 @@ def enumerate_lambda_first(k: int, count: int) -> list:
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verify(cfg)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_text(report))
-    elif cfg.fmt == "csv":
-        rows = [(c["name"], repr(c["observed"]), repr(c["tolerance"]),
-                 int(c["passed"]), c["note"]) for c in report["checks"]]
-        _emit(cfg, _csv_text(("name", "observed", "tolerance", "passed", "note"), rows))
-    else:
+
+    def text():
         lines = []
         for c in report["checks"]:
             status = "PASS" if c["passed"] else "FAIL"
@@ -311,7 +301,12 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f" <= tolerance {c['tolerance']:.3e}  ({c['note']})"
             )
         lines.append("all checks passed" if report["passed"] else "FAILURES present")
-        _emit(cfg, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    rows = ((c["name"], repr(c["observed"]), repr(c["tolerance"]), int(c["passed"]),
+             c["note"]) for c in report["checks"])
+    _write(cfg, ("name", "observed", "tolerance", "passed", "note"), rows,
+           lambda: report, text)
     return 0 if report["passed"] else 1
 
 
@@ -337,16 +332,10 @@ def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
             lam = lambda_value(e, 20)
             rows.append((i, " ".join(map(str, e.b)), e.radicand(),
                          repr(float(lam.value))))
-        if cfg.fmt == "csv":
-            _emit(cfg, _csv_text(("index", "b", "radicand", "lambda"), rows))
-        elif cfg.fmt == "json":
-            _emit(cfg, _json_text([
-                {"index": i, "b": list(map(int, b.split())), "radicand": M,
-                 "lambda": float(lam)}
-                for i, b, M, lam in rows
-            ]))
-        else:
-            _emit(cfg, "".join(f"{i:>6}  b=({b})  lambda={lam}\n"
+        _write(cfg, ("index", "b", "radicand", "lambda"), rows,
+               lambda: [{"index": i, "b": list(map(int, b.split())), "radicand": M,
+                         "lambda": float(lam)} for i, b, M, lam in rows],
+               lambda: "".join(f"{i:>6}  b=({b})  lambda={lam}\n"
                                for i, b, M, lam in rows))
         return 0
     if what == "kfull":
@@ -355,27 +344,19 @@ def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
             if count >= cfg.cap:
                 raise ValueError(f"enumeration exceeds cap {cfg.cap}")
             rows.append((v, rep.a, " ".join(map(str, rep.b))))
-        if cfg.fmt == "csv":
-            _emit(cfg, _csv_text(("value", "a", "b"), rows))
-        elif cfg.fmt == "json":
-            _emit(cfg, _json_text([
-                {"value": v, "a": a, "b": list(map(int, b.split()))}
-                for v, a, b in rows
-            ]))
-        else:
-            _emit(cfg, "".join(f"{v}\n" for v, _, _ in rows))
+        _write(cfg, ("value", "a", "b"), rows,
+               lambda: [{"value": v, "a": a, "b": list(map(int, b.split()))}
+                        for v, a, b in rows],
+               lambda: "".join(f"{v}\n" for v, _, _ in rows))
         return 0
     # members_B
     N = cfg.N if cfg.N is not None else 40
     I = _parse_subset(cfg.k, I_specs)
     J = _parse_subset(cfg.k, J_specs)
     members = empirical.members_B(cfg.k, I, J, N)
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(("n",), [(n,) for n in members]))
-    elif cfg.fmt == "json":
-        _emit(cfg, _json_text({"k": cfg.k, "N": N, "members": members}))
-    else:
-        _emit(cfg, "".join(f"{n}\n" for n in members))
+    _write(cfg, ("n",), ((n,) for n in members),
+           lambda: {"k": cfg.k, "N": N, "members": members},
+           lambda: "".join(f"{n}\n" for n in members))
     return 0
 
 
@@ -404,19 +385,21 @@ def cmd_empirical(cfg: RunConfig, compare: bool) -> int:
     header = ("k", "l", "m", "count", "frequency")
     if comp is not None:
         header += ("analytic", "deviation")
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_text(header, rows))
-    elif cfg.fmt == "json":
+
+    def doc():
         cells = [dict(zip(header, r)) for r in rows]
         obj = {"k": cfg.k, "N": emp.N, "bound": emp.bound, "cells": cells}
         if comp is not None:
             obj["max_abs_deviation"] = comp.max_abs_deviation
-        _emit(cfg, _json_text(obj))
-    else:
+        return obj
+
+    def text():
         body = [" ".join(str(x) for x in r) for r in rows]
         if comp is not None:
             body.append(f"max_abs_deviation {comp.max_abs_deviation:.6f}")
-        _emit(cfg, "\n".join(body) + "\n")
+        return "\n".join(body) + "\n"
+
+    _write(cfg, header, rows, doc, text)
     return 0
 
 
@@ -491,7 +474,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_options(args) -> dict:
+def _option_actions(parser) -> dict:
+    """dest -> argparse action over every subcommand (a config file may set
+    an option its own command does not take)."""
+    actions = {}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for sub in a.choices.values():
+                actions.update((x.dest, x) for x in sub._actions)
+    return actions
+
+
+def _check_config_value(key: str, val, action) -> None:
+    """Reject val unless the flag behind action could have given it: a bool
+    for a switch, a list of str for a repeatable option, else an instance of
+    the flag's type (int or float for float; never a bool) within its choices."""
+    if isinstance(action, argparse._StoreTrueAction):
+        ok, want = isinstance(val, bool), "true or false"
+    elif isinstance(action, argparse._AppendAction):
+        ok = isinstance(val, list) and all(isinstance(x, str) for x in val)
+        want = "a list of strings"
+    else:
+        types = {int: (int,), float: (int, float)}.get(action.type, (str,))
+        ok = isinstance(val, types) and not isinstance(val, bool)
+        want = " or ".join(t.__name__ for t in types)
+        if action.choices is not None:
+            ok, want = ok and val in action.choices, "one of " + ", ".join(action.choices)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {val!r}")
+
+
+def _merge_options(parser, args) -> dict:
     given = vars(args).copy()
     command = given.pop("command")
     what = given.pop("what", None)
@@ -502,10 +515,12 @@ def _merge_options(args) -> dict:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, val in from_file.items():
-            key = {"format": "fmt", "r_max": "guard"}.get(key, key)
+        actions = _option_actions(parser)
+        for name, val in from_file.items():
+            key = {"format": "fmt", "r_max": "guard"}.get(name, name)
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
+            _check_config_value(name, val, actions[key])
             merged[key] = val
     merged.update(given)
     merged["command"] = command
@@ -514,9 +529,10 @@ def _merge_options(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        opt = _merge_options(args)
+        opt = _merge_options(parser, args)
         cfg = RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
         cfg.validate()
         if opt["command"] == "table":

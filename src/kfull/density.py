@@ -47,6 +47,7 @@ from math import comb, factorial
 
 from mpmath import mp, mpf
 
+from .arith import shape_tuples
 from .bounded import ErrorBoundedReal
 from .shapes import (
     DEFAULT_PRIME_CUTOFF,
@@ -56,6 +57,7 @@ from .shapes import (
     lambda_value,
     power_sum_euler,
     power_sums,
+    tail_bound,
 )
 
 DEFAULT_DIGITS = 30
@@ -131,6 +133,14 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
+def _alternating(terms) -> ErrorBoundedReal:
+    """sum_n (-1)^n terms[n], accumulated left to right from an exact 0."""
+    acc = ErrorBoundedReal.exact(0)
+    for n, term in enumerate(terms):
+        acc = acc + term if n % 2 == 0 else acc - term
+    return acc
+
+
 def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
     """Newton's identities; xi_0 = 1 exactly, radii propagated."""
     if r_max < 0:
@@ -139,10 +149,7 @@ def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
         raise ValueError(f"need P_k(1..{r_max}), have 1..{ps.m_max}")
     out = [ErrorBoundedReal.exact(1)]
     for r in range(1, r_max + 1):
-        acc = ErrorBoundedReal.exact(0)
-        for i in range(1, r + 1):
-            term = out[r - i] * ps.p(i)
-            acc = acc + term if i % 2 == 1 else acc - term
+        acc = _alternating(out[r - i] * ps.p(i) for i in range(1, r + 1))
         out.append(acc * (mpf(1) / r))
     return XiSequence(ps.k, tuple(out))
 
@@ -183,12 +190,8 @@ def coeffs_a(xi: XiSequence, n_max: int, guard: int = DEFAULT_GUARD,
     P = mpf(p1_hi) if p1_hi is not None else xi.xi[1].hi()
     out = []
     for n in range(n_max + 1):
-        acc = ErrorBoundedReal.exact(0)
-        sign = 1
-        for r in range(n, n + guard + 1):
-            term = xi.xi[r] * (mpf(comb(r, n)) * mpf(2) ** (r - n))
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
+        acc = _alternating(xi.xi[r] * (mpf(comb(r, n)) * mpf(2) ** (r - n))
+                           for r in range(n, n + guard + 1))
         tail = P**n / mp.factorial(n) * _exp_tail(2 * P, guard)
         if target is not None and tail > mpf(target):
             raise ValueError(f"guard {guard} leaves truncation {tail} > {target}")
@@ -263,17 +266,13 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
             return coeffs.a[l + m] * mpf(comb(l + m, l))
         P = ps.p(1).hi()
         if method == "xi":
-            acc = ErrorBoundedReal.exact(0)
-            for n in range(guard + 1):
-                term = xi.xi[l + m + n] * (mpf(_trinom(l, m, n)) * mpf(2) ** n)
-                acc = acc + term if n % 2 == 0 else acc - term
+            acc = _alternating(xi.xi[l + m + n] * (mpf(_trinom(l, m, n)) * mpf(2) ** n)
+                               for n in range(guard + 1))
             tail = P ** (l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, guard)
             return acc.widened(tail)
         if method == "inversion":
-            acc = ErrorBoundedReal.exact(0)
-            for n in range(guard + 1):
-                term = _one_sided(k, l + m + n, digits, p0, guard) * mpf(_trinom(l, m, n))
-                acc = acc + term if n % 2 == 0 else acc - term
+            acc = _alternating(_one_sided(k, l + m + n, digits, p0, guard)
+                               * mpf(_trinom(l, m, n)) for n in range(guard + 1))
             # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
             tail = (
                 mp.exp(P) * P ** (l + m)
@@ -290,10 +289,7 @@ def _one_sided(k: int, l: int, digits: int, p0: int, guard: int) -> ErrorBounded
     the caller checks that l + guard stays inside the engine's xi range."""
     ps, xi, _ = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
     with mp.workdps(digits + 20):
-        acc = ErrorBoundedReal.exact(0)
-        for n in range(guard + 1):
-            term = xi.xi[l + n] * mpf(comb(l + n, l))
-            acc = acc + term if n % 2 == 0 else acc - term
+        acc = _alternating(xi.xi[l + n] * mpf(comb(l + n, l)) for n in range(guard + 1))
         P = ps.p(1).hi()
         return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, guard))
 
@@ -402,16 +398,14 @@ def _eval_F_product(k: int, w, digits: int) -> ErrorBoundedReal:
     coordinate box of shapes, times a bracket for the omitted factors.  The
     achievable radius degrades with |w| (the omitted mass shrinks only like
     a power of the box side), and the returned radius says so honestly."""
-    from .shapes import box_elements, tail_bound
-
     # the box must keep every omitted shape above 2|w| so the omitted
     # log-factors are dominated; then widen until the tail bound stops paying
     B_floor = max(64, int((2 * abs(w)) ** (mpf(k) / (k + 1))) + 1)
     B_cap = max(B_floor, int(200_000 ** (1.0 / (k - 1))))
     B = min(B_floor * 16, B_cap)
     prod = ErrorBoundedReal.exact(1)
-    for e in box_elements(k, B):
-        lam = mp.root(mpf(e.radicand()), k)
+    for M, _ in shape_tuples(k, box=B)[1:]:  # [0] is the trivial tuple, M = 1
+        lam = mp.root(mpf(M), k)
         lam_e = ErrorBoundedReal(lam, lam * mp.eps * 8)
         prod = prod * (1 + w / lam_e)
     lam_min_omitted = mpf(B + 1) ** (mpf(k + 1) / k)

@@ -11,7 +11,10 @@ independent routes:
 
 * power_sum_direct: truncated summation over a coordinate box b_j <= B,
   with the omitted mass bounded by integral comparison (tail_bound).
-  Converges like B^(-m/k) at best, so it serves as the oracle route.
+  k = 2 sums a squarefree sieve, k = 3 uses the gcd-Moebius identity, and
+  k >= 4 sums over the box tuples of arith.shape_tuples (the one tuple
+  walker).  Converges like B^(-m/k) at best, so it serves as the oracle
+  route.
 
 * power_sum_euler: since each prime divides at most one b_j, the sum over
   all shape tuples factors over primes,
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, gcd
+from math import fsum
 
 import numpy as np
 from mpmath import mp, mpf
@@ -89,31 +92,6 @@ def lambda_value(e: LambdaElement, digits: int = 15) -> ErrorBoundedReal:
         return ErrorBoundedReal(v, v * mp.eps * 8)
 
 
-def box_elements(k: int, B: int) -> list:
-    """All shapes with every coordinate b_j <= B, ascending by radicand.
-    The complement of this box is exactly what tail_bound(k, m, B) covers."""
-    if k < 2 or B < 1:
-        raise ValueError("need k >= 2, B >= 1")
-    sf = squarefree_sieve(B)
-    out = []
-
-    def rec(j, m_so_far, prod_so_far, prefix):
-        if j == k:
-            if prod_so_far >= 2:
-                out.append((m_so_far, tuple(prefix)))
-            return
-        for bj in range(1, B + 1):
-            if bj > 1 and (not sf[bj] or gcd(bj, prod_so_far) > 1):
-                continue
-            prefix.append(bj)
-            rec(j + 1, m_so_far * bj ** (k + j), prod_so_far * bj, prefix)
-            prefix.pop()
-
-    rec(1, 1, 1, [])
-    out.sort()
-    return [LambdaElement(k, b) for _, b in out]
-
-
 def enumerate_lambda(k: int, bound, cap: int = DEFAULT_ELEMENT_CAP) -> list:
     """All shapes with lam <= bound, ascending.  Exact boundary comparison:
     lam <= bound iff radicand <= bound^k, taken over the rationals."""
@@ -148,7 +126,8 @@ class PowerSums:
 
 def tail_bound(k: int, m: int, B: int):
     """Proven upper bound (mpf) on the shape sum of lam^(-m) omitted by a
-    coordinate box b_j <= B.
+    coordinate box b_j <= B, i.e. over every shape outside
+    shape_tuples(k, box=B).
 
     Union bound over which coordinate exceeds B; each case is bounded by
     dropping the squarefree-coprimality constraint, giving a tail
@@ -214,21 +193,13 @@ def _box_sum_k3(m: int, B: int) -> float:
 
 
 def _box_sum_generic(k: int, m: int, B: int) -> float:
-    sf = squarefree_sieve(B)
     terms = []
-
-    def rec(j, prod_so_far, weight):
-        if j == k:
-            if prod_so_far > 1:
-                terms.append(weight)
-            return
-        s = m * (k + j) / k
-        for bj in range(1, B + 1):
-            if bj > 1 and (not sf[bj] or gcd(bj, prod_so_far) > 1):
-                continue
-            rec(j + 1, prod_so_far * bj, weight * bj ** (-s))
-
-    rec(1, 1, 1.0)
+    for M, b in shape_tuples(k, box=B):
+        if M > 1:
+            w = 1.0
+            for j, bj in enumerate(b, start=1):
+                w *= bj ** (-(m * (k + j) / k))
+            terms.append(w)
     return fsum(terms)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -149,6 +150,23 @@ def test_shape_tuples_sorted_by_radicand():
     shapes = shape_tuples(3, 10**6)
     assert shapes[0][0] == 1 and shapes[0][1] == (1, 1)
     assert [m for m, _ in shapes] == sorted(m for m, _ in shapes)
+
+
+@pytest.mark.parametrize("k, B", [(2, 60), (3, 25), (4, 12)])
+def test_shape_tuples_box_matches_brute_force(k, B):
+    # a squarefree product of the b_j is exactly "each squarefree, pairwise
+    # coprime"; the box caps every coordinate, X (when given) the radicand
+    brute = []
+    for b in itertools.product(range(1, B + 1), repeat=k - 1):
+        if is_squarefree(math.prod(b)):
+            brute.append((math.prod(bj ** (k + j) for j, bj in enumerate(b, 1)), b))
+    brute.sort()
+    assert shape_tuples(k, box=B) == brute
+    X = brute[len(brute) // 2][0]
+    assert shape_tuples(k, X, box=B) == [t for t in brute if t[0] <= X]
+    assert shape_tuples(k, 10**40, box=B) == brute
+    with pytest.raises(ValueError):
+        shape_tuples(k)
 
 
 def test_repr_validation():

@@ -282,3 +282,188 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "empirical", "--k", "2", "--N", "100")
     assert code == 2 and out == ""
     assert err == "error: MemoryError\n"
+
+
+# exact stdout of the integer-valued commands in every format; json is pinned
+# as its object in the writer's layout (indent 2, sorted keys, final newline)
+EXACT_OUTPUT = {
+    "enumerate kfull --k 2 --limit 100": (
+        "value,a,b\n"
+        "8,1,2\n"
+        "27,1,3\n"
+        "32,2,2\n"
+        "72,3,2\n",
+        [{"a": 1, "b": [2], "value": 8}, {"a": 1, "b": [3], "value": 27},
+         {"a": 2, "b": [2], "value": 32}, {"a": 3, "b": [2], "value": 72}],
+        "8\n"
+        "27\n"
+        "32\n"
+        "72\n",
+    ),
+    "enumerate kfull --k 2 --limit 100 --all": (
+        "value,a,b\n"
+        "1,1,1\n"
+        "4,2,1\n"
+        "8,1,2\n"
+        "9,3,1\n"
+        "16,4,1\n"
+        "25,5,1\n"
+        "27,1,3\n"
+        "32,2,2\n"
+        "36,6,1\n"
+        "49,7,1\n"
+        "64,8,1\n"
+        "72,3,2\n"
+        "81,9,1\n"
+        "100,10,1\n",
+        [{"a": 1, "b": [1], "value": 1}, {"a": 2, "b": [1], "value": 4},
+         {"a": 1, "b": [2], "value": 8}, {"a": 3, "b": [1], "value": 9},
+         {"a": 4, "b": [1], "value": 16}, {"a": 5, "b": [1], "value": 25},
+         {"a": 1, "b": [3], "value": 27}, {"a": 2, "b": [2], "value": 32},
+         {"a": 6, "b": [1], "value": 36}, {"a": 7, "b": [1], "value": 49},
+         {"a": 8, "b": [1], "value": 64}, {"a": 3, "b": [2], "value": 72},
+         {"a": 9, "b": [1], "value": 81}, {"a": 10, "b": [1], "value": 100}],
+        "1\n"
+        "4\n"
+        "8\n"
+        "9\n"
+        "16\n"
+        "25\n"
+        "27\n"
+        "32\n"
+        "36\n"
+        "49\n"
+        "64\n"
+        "72\n"
+        "81\n"
+        "100\n",
+    ),
+    "enumerate lambda --k 3 --bound 20": (
+        "index,b,radicand,lambda\n"
+        "1,2 1,16,2.5198420997897464\n"
+        "2,1 2,32,3.174802103936399\n"
+        "3,3 1,81,4.326748710922225\n"
+        "4,1 3,243,6.240251469155712\n"
+        "5,5 1,625,8.549879733383484\n"
+        "6,6 1,1296,10.902723556992838\n"
+        "7,7 1,2401,13.390518279406724\n"
+        "8,3 2,2592,13.736570910639982\n"
+        "9,1 5,3125,14.62008869106433\n"
+        "10,2 3,3888,15.72444836525338\n"
+        "11,1 6,7776,19.81156349336776\n",
+        [{"b": [2, 1], "index": 1, "lambda": 2.5198420997897464, "radicand": 16},
+         {"b": [1, 2], "index": 2, "lambda": 3.174802103936399, "radicand": 32},
+         {"b": [3, 1], "index": 3, "lambda": 4.326748710922225, "radicand": 81},
+         {"b": [1, 3], "index": 4, "lambda": 6.240251469155712, "radicand": 243},
+         {"b": [5, 1], "index": 5, "lambda": 8.549879733383484, "radicand": 625},
+         {"b": [6, 1], "index": 6, "lambda": 10.902723556992838, "radicand": 1296},
+         {"b": [7, 1], "index": 7, "lambda": 13.390518279406724, "radicand": 2401},
+         {"b": [3, 2], "index": 8, "lambda": 13.736570910639982, "radicand": 2592},
+         {"b": [1, 5], "index": 9, "lambda": 14.62008869106433, "radicand": 3125},
+         {"b": [2, 3], "index": 10, "lambda": 15.72444836525338, "radicand": 3888},
+         {"b": [1, 6], "index": 11, "lambda": 19.81156349336776, "radicand": 7776}],
+        "     1  b=(2 1)  lambda=2.5198420997897464\n"
+        "     2  b=(1 2)  lambda=3.174802103936399\n"
+        "     3  b=(3 1)  lambda=4.326748710922225\n"
+        "     4  b=(1 3)  lambda=6.240251469155712\n"
+        "     5  b=(5 1)  lambda=8.549879733383484\n"
+        "     6  b=(6 1)  lambda=10.902723556992838\n"
+        "     7  b=(7 1)  lambda=13.390518279406724\n"
+        "     8  b=(3 2)  lambda=13.736570910639982\n"
+        "     9  b=(1 5)  lambda=14.62008869106433\n"
+        "    10  b=(2 3)  lambda=15.72444836525338\n"
+        "    11  b=(1 6)  lambda=19.81156349336776\n",
+    ),
+    "enumerate members_B --k 2 --N 60 --I 2": (
+        "n\n"
+        "2\n"
+        "8\n"
+        "16\n"
+        "39\n"
+        "42\n"
+        "48\n"
+        "53\n"
+        "59\n",
+        {"N": 60, "k": 2, "members": [2, 8, 16, 39, 42, 48, 53, 59]},
+        "2\n"
+        "8\n"
+        "16\n"
+        "39\n"
+        "42\n"
+        "48\n"
+        "53\n"
+        "59\n",
+    ),
+    "empirical --k 2 --N 200": (
+        "k,l,m,count,frequency\n"
+        "2,0,0,18,0.09\n"
+        "2,0,1,28,0.14\n"
+        "2,0,2,21,0.105\n"
+        "2,0,3,7,0.035\n"
+        "2,1,0,32,0.16\n"
+        "2,1,1,33,0.165\n"
+        "2,1,2,10,0.05\n"
+        "2,1,3,4,0.02\n"
+        "2,2,0,18,0.09\n"
+        "2,2,1,13,0.065\n"
+        "2,2,2,5,0.025\n"
+        "2,3,0,5,0.025\n"
+        "2,3,1,6,0.03\n",
+        {"N": 200,
+         "bound": 40803,
+         "cells": [{"count": 18, "frequency": "0.09", "k": 2, "l": 0, "m": 0},
+                   {"count": 28, "frequency": "0.14", "k": 2, "l": 0, "m": 1},
+                   {"count": 21, "frequency": "0.105", "k": 2, "l": 0, "m": 2},
+                   {"count": 7, "frequency": "0.035", "k": 2, "l": 0, "m": 3},
+                   {"count": 32, "frequency": "0.16", "k": 2, "l": 1, "m": 0},
+                   {"count": 33, "frequency": "0.165", "k": 2, "l": 1, "m": 1},
+                   {"count": 10, "frequency": "0.05", "k": 2, "l": 1, "m": 2},
+                   {"count": 4, "frequency": "0.02", "k": 2, "l": 1, "m": 3},
+                   {"count": 18, "frequency": "0.09", "k": 2, "l": 2, "m": 0},
+                   {"count": 13, "frequency": "0.065", "k": 2, "l": 2, "m": 1},
+                   {"count": 5, "frequency": "0.025", "k": 2, "l": 2, "m": 2},
+                   {"count": 5, "frequency": "0.025", "k": 2, "l": 3, "m": 0},
+                   {"count": 6, "frequency": "0.03", "k": 2, "l": 3, "m": 1}],
+         "k": 2},
+        "2 0 0 18 0.09\n"
+        "2 0 1 28 0.14\n"
+        "2 0 2 21 0.105\n"
+        "2 0 3 7 0.035\n"
+        "2 1 0 32 0.16\n"
+        "2 1 1 33 0.165\n"
+        "2 1 2 10 0.05\n"
+        "2 1 3 4 0.02\n"
+        "2 2 0 18 0.09\n"
+        "2 2 1 13 0.065\n"
+        "2 2 2 5 0.025\n"
+        "2 3 0 5 0.025\n"
+        "2 3 1 6 0.03\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("command", sorted(EXACT_OUTPUT))
+def test_exact_output_bytes(capsys, command, fmt):
+    csv_text, doc, text = EXACT_OUTPUT[command]
+    want = {"csv": csv_text, "text": text,
+            "json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}[fmt]
+    assert run_cli(capsys, *command.split(), "--format", fmt) == (0, want, "")
+
+
+def test_out_file_equals_stdout(tmp_path, capsys):
+    argv = ("empirical", "--k", "2", "--N", "200", "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "e.json"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("doc", [{"k": "2"}, {"max_index": 2.5}, {"format": "xml"},
+                                 {"quick": "yes"}])
+def test_config_values_checked_like_flags(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and next(iter(doc)) in err

@@ -323,12 +323,13 @@ def test_eval_F_beyond_series_depth_stays_enclosing():
         F = eval_F(2, 120, 15)
         assert F.lo() > 0
         # finer box product must land inside the reported enclosure
-        from kfull.shapes import box_elements, tail_bound
+        from kfull.arith import shape_tuples
+        from kfull.shapes import tail_bound
         w = mpf(120) - 2
         partial = mpf(1)
         B = 4096
-        for e in box_elements(2, B):
-            partial *= 1 + w / mp.root(mpf(e.radicand()), 2)
+        for M, _ in shape_tuples(2, box=B)[1:]:
+            partial *= 1 + w / mp.root(mpf(M), 2)
         t = 2 * w * tail_bound(2, 1, B)
         assert F.lo() <= partial * mp.exp(t) and partial * mp.exp(-t) <= F.hi()
 

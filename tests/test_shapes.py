@@ -139,6 +139,14 @@ def test_route_agreement(k, B):
         assert d.agrees_with(e), (k, m, B)
 
 
+@pytest.mark.parametrize("k, B", [(4, 100), (5, 30)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_route_agreement_generic_box(k, B, m):
+    # k >= 4 sums the box tuples of the shape walker
+    d = power_sum_direct(k, m, B)
+    assert d.agrees_with(power_sum_euler(k, m, 30)), (k, m, B)
+
+
 def test_tail_bounds_honest_when_doubling():
     for k in (2, 3):
         for m in (1, 2):
