@@ -240,16 +240,17 @@ def run_verify(cfg: RunConfig) -> dict:
     add("fractional_part_criterion", bad, 0,
         f"disagreements or non-unique witnesses over {samples} random (n, shape, j)")
 
+    n_emp, tol_emp = _EMPIRICAL_DEFAULTS.get(k, (10_000, 0.05))
+    # deviations shrink like 1/sqrt(N); --quick runs N/10 at 3.2 times the
+    # tolerance (pre-validated), and an explicit N never tightens it
+    q = 3.2 if cfg.quick else 1
     if cfg.N is not None:
+        tol_emp *= max(q, (n_emp / cfg.N) ** 0.5)
         n_emp = cfg.N
-        tol_emp = _EMPIRICAL_DEFAULTS.get(k, (10_000, 0.05))[1]
-        if cfg.quick:
-            tol_emp *= 3.2
     else:
-        n_emp, tol_emp = _EMPIRICAL_DEFAULTS.get(k, (10_000, 0.05))
+        tol_emp *= q
         if cfg.quick:
             n_emp //= 10
-            tol_emp *= 3.2  # deviations shrink like 1/sqrt(N); pre-validated
     emp = empirical.empirical_table(k, n_emp, cfg.threads)
     max_idx = max(max(l, m) for l, m in emp.counts)
     ana = density.build_table(k, max(cfg.max_index, max_idx), "direct",

@@ -28,6 +28,14 @@ cost: past the point where xi_r reaches the working-precision noise floor,
 the binomial weights amplify that noise, so deeper sums would be worse,
 not better.  The tracked radii account for both effects honestly.
 
+Every fixed linear sum above (Newton's identities, a_n, the xi and
+inversion cells, the one-sided d_l, the row sums and the total mass) goes
+through bounded.dot, which sums exactly and rounds once.  Its weights must
+be exact Python ints, signs and powers of two included, such as
+C(r,n) * (-2)^(r-n); a rounded weight such as 1/r stays outside the sum as
+an ErrorBoundedReal multiply.  eval_F keeps its term-by-term loops,
+because they stop early on the running radius.
+
 The inversion route consumes one-sided densities that are themselves
 produced by the xi route, so it is a consistency check of the published
 inversion formula rather than an independent source.  Each one-sided density
@@ -48,7 +56,7 @@ from math import comb, factorial
 from mpmath import mp, mpf
 
 from .arith import shape_tuples
-from .bounded import ErrorBoundedReal
+from .bounded import ErrorBoundedReal, dot
 from .shapes import (
     DEFAULT_PRIME_CUTOFF,
     LambdaElement,
@@ -133,23 +141,17 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
-def _alternating(terms) -> ErrorBoundedReal:
-    """sum_n (-1)^n terms[n], accumulated left to right from an exact 0."""
-    acc = ErrorBoundedReal.exact(0)
-    for n, term in enumerate(terms):
-        acc = acc + term if n % 2 == 0 else acc - term
-    return acc
-
-
 def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
     """Newton's identities; xi_0 = 1 exactly, radii propagated."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     if ps.m_max < r_max:
         raise ValueError(f"need P_k(1..{r_max}), have 1..{ps.m_max}")
+    # signed[i] = (-1)^(i-1) p_i, negated once rather than once per r
+    signed = [None] + [ps.p(i) if i % 2 else -ps.p(i) for i in range(1, r_max + 1)]
     out = [ErrorBoundedReal.exact(1)]
     for r in range(1, r_max + 1):
-        acc = _alternating(out[r - i] * ps.p(i) for i in range(1, r + 1))
+        acc = dot((out[r - i], signed[i]) for i in range(1, r + 1))
         out.append(acc * (mpf(1) / r))
     return XiSequence(ps.k, tuple(out))
 
@@ -190,8 +192,8 @@ def coeffs_a(xi: XiSequence, n_max: int, guard: int = DEFAULT_GUARD,
     P = mpf(p1_hi) if p1_hi is not None else xi.xi[1].hi()
     out = []
     for n in range(n_max + 1):
-        acc = _alternating(xi.xi[r] * (mpf(comb(r, n)) * mpf(2) ** (r - n))
-                           for r in range(n, n + guard + 1))
+        acc = dot((xi.xi[r], comb(r, n) * (-2) ** (r - n))
+                  for r in range(n, n + guard + 1))
         tail = P**n / mp.factorial(n) * _exp_tail(2 * P, guard)
         if target is not None and tail > mpf(target):
             raise ValueError(f"guard {guard} leaves truncation {tail} > {target}")
@@ -266,13 +268,13 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
             return coeffs.a[l + m] * mpf(comb(l + m, l))
         P = ps.p(1).hi()
         if method == "xi":
-            acc = _alternating(xi.xi[l + m + n] * (mpf(_trinom(l, m, n)) * mpf(2) ** n)
-                               for n in range(guard + 1))
+            acc = dot((xi.xi[l + m + n], _trinom(l, m, n) * (-2) ** n)
+                      for n in range(guard + 1))
             tail = P ** (l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, guard)
             return acc.widened(tail)
         if method == "inversion":
-            acc = _alternating(_one_sided(k, l + m + n, digits, p0, guard)
-                               * mpf(_trinom(l, m, n)) for n in range(guard + 1))
+            acc = dot((_one_sided(k, l + m + n, digits, p0, guard),
+                       (-1) ** n * _trinom(l, m, n)) for n in range(guard + 1))
             # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
             tail = (
                 mp.exp(P) * P ** (l + m)
@@ -289,7 +291,7 @@ def _one_sided(k: int, l: int, digits: int, p0: int, guard: int) -> ErrorBounded
     the caller checks that l + guard stays inside the engine's xi range."""
     ps, xi, _ = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
     with mp.workdps(digits + 20):
-        acc = _alternating(xi.xi[l + n] * mpf(comb(l + n, l)) for n in range(guard + 1))
+        acc = dot((xi.xi[l + n], (-1) ** n * comb(l + n, l)) for n in range(guard + 1))
         P = ps.p(1).hi()
         return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, guard))
 
@@ -311,10 +313,8 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
         if method == "row_sum":
             if l > DEFAULT_N_MAX:
                 raise ValueError("row_sum needs l within the coefficient range")
-            acc = ErrorBoundedReal.exact(0)
             M = DEFAULT_N_MAX - l
-            for m in range(M + 1):
-                acc = acc + coeffs.a[l + m] * mpf(comb(l + m, l))
+            acc = dot((coeffs.a[l + m], comb(l + m, l)) for m in range(M + 1))
             tail = P**l / mp.factorial(l) * _exp_tail(P, M)
             return acc.widened(tail)
     raise ValueError(f"unknown method {method!r}")
@@ -342,9 +342,7 @@ def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
     """sum over n of a_n 2^n, which must enclose 1 (total cell mass)."""
     ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, DEFAULT_GUARD)
     with mp.workdps(digits + 20):
-        acc = ErrorBoundedReal.exact(0)
-        for n in range(coeffs.n_max + 1):
-            acc = acc + coeffs.a[n] * mpf(2) ** n
+        acc = dot((coeffs.a[n], 1 << n) for n in range(coeffs.n_max + 1))
         P = ps.p(1).hi()
         return acc.widened(_exp_tail(2 * P, coeffs.n_max))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from kfull.bounded import ErrorBoundedReal
+from kfull.bounded import ErrorBoundedReal, dot
 
 
 def ebr(v, r=0):
@@ -129,3 +129,78 @@ def test_negation_keeps_radius_at_lower_precision():
         y = -x
     assert y.radius._mpf_ == x.radius._mpf_
     assert frac(y.value) == -frac(x.value)
+
+
+def chain(pairs) -> ErrorBoundedReal:
+    """The per-operation interval chain dot() replaces: sum_n (-1)^n t_n,
+    accumulated left to right from an exact 0, over t_n = (-1)^n x_n w_n."""
+    acc = ErrorBoundedReal.exact(0)
+    for n, (x, w) in enumerate(pairs):
+        if isinstance(w, int):
+            with mp.workprec(max(53, w.bit_length())):
+                w = ErrorBoundedReal.exact(w)  # mpf(w) exactly, not rounded
+        term = x * (w if n % 2 == 0 else -w)
+        acc = acc + term if n % 2 == 0 else acc - term
+    return acc
+
+
+RADII_OR_ZERO = st.one_of(st.just(Fraction(0)), RADII)
+WEIGHTS = st.one_of(st.integers(-2**200, 2**200), st.tuples(VALUES, RADII_OR_ZERO))
+TERMS = st.lists(st.tuples(VALUES, RADII_OR_ZERO, WEIGHTS), min_size=1, max_size=4)
+
+
+def build_pairs(terms, dps):
+    def make(v, r):
+        return ErrorBoundedReal(mpf(v.numerator) / v.denominator,
+                                mpf(r.numerator) / r.denominator)
+
+    with mp.workdps(dps):
+        return [(make(v, r), w if isinstance(w, int) else make(*w)) for v, r, w in terms]
+
+
+def endpoints(x):
+    return (x, x) if isinstance(x, int) else (frac(x.lo()), frac(x.hi()))
+
+
+@given(TERMS, DPS, DPS)
+@settings(deadline=None, max_examples=300)
+def test_dot_encloses_every_endpoint_combination(terms, built, used):
+    pairs = build_pairs(terms, built)
+    with mp.workdps(used):
+        z = dot(pairs)
+    assert isinstance(z.value, mpf) and isinstance(z.radius, mpf) and z.radius >= 0
+    per_term = [[a * b for a, b in product(endpoints(x), endpoints(w))] for x, w in pairs]
+    for combo in product(*per_term):
+        assert encloses(z, sum(combo))
+
+
+@given(TERMS, DPS, DPS)
+@settings(deadline=None, max_examples=300)
+def test_dot_radius_never_exceeds_the_chain(terms, built, used):
+    pairs = build_pairs(terms, built)
+    with mp.workdps(used):
+        fused, chained = dot(pairs), chain(pairs)
+    assert fused.radius <= chained.radius
+
+
+def test_dot_rounds_once_and_exact_sums_stay_exact():
+    with mp.workdps(15):
+        third = ErrorBoundedReal(mpf(1) / 3, 0)
+        assert dot([(third, 3), (third, -3)]).radius == 0  # cancels exactly
+        z = dot([(ebr(1), 2**200), (ebr(1), 1)])
+    assert encloses(z, Fraction(2**200 + 1))
+    assert 0 < z.radius <= mp.eps * abs(z.value)
+    assert dot([]).value == 0 and dot([]).radius == 0
+
+
+@pytest.mark.parametrize("weight", [1.0, mpf(2), Fraction(1, 3)])
+def test_dot_refuses_rounded_weights(weight):
+    with pytest.raises(TypeError):
+        dot([(ebr(1), weight)])
+
+
+@pytest.mark.parametrize("x, w", [(ebr(mp.inf), 1), (ebr(1, mp.inf), 1),
+                                  (ebr(1), ebr(mp.nan)), (ebr(1), ebr(1, mp.inf))])
+def test_dot_refuses_non_finite_operands(x, w):
+    with pytest.raises(ValueError):
+        dot([(x, w)])

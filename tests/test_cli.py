@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -186,6 +187,43 @@ def test_verify_json_report(capsys):
             "empirical_vs_analytic", "power_sum_routes"} <= names
     for c in doc["checks"]:
         assert "tolerance" in c and "observed" in c
+
+
+def test_verify_small_N_widens_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000",
+                           "--format", "json")
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["empirical_vs_analytic"]
+    assert check["passed"] and check["tolerance"] == 0.005 * (1_000_000 / 3000) ** 0.5
+
+
+@pytest.mark.parametrize("k, N, quick, tolerance", [
+    (2, 1_000_000, False, 0.005),
+    (2, 100_000, True, 0.005 * 3.2),
+    (3, 10_000, True, 0.02 * 3.2),
+])
+def test_verify_tolerance_at_default_N(capsys, k, N, quick, tolerance):
+    # at N_default (N_default / 10 with --quick) the tolerance is the default
+    argv = ["verify", "--k", str(k), "--N", str(N), "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--quick"] if quick else []))
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["empirical_vs_analytic"]
+    assert check["tolerance"] == tolerance
+
+
+def test_verify_small_N_still_catches_a_wrong_cell(capsys, monkeypatch):
+    build_table = density.build_table
+
+    def perturbed(*args, **kwargs):
+        table = build_table(*args, **kwargs)
+        entries = dict(table.entries)
+        entries[(0, 3)] = entries[(0, 3)] + 0.1
+        return density.DensityTable(table.k, table.L, table.method, entries)
+
+    monkeypatch.setattr(density, "build_table", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000")
+    assert code == 1
+    assert "[FAIL] empirical_vs_analytic" in out
 
 
 def test_usage_errors(capsys):
@@ -467,3 +505,110 @@ def test_config_values_checked_like_flags(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "table", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith("error:") and next(iter(doc)) in err
+
+
+# exact csv stdout of the engine's table and constants routes: a change in how
+# the series are summed may shrink a radius only below its printed 8 digits
+EXACT_SERIES_OUTPUT = {
+    "table --k 2 --max-index 5 --method direct": (
+        'k,l,m,value,radius,method\n'
+        '2,0,0,0.0492272730092412771280194395251,4.8735708e-35,direct\n'
+        '2,0,1,0.10792054355786835009171708771,5.717938e-35,direct\n'
+        '2,0,2,0.079380653129410064093719006816,3.3542977e-35,direct\n'
+        '2,0,3,0.0305304151093236913808207222328,1.3118148e-35,direct\n'
+        '2,0,4,0.00744445126903480014001210889401,3.8477308e-36,direct\n'
+        '2,0,5,0.00127863716360588716105255726214,9.0287335e-37,direct\n'
+        '2,1,1,0.158761306258820128187438013632,6.7085954e-35,direct\n'
+        '2,1,2,0.0915912453279710741424621666983,3.9354443e-35,direct\n'
+        '2,1,3,0.029777805076139200560048435576,1.5390923e-35,direct\n'
+        '2,1,4,0.00639318581802943580526278631069,4.5143667e-36,direct\n'
+        '2,1,5,0.000991429441849282653348347300516,1.0593001e-36,direct\n'
+        '2,2,2,0.0446667076142088008400726533641,2.3086385e-35,direct\n'
+        '2,2,3,0.0127863716360588716105255726214,9.0287335e-36,direct\n'
+        '2,2,4,0.00247857360462320663337086825129,2.6482501e-36,direct\n'
+        '2,2,5,0.000352959533270738706132161287556,6.2141418e-37,direct\n'
+        '2,3,3,0.00330476480616427551116115766839,3.5310002e-36,direct\n'
+        '2,3,4,0.000588265888784564510220268812593,1.0356903e-36,direct\n'
+        '2,3,5,0.0000778673059710199858399778838746,2.4302562e-37,direct\n'
+        '2,4,4,0.0000973341324637749822999723548432,3.0378203e-37,direct\n'
+        '2,4,5,0.0000120859130092753250317703470444,7.1282714e-38,direct\n'
+        '2,5,5,0.00000141783328625129560532212190082,1.672655e-38,direct\n'
+    ),
+    "table --k 3 --max-index 5 --method xi": (
+        'k,l,m,value,radius,method\n'
+        '3,0,0,0.000146352836245950301214880201959,1.0002453e-14,xi\n'
+        '3,0,1,0.000898954913393338300095420554776,3.6601637e-14,xi\n'
+        '3,0,2,0.00241318469443338350579042780722,6.6967565e-14,xi\n'
+        '3,0,3,0.00389944540611754470216088051182,8.1684047e-14,xi\n'
+        '3,0,4,0.00436092537010464478691567032897,7.4725917e-14,xi\n'
+        '3,0,5,0.00365499793953792878497369674414,5.4688403e-14,xi\n'
+        '3,1,1,0.00482636938886676701158085561445,1.3393513e-13,xi\n'
+        '3,1,2,0.0116983362183526341064826415355,2.4505214e-13,xi\n'
+        '3,1,3,0.0174437014804185791476626813159,2.9890367e-13,xi\n'
+        '3,1,4,0.0182749896976896439248684837207,2.7344202e-13,xi\n'
+        '3,1,5,0.0145044464529023800305331399365,2.0011942e-13,xi\n'
+        '3,2,2,0.0261655522206278687214940219738,4.483555e-13,xi\n'
+        '3,2,3,0.0365499793953792878497369674414,5.4688403e-13,xi\n'
+        '3,2,4,0.0362611161322559500763328498412,5.0029855e-13,xi\n'
+        '3,2,5,0.0274727056687557545777507803822,3.6614511e-13,xi\n'
+        '3,3,3,0.0483481548430079334351104664549,6.6706474e-13,xi\n'
+        '3,3,4,0.0457878427812595909629179673036,6.1024185e-13,xi\n'
+        '3,3,5,0.0333183925139008249040092208086,4.4660746e-13,xi\n'
+        '3,4,4,0.0416479906423760311300115260108,5.5825933e-13,xi\n'
+        '3,4,5,0.02924700017264584739693968996,4.0856389e-13,xi\n'
+        '3,5,5,0.0198968826699103982334850596484,2.990088e-13,xi\n'
+    ),
+    "constants --k 3": (
+        'name,value,radius\n'
+        'C_3,0.000146352836245950288782280998592,1.2486594e-18\n'
+        '"d_3,0",0.0200375956179512025504920137545,4.1144685e-27\n'
+        '"d_3,1",0.084806202320633468385327993365,1.5055935e-26\n'
+        '"d_3,2",0.171014563321717356370704572588,2.7546837e-26\n'
+        '"d_3,3",0.220239555929766750371172780953,3.3600402e-26\n'
+        '"d_3,4",0.204704699050673834630145073229,3.0738203e-26\n'
+        '"d_3,5",0.147035502233370916475887419161,2.2495853e-26\n'
+        'P_3(1),3.65926612250065694127743110891,1.8108629e-38\n'
+        'P_3(2),0.398105028048410820538154908534,4.5778787e-40\n'
+        'P_3(3),0.114576315025302288937661068255,4.1068322e-40\n'
+        'P_3(4),0.0385373195798538272135107784855,1.8165245e-40\n'
+        'P_3(5),0.0137448928486802284206238123813,1.7633026e-40\n'
+        'P_3(6),0.00505585022863197085195559916529,2.6022544e-40\n'
+        'P_3(7),0.00189612534535890094915782893951,5.0633862e-42\n'
+        'P_3(8),0.000720702146129669997140834044113,1.4003547e-42\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_SERIES_OUTPUT))
+def test_series_output_bytes(capsys, command):
+    assert run_cli(capsys, *command.split(), "--format", "csv") == (
+        0, EXACT_SERIES_OUTPUT[command], "")
+
+
+# (l, m) -> (value, radius) of table --k 2 --method inversion --max-index 3 as
+# the per-operation interval chain printed them; values must stay byte for
+# byte, a radius may only shrink
+INVERSION_2_3 = {
+    (0, 0): ('0.0492272730092412771280194395251', '1.3973894e-46'),
+    (0, 1): ('0.10792054355786835009171708771', '1.6394375e-46'),
+    (0, 2): ('0.079380653129410064093719006816', '9.6126259e-47'),
+    (0, 3): ('0.0305304151093236913808207222328', '3.7584967e-47'),
+    (1, 1): ('0.158761306258820128187438013632', '1.9225252e-46'),
+    (1, 2): ('0.0915912453279710741424621666983', '1.127549e-46'),
+    (1, 3): ('0.029777805076139200560048435576', '4.4812361e-47'),
+    (2, 2): ('0.0446667076142088008400726533641', '6.7218542e-47'),
+    (2, 3): ('0.0127863716360588716105255726214', '3.9534577e-47'),
+    (3, 3): ('0.00330476480616427551116115766839', '1.6830404e-46'),
+}
+
+
+def test_inversion_values_pinned_and_radii_never_grow(capsys):
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--method", "inversion",
+                             "--max-index", "3", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert sorted((int(r["l"]), int(r["m"])) for r in rows) == sorted(INVERSION_2_3)
+    for r in rows:
+        value, radius = INVERSION_2_3[(int(r["l"]), int(r["m"]))]
+        assert r["value"] == value
+        assert Decimal(r["radius"]) <= Decimal(radius)
