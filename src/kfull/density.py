@@ -216,8 +216,15 @@ def _engine(k: int, digits: int, p0: int, n_max: int, guard: int):
     """
     two_p = 2 * float(power_sum_euler(k, 1, 15, p0).hi())
     g = max(guard, int(two_p) + 4)
-    while _float_exp_tail(two_p, g) > 1e-16 and g < 400:
-        g += 5
+    try:
+        while _float_exp_tail(two_p, g) > 1e-16 and g < 400:
+            g += 5
+    except OverflowError:
+        # (2 P_k(1))^(g+1) leaves the float range long before an engine that
+        # deep could finish, so the search stops here
+        raise ArithmeticError(
+            f"k = {k} is beyond the series engine: its truncation guard reached "
+            f"g = {g} with the bound still above 1e-16") from None
     n_max = max(n_max, g)
     r_max = n_max + 2 * g
     # the binomial weights in the coefficient sums amplify absolute xi errors

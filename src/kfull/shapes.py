@@ -30,6 +30,11 @@ independent routes:
   below target, which for large m is order k, i.e. no prime-zeta tail at
   all; and a small prime whose factor sum is below the working floor is
   moved into the radius by 0 <= log1p(x) <= x.  This is the precision route.
+  The exact-product factors p^(-m(k+j)/k) = u_p^(m(k+j)) are integer
+  powers of the roots u_p = p^(-1/k) from zetas' table of prime roots, as is
+  the first omitted prime's y = q^(-m/k), not exp/log pairs.  Each factor
+  keeps the 4 eps radius it has always carried, which bounds its counted
+  error (see _power_sum_euler_once).
 """
 
 from __future__ import annotations
@@ -41,10 +46,11 @@ from math import fsum
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pow_int, round_nearest
 
 from .arith import is_squarefree, mobius_sieve, next_prime, shape_tuples, squarefree_sieve
 from .bounded import ErrorBoundedReal
-from .zetas import prime_zeta_tail, primes_upto, zeta
+from .zetas import _GUARD_BITS, _prime_power, _prime_roots, prime_zeta_tail, primes_upto, zeta
 
 DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -248,7 +254,7 @@ def _power_sum_euler_once(k, m, digits, p0):
         p0_eff = max(p0, 2)
         while True:
             q = next_prime(p0_eff)
-            y = mpf(q) ** (-mpf(m) / k)
+            y = _prime_power(q, Fraction(m, k))
             gy = sum(y ** (k + j) for j in range(1, k))
             if gy <= mpf("0.5"):
                 break
@@ -259,15 +265,27 @@ def _power_sum_euler_once(k, m, digits, p0):
         floor = mpf(10) ** (-(digits + 12))
         L = ErrorBoundedReal.exact(0)
         dropped = mpf(0)
+        # p^(-a/k) = u_p^a from the table of roots u_p = p^(-1/k) at W bits;
+        # rounded once to working precision it is within (a + 2) eps_W + eps/2:
+        # a from the root, one eps_W each for the power's internal truncation
+        # and for second-order terms (see zetas).  The 4 eps per term the
+        # radius has always carried covers that while a <= 14334; past it
+        # the count itself is the radius.
+        prec = mp.prec
+        W = prec + _GUARD_BITS
+        roots = _prime_roots(k, W, p0_eff)
+        exps = [m * (k + j) for j in range(1, k)]
+        units = exps[-1] + 2 + (1 << (_GUARD_BITS - 1))
+        tol = mp.ldexp(max(units, 4 << _GUARD_BITS), 1 - W)
         for p in primes_upto(p0_eff):
-            terms = [mpf(p) ** (-mpf(m * (k + j)) / k) for j in range(1, k)]
+            terms = [mp.make_mpf(mpf_pow_int(roots[p], a, prec, round_nearest)) for a in exps]
             factor_sum = sum(terms)
             if dropped or factor_sum < floor:
                 dropped += factor_sum
                 continue
             s_p = ErrorBoundedReal.exact(0)
             for t in terms:
-                s_p = s_p + ErrorBoundedReal(t, t * mp.eps * 4)
+                s_p = s_p + ErrorBoundedReal(t, t * tol)
             L = L + s_p.log1p()
         if dropped:
             half = dropped * mpf("0.500001")

@@ -576,6 +576,25 @@ EXACT_SERIES_OUTPUT = {
         'P_3(7),0.00189612534535890094915782893951,5.0633862e-42\n'
         'P_3(8),0.000720702146129669997140834044113,1.4003547e-42\n'
     ),
+    "constants --k 2 --digits 50 --max-index 5": (
+        'name,value,radius\n'
+        'C_2,0.0492272730092412771280194395251,4.8735708e-35\n'
+        'c_2,2.17325431251955413823708984044,5.7025859e-52\n'
+        '"d_2,0",0.275965511407718981112319752475,2.1525544e-47\n'
+        '"d_2,1",0.395565215396236288211828683112,2.5254937e-47\n'
+        '"d_2,2",0.231299167354828379832590791901,1.4815232e-47\n'
+        '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
+        '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
+        '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
+        'P_2(1),1.17325431251955413823708984044,2.1942576e-60\n'
+        'P_2(2),0.18156494901025691256939973416,1.6027515e-60\n'
+        'P_2(3),0.0525934895482646848881100326415,3.778771e-63\n'
+        'P_2(4),0.0170927691304992766432721330979,1.4437276e-60\n'
+        'P_2(5),0.00579596201196013885802241486261,2.6459578e-60\n'
+        'P_2(6),0.00200456788079374398903554270148,1.4827e-63\n'
+        'P_2(7),0.000700365374722017404107574643848,3.5004523e-63\n'
+        'P_2(8),0.000246026930453777256968562684541,1.093915e-63\n'
+    ),
 }
 
 
@@ -612,3 +631,50 @@ def test_inversion_values_pinned_and_radii_never_grow(capsys):
         value, radius = INVERSION_2_3[(int(r["l"]), int(r["m"]))]
         assert r["value"] == value
         assert Decimal(r["radius"]) <= Decimal(radius)
+
+
+# name -> (value, radius) of constants --k 4 as printed before the power-sum
+# layer took its powers from the root table; values stay byte for byte, a
+# radius may only shrink
+CONSTANTS_4 = {
+    'C_4': ('0.00000000250704801450303419875844839674', '1.0025562e-17'),
+    'd_4,0': ('0.000114835958260193578134483769775', '1.0806473e-11'),
+    'd_4,1': ('0.00110111186637993397300040760794', '9.3686449e-11'),
+    'd_4,2': ('0.00520125162922145363086381745851', '4.0610618e-10'),
+    'd_4,3': ('0.0161533707898907106747156509042', '1.1735759e-9'),
+    'd_4,4': ('0.0371384969958940039645471935844', '2.5435718e-9'),
+    'd_4,5': ('0.067477202254313530755748973085', '4.4102867e-9'),
+    'P_4(1)': ('8.6694754843823681065006669432', '9.3495209e-36'),
+    'P_4(2)': ('0.640791932632135461169645780226', '5.7939193e-39'),
+    'P_4(3)': ('0.180413547819446903713349760499', '3.188374e-39'),
+    'P_4(4)': ('0.0614631360930831354044090436602', '2.8602461e-40'),
+    'P_4(5)': ('0.0224446522342498317897053075304', '4.2318386e-42'),
+    'P_4(6)': ('0.00850200266742027011023279248396', '6.3761452e-42'),
+    'P_4(7)': ('0.00329768274723253838930138629971', '1.0811992e-41'),
+    'P_4(8)': ('0.00130089897084777318293788788357', '2.599889e-40'),
+}
+
+
+def test_constants_k4_values_pinned_and_radii_never_grow(capsys):
+    code, out, err = run_cli(capsys, "constants", "--k", "4", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert [r["name"] for r in rows] == list(CONSTANTS_4)
+    for r in rows:
+        value, radius = CONSTANTS_4[r["name"]]
+        assert r["value"] == value
+        assert Decimal(r["radius"]) <= Decimal(radius)
+
+
+@pytest.mark.parametrize("argv, k", [
+    (("constants", "--k", "6"), 6),
+    (("table", "--k", "10", "--max-index", "1"), 10),
+])
+def test_engine_beyond_float_guard_exits_2(capsys, argv, k):
+    # the guard search leaves the float range; that ends in a message naming
+    # k, not in the errno text of a raw OverflowError
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: k = {k} ")
+    assert "guard" in err
+    assert "34" not in err and "out of range" not in err

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import bernfrac, mp, mpf
 
+from kfull import shapes, zetas
 from kfull.arith import _prime_list
 from kfull.zetas import prime_zeta, prime_zeta_tail, zeta
 
@@ -95,3 +96,125 @@ def test_prime_zeta_tail_encloses_direct_sum(s):
 def test_prime_zeta_rejects_bad_s():
     with pytest.raises(ValueError):
         prime_zeta(1.0)
+
+
+# -- powers from the root table ------------------------------------------------
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("digits", [15, 30, 60])
+def test_zeta_table_route_encloses_library(q, digits):
+    # s = m(k+j)/k style bases and the cascade's multiples n s
+    for base in (Fraction(q + 1, q), Fraction(2 * q + 1, q), Fraction(7 * q + 3, q)):
+        for n in (1, 2, 3, 6):
+            s = n * base
+            assert zetas._ratio(s) is not None
+            z = zeta(s, digits)
+            with mp.workdps(2 * digits):
+                assert z.contains(mpmath.zeta(mpf(s.numerator) / s.denominator)), (s, digits)
+            assert z.radius <= mpf(10) ** (-digits) * z.value, (s, digits)
+
+
+def _reference_zeta(s, digits):
+    """zeta with an exp/log power per term: the code the table replaced."""
+    with mp.workdps(digits + 12):
+        sm = mpf(s)
+        target = mpf(10) ** (-digits)
+        n_terms = max(8, int(mp.dps * 1.2))
+        while True:
+            out = _reference_em(sm, n_terms, target)
+            if out is not None:
+                return out
+            n_terms *= 2
+
+
+def _reference_em(s, N, target):
+    acc = mpf(0)
+    for n in range(1, N):
+        acc += mpf(n) ** (-s)
+    Npow = mpf(N) ** (-s)
+    acc += Npow / 2 + Npow * N / (s - 1)
+    rise = s
+    prev = mp.inf
+    j = 1
+    while True:
+        b = Fraction(*(int(x) for x in bernfrac(2 * j)))
+        coeff = mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+        term = coeff * rise * (mpf(N) ** (1 - s - 2 * j))
+        at = abs(term)
+        if at >= prev:
+            return None
+        acc += term
+        b2 = Fraction(*(int(x) for x in bernfrac(2 * j + 2)))
+        rise_next = rise * (s + 2 * j - 1) * (s + 2 * j)
+        bound = (
+            abs(mpf(b2.numerator)) / b2.denominator / mp.factorial(2 * j + 2)
+            * rise_next
+            * (mpf(N) ** (1 - s - 2 * j - 2))
+        )
+        if bound < target * acc:
+            slop = abs(acc) * mp.eps * (2 * N + 8 * j + 16)
+            return acc, bound + slop
+        prev = at
+        rise = rise_next
+        j += 1
+
+
+@pytest.mark.parametrize("s", [1.1, 2.3])
+def test_zeta_fallback_route_bit_identical(s):
+    # a float is a dyadic rational with a large denominator: no root table
+    assert zetas._ratio(s) is None
+    value, radius = _reference_zeta(s, 30)
+    z = zeta(s, 30)
+    assert z.value._mpf_ == value._mpf_
+    assert z.radius._mpf_ == radius._mpf_
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("prec", [64, 200, 650])
+def test_root_table_encloses_library_roots(q, prec):
+    roots = zetas._prime_roots(q, prec, 300)
+    assert sorted(roots) == list(_prime_list(max(roots)))
+    assert max(roots) >= 300
+    for p, raw in roots.items():
+        u = mp.make_mpf(raw)
+        assert u.man.bit_length() <= prec
+        with mp.workprec(2 * prec):
+            exact = 1 / mp.root(p, q)
+            assert abs(u - exact) <= u * mp.ldexp(1, 1 - prec), (p, q, prec)
+
+
+def test_euler_factor_encloses_product():
+    primes = zetas.primes_upto(100)
+    for x in (Fraction(5, 4), Fraction(7, 3), Fraction(40, 1)):
+        with mp.workdps(50):
+            f = zetas._euler_factor(x.numerator, x.denominator, primes)
+        with mp.workdps(120):
+            xm = mpf(x.numerator) / x.denominator
+            exact = mp.fprod(1 - mpf(p) ** (-xm) for p in primes)
+            assert f.contains(exact), x
+            assert f.radius <= f.value * mpf(10) ** (-48)
+
+
+def _clear_every_cache():
+    for fn in (zeta, prime_zeta, zetas._root_table, zetas._em_coeff,
+               zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
+               shapes.power_sum_euler, _prime_list):
+        fn.cache_clear()
+
+
+def test_zeta_cold_equals_warm_after_other_tables():
+    s = Fraction(7, 4)
+    _clear_every_cache()
+    cold = zeta(s, 40)
+    _clear_every_cache()
+    # fill tables at other precisions, denominators and limits first
+    zeta(s, 15)
+    zeta(Fraction(9, 4), 60)
+    zeta(Fraction(5, 2), 40)
+    prime_zeta(Fraction(5, 4), 30)
+    shapes.power_sum_euler(4, 3, 40)
+    zetas._prime_roots(4, 200, 1000)
+    zeta.cache_clear()
+    warm = zeta(s, 40)
+    assert warm.value._mpf_ == cold.value._mpf_
+    assert warm.radius._mpf_ == cold.radius._mpf_
