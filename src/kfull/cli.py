@@ -256,8 +256,12 @@ def run_verify(cfg: RunConfig) -> dict:
     ana = density.build_table(k, max(cfg.max_index, max_idx), "direct",
                               cfg.digits, cfg.prime_cutoff, cfg.guard)
     comp = empirical.compare_tables(emp, ana)
+    # a cell off by e deviates from this sample by at least e - observed
+    # (triangle inequality), so any error above tolerance + observed fails
+    catches = float(tol_emp * scale) + float(comp.max_abs_deviation)
     add("empirical_vs_analytic", comp.max_abs_deviation, tol_emp * scale,
-        f"max cell deviation at N={n_emp}")
+        f"max cell deviation at N={n_emp}; catches any cell error above "
+        f"{catches:.3e} (tolerance + observed)")
 
     worst = 0.0
     for m in range(1, 9):

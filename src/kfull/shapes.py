@@ -21,8 +21,7 @@ independent routes:
 
       1 + P_k(m) = prod_p (1 + sum_{j=1..k-1} p^(-m(k+j)/k)),
 
-  evaluated with small primes multiplied in exactly (log1p-accumulated to
-  keep relative precision when the factors are 1 + tiny) and the remaining
+  evaluated with small primes multiplied in exactly and the remaining
   primes handled through the formal logarithm of the factor polynomial,
   whose powers reduce to prime-zeta tails (zetas.prime_zeta_tail, the
   sieved log-zeta cascade).  Every truncation depth comes from its proven
@@ -32,9 +31,14 @@ independent routes:
   moved into the radius by 0 <= log1p(x) <= x.  This is the precision route.
   The exact-product factors p^(-m(k+j)/k) = u_p^(m(k+j)) are integer
   powers of the roots u_p = p^(-1/k) from zetas' table of prime roots, as is
-  the first omitted prime's y = q^(-m/k), not exp/log pairs.  Each factor
-  keeps the 4 eps radius it has always carried, which bounds its counted
-  error (see _power_sum_euler_once).
+  the first omitted prime's y = q^(-m/k), not exp/log pairs.  The exact
+  primes accumulate as one raw mpf S = prod_p (1 + s_p) - 1 at the table's
+  W bits, each factor sum s_p summed exactly and rounded once, through the
+  update S <- S + s_p (1 + S).  All its terms are positive, so S keeps its
+  relative precision when every factor is 1 + tiny, with one counted
+  relative radius: n (a + 4) units of 2^(1-W) after n primes, a = m(2k-1),
+  plus the rounding to working precision (see _exact_product).  It enters
+  the log through one interval log1p per m.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from math import fsum
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_pow_int, round_nearest
+from mpmath.libmp import fzero, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sum, round_nearest
 
 from .arith import is_squarefree, mobius_sieve, next_prime, shape_tuples, squarefree_sieve
 from .bounded import ErrorBoundedReal
@@ -260,33 +264,11 @@ def _power_sum_euler_once(k, m, digits, p0):
                 break
             p0_eff = q
 
-        # a prime whose factor sum s_p is below the floor enters through the
-        # radius alone, by 0 <= log1p(s_p) <= s_p; s_p falls as p grows
+        # a prime whose s_p is below the floor enters through the radius
+        # alone, by 0 <= log1p(s_p) <= s_p; s_p falls as p grows
         floor = mpf(10) ** (-(digits + 12))
-        L = ErrorBoundedReal.exact(0)
-        dropped = mpf(0)
-        # p^(-a/k) = u_p^a from the table of roots u_p = p^(-1/k) at W bits;
-        # rounded once to working precision it is within (a + 2) eps_W + eps/2:
-        # a from the root, one eps_W each for the power's internal truncation
-        # and for second-order terms (see zetas).  The 4 eps per term the
-        # radius has always carried covers that while a <= 14334; past it
-        # the count itself is the radius.
-        prec = mp.prec
-        W = prec + _GUARD_BITS
-        roots = _prime_roots(k, W, p0_eff)
-        exps = [m * (k + j) for j in range(1, k)]
-        units = exps[-1] + 2 + (1 << (_GUARD_BITS - 1))
-        tol = mp.ldexp(max(units, 4 << _GUARD_BITS), 1 - W)
-        for p in primes_upto(p0_eff):
-            terms = [mp.make_mpf(mpf_pow_int(roots[p], a, prec, round_nearest)) for a in exps]
-            factor_sum = sum(terms)
-            if dropped or factor_sum < floor:
-                dropped += factor_sum
-                continue
-            s_p = ErrorBoundedReal.exact(0)
-            for t in terms:
-                s_p = s_p + ErrorBoundedReal(t, t * tol)
-            L = L + s_p.log1p()
+        S, dropped = _exact_product(k, m, primes_upto(p0_eff), floor)
+        L = S.log1p()
         if dropped:
             half = dropped * mpf("0.500001")
             L = L + ErrorBoundedReal(half, half)
@@ -318,6 +300,49 @@ def _power_sum_euler_once(k, m, digits, p0):
             L = L + pzt * (mpf(c[t].numerator) / c[t].denominator)
         L = L.widened(tail)
         return L.expm1()
+
+
+def _exact_product(k, m, primes, floor):
+    """(S, dropped) at the working precision: S = prod_p (1 + s_p) - 1 as an
+    enclosure, s_p = sum_j p^(-m(k+j)/k), over the (non-empty, ascending)
+    primes up to the first whose s_p is below floor, and dropped = the sum
+    of s_p over the rest.
+
+    The terms are u_p^(m(k+j)), u_p = p^(-1/k) from the table of prime roots
+    at W = working precision + _GUARD_BITS bits, and S is one raw W-bit mpf
+    updated by S <- S + s_p (1 + S).  Every term is positive, so S keeps its
+    relative precision when each factor is 1 + tiny (the coefficient sums
+    amplify absolute errors in P by up to ~4^r, so the log of a rounded
+    product prod (1 + s_p) would not do).  The count, in units of
+    eps_W = 2^(1-W), with a = m(2k-1) the largest exponent:
+
+      u_p^a is within a + 2 (see zetas); s_p, summed exactly and rounded
+      once, is within a + 3.
+      An update's three positive parts S, s_p and s_p S carry relative
+      errors e, a + 3 and e + a + 3 to first order, so the update, taken
+      exactly and rounded once, is within e + a + 3 + 1/2.  One more 1/2
+      takes every second-order term, since n (a + 4) eps_W < 2^-20.
+      After n updates S is within n (a + 4); rounding it to working
+      precision adds eps/2 = 2^(_GUARD_BITS-1), and 1 more pays for taking
+      the radius relative to the rounded value.
+    """
+    prec = mp.prec
+    W = prec + _GUARD_BITS
+    roots = _prime_roots(k, W, primes[-1])
+    exps = [m * (k + j) for j in range(1, k)]
+    S, n = fzero, 0
+    dropped = mpf(0)
+    for p in primes:
+        s_p = mpf_sum([mpf_pow_int(roots[p], a, W, round_nearest) for a in exps],
+                      W, round_nearest)
+        if dropped or mpf_lt(s_p, floor._mpf_):
+            dropped += mp.make_mpf(s_p)
+            continue
+        S = mpf_sum((S, s_p, mpf_mul(s_p, S)), W, round_nearest)
+        n += 1
+    v = mp.make_mpf(mpf_pos(S, prec, round_nearest))
+    units = n * (exps[-1] + 4) + 1 + (1 << (_GUARD_BITS - 1))
+    return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u")), dropped
 
 
 def power_sums(k: int, m_max: int, digits: int = 30,

@@ -16,7 +16,12 @@ where 0 <= Lambda(x) <= q^(-x) * (1 + q/(x-1)) and q is the first prime
 past p0.  That bound truncates the cascade and replaces every Lambda value
 it already certifies, so zeta is only evaluated where its digits are used.
 Lambda is memoized on the exact rational x, which many (s, n) pairs share.
-prime_zeta(s) is the p0 = 1 case.
+prime_zeta_tail is memoized as well: the Euler route of shapes reaches the
+same s = m t / k from many (m, t) pairs.  That is pure, since it reads s as
+an exact rational and runs at its own mp.workdps(digits + 12), so its value
+is a function of (s, p0, digits) alone, whatever the caller's precision;
+3 and Fraction(3) hash alike and share one entry.  prime_zeta(s) is the
+p0 = 1 case.
 
 Powers from one table of prime roots.  Every exponent the engine reaches is
 a rational a/q with a small denominator: m(k+j)/k and the cascade's
@@ -287,6 +292,7 @@ def _euler_factor(a: int, q: int, primes: tuple) -> ErrorBoundedReal:
     return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u"))
 
 
+@lru_cache(maxsize=4096)
 def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
     """Sum of p^(-s) over primes p > p0, for real s > 1.
 
@@ -294,6 +300,7 @@ def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
     the first N whose remainder bound  sum_{n>N} bound(n s)/n  is below
     10^(-digits-2).  With q the first prime past p0 that remainder is at
     most  q^(-(N+1)s) * (1 + q/((N+1)s - 1)) / ((N+1) * (1 - q^(-s))).
+    Memoized like zeta.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from decimal import Decimal
 
 import pytest
@@ -209,6 +210,22 @@ def test_verify_tolerance_at_default_N(capsys, k, N, quick, tolerance):
     assert code == 0
     check = {c["name"]: c for c in json.loads(out)["checks"]}["empirical_vs_analytic"]
     assert check["tolerance"] == tolerance
+
+
+@pytest.mark.parametrize("N, quick, low, high", [
+    ("3000", True, 0.1, 1.0),
+    ("1000000", False, 0.0, 0.05),
+])
+def test_verify_note_states_smallest_caught_error(capsys, N, quick, low, high):
+    # the note must not promise a resolution the sample cannot give: at
+    # N = 3000 a cell wrong by 0.1 on the side the sample leans to can pass
+    argv = ["verify", "--k", "2", "--N", N, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--quick"] if quick else []))
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["empirical_vs_analytic"]
+    catches = float(re.search(r"catches any cell error above (\S+) ", check["note"]).group(1))
+    assert catches == pytest.approx(check["tolerance"] + check["observed"], rel=1e-3)
+    assert low < catches < high
 
 
 def test_verify_small_N_still_catches_a_wrong_cell(capsys, monkeypatch):
@@ -567,14 +584,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_3,3",0.220239555929766750371172780953,3.3600402e-26\n'
         '"d_3,4",0.204704699050673834630145073229,3.0738203e-26\n'
         '"d_3,5",0.147035502233370916475887419161,2.2495853e-26\n'
-        'P_3(1),3.65926612250065694127743110891,1.8108629e-38\n'
-        'P_3(2),0.398105028048410820538154908534,4.5778787e-40\n'
-        'P_3(3),0.114576315025302288937661068255,4.1068322e-40\n'
-        'P_3(4),0.0385373195798538272135107784855,1.8165245e-40\n'
-        'P_3(5),0.0137448928486802284206238123813,1.7633026e-40\n'
-        'P_3(6),0.00505585022863197085195559916529,2.6022544e-40\n'
-        'P_3(7),0.00189612534535890094915782893951,5.0633862e-42\n'
-        'P_3(8),0.000720702146129669997140834044113,1.4003547e-42\n'
+        'P_3(1),3.65926612250065694127743110891,1.8108513e-38\n'
+        'P_3(2),0.398105028048410820538154908534,4.5777907e-40\n'
+        'P_3(3),0.114576315025302288937661068255,4.1068091e-40\n'
+        'P_3(4),0.0385373195798538272135107784855,1.816517e-40\n'
+        'P_3(5),0.0137448928486802284206238123813,1.7632999e-40\n'
+        'P_3(6),0.00505585022863197085195559916529,2.6022534e-40\n'
+        'P_3(7),0.00189612534535890094915782893951,5.0633496e-42\n'
+        'P_3(8),0.000720702146129669997140834044113,1.4003407e-42\n'
     ),
     "constants --k 2 --digits 50 --max-index 5": (
         'name,value,radius\n'
@@ -586,14 +603,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
         '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
         '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
-        'P_2(1),1.17325431251955413823708984044,2.1942576e-60\n'
-        'P_2(2),0.18156494901025691256939973416,1.6027515e-60\n'
-        'P_2(3),0.0525934895482646848881100326415,3.778771e-63\n'
-        'P_2(4),0.0170927691304992766432721330979,1.4437276e-60\n'
-        'P_2(5),0.00579596201196013885802241486261,2.6459578e-60\n'
-        'P_2(6),0.00200456788079374398903554270148,1.4827e-63\n'
-        'P_2(7),0.000700365374722017404107574643848,3.5004523e-63\n'
-        'P_2(8),0.000246026930453777256968562684541,1.093915e-63\n'
+        'P_2(1),1.17325431251955413823708984044,2.193879e-60\n'
+        'P_2(2),0.18156494901025691256939973416,1.6027021e-60\n'
+        'P_2(3),0.0525934895482646848881100326415,3.7651211e-63\n'
+        'P_2(4),0.0170927691304992766432721330979,1.4437233e-60\n'
+        'P_2(5),0.00579596201196013885802241486261,2.6459564e-60\n'
+        'P_2(6),0.00200456788079374398903554270148,1.4821877e-63\n'
+        'P_2(7),0.000700365374722017404107574643848,3.5002744e-63\n'
+        'P_2(8),0.000246026930453777256968562684541,1.0938522e-63\n'
     ),
 }
 
@@ -602,6 +619,36 @@ EXACT_SERIES_OUTPUT = {
 def test_series_output_bytes(capsys, command):
     assert run_cli(capsys, *command.split(), "--format", "csv") == (
         0, EXACT_SERIES_OUTPUT[command], "")
+
+
+# the P-row radii EXACT_SERIES_OUTPUT held while the exact primes of the
+# Euler route were accumulated by one interval log1p per prime; the single
+# counted product per m may only have shrunk them
+LOG1P_CHAIN_P_RADII = {
+    "constants --k 3": {
+        "P_3(1)": "1.8108629e-38", "P_3(2)": "4.5778787e-40",
+        "P_3(3)": "4.1068322e-40", "P_3(4)": "1.8165245e-40",
+        "P_3(5)": "1.7633026e-40", "P_3(6)": "2.6022544e-40",
+        "P_3(7)": "5.0633862e-42", "P_3(8)": "1.4003547e-42",
+    },
+    "constants --k 2 --digits 50 --max-index 5": {
+        "P_2(1)": "2.1942576e-60", "P_2(2)": "1.6027515e-60",
+        "P_2(3)": "3.778771e-63", "P_2(4)": "1.4437276e-60",
+        "P_2(5)": "2.6459578e-60", "P_2(6)": "1.4827e-63",
+        "P_2(7)": "3.5004523e-63", "P_2(8)": "1.093915e-63",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOG1P_CHAIN_P_RADII))
+def test_series_power_sum_radii_only_shrank(command):
+    old = LOG1P_CHAIN_P_RADII[command]
+    rows = [line.split(",") for line in EXACT_SERIES_OUTPUT[command].splitlines()
+            if line.startswith("P_")]
+    new = {name: radius for name, _, radius in rows}
+    assert new.keys() == old.keys()
+    for name, radius in new.items():
+        assert float(radius) <= float(old[name]), name
 
 
 # (l, m) -> (value, radius) of table --k 2 --method inversion --max-index 3 as

@@ -10,6 +10,7 @@ from kfull.arith import is_squarefree
 from kfull.shapes import (
     LambdaElement,
     _box_sum_k3,
+    _exact_product,
     enumerate_lambda,
     lambda_min_radicand,
     lambda_value,
@@ -18,7 +19,7 @@ from kfull.shapes import (
     power_sums,
     tail_bound,
 )
-from kfull.zetas import zeta
+from kfull.zetas import primes_upto, zeta
 
 
 def test_element_validation():
@@ -207,3 +208,71 @@ def test_euler_rejects_bad_args():
         power_sum_euler(2, 0)
     with pytest.raises(ValueError):
         power_sum_direct(2, 1, 1)
+
+
+# (r_max, power-sum digits) of the series engine at its default 30 digits
+ENGINE_POWER_SUMS = {2: (124, 61), 3: (135, 68)}
+
+
+def test_k2_engine_power_sums_contain_closed_form():
+    r_max, d = ENGINE_POWER_SUMS[2]
+    ps = power_sums(2, r_max, d)
+    with mp.workdps(2 * d):
+        for m in range(1, r_max + 1):
+            exact = mpmath.zeta(mpf(3 * m) / 2) / mpmath.zeta(3 * m) - 1
+            assert ps.p(m).contains(exact), m
+
+
+@pytest.mark.parametrize("k, digits, B", [(3, ENGINE_POWER_SUMS[3][1], 10**4), (4, 30, 60)])
+def test_euler_overlaps_direct_for_k3_k4(k, digits, B):
+    for m in range(1, 9):
+        assert power_sum_euler(k, m, digits).agrees_with(power_sum_direct(k, m, B)), (k, m)
+
+
+# radii of the engine's P_k(m) when the exact primes entered through one
+# interval log1p per prime; the counted product per m may only shrink them
+LOG1P_CHAIN_RADII = {
+    (2, 1): "2.7151913911492357e-70", (2, 2): "1.7283376510240657e-72",
+    (2, 10): "3.8338808672770766e-75", (2, 60): "4.366638822541162e-77",
+    (2, 124): "9.003627004323847e-90",
+    (3, 1): "1.3938395571070134e-73", (3, 2): "1.6010449496276807e-76",
+    (3, 10): "2.0628554654137955e-80", (3, 60): "2.4409379647896116e-84",
+    (3, 135): "6.563644086152085e-87",
+}
+
+
+def test_engine_power_sum_radii_never_grew():
+    for (k, m), old in LOG1P_CHAIN_RADII.items():
+        e = power_sum_euler(k, m, ENGINE_POWER_SUMS[k][1])
+        assert float(e.radius) <= float(old), (k, m)
+
+
+def _exact_log_product(k, m, primes):
+    # sum_p log1p(s_p) at the caller's precision, every s_p taken exactly
+    return mp.fsum(mp.log1p(mp.fsum(mpf(p) ** (-mpf(m * (k + j)) / k) for j in range(1, k)))
+                   for p in primes)
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 60), (2, 124), (3, 1), (3, 10), (4, 2)])
+def test_exact_product_encloses_product(k, m):
+    primes = primes_upto(100)
+    with mp.workdps(60):
+        S, dropped = _exact_product(k, m, primes, mpf(0))
+    assert dropped == 0
+    with mp.workdps(400):
+        exact = mp.expm1(_exact_log_product(k, m, primes))
+        assert S.contains(exact), (k, m)
+        assert S.radius <= S.value * mpf(10) ** (-58)
+
+
+def test_exact_product_drops_below_floor():
+    # p^(-90) is below 1e-72 from p = 7 on: 2, 3, 5 stay in the product and
+    # the rest enter dropped, which bounds their log1p sum from above
+    primes = primes_upto(100)
+    with mp.workdps(60):
+        S, dropped = _exact_product(2, 60, primes, mpf(10) ** (-72))
+    with mp.workdps(400):
+        assert S.contains(mp.expm1(_exact_log_product(2, 60, primes[:3])))
+        rest = _exact_log_product(2, 60, primes[3:])
+        assert rest <= dropped * mpf("1.000001")
+        assert dropped <= rest * (1 + mpf(10) ** (-50))

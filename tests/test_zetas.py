@@ -196,7 +196,7 @@ def test_euler_factor_encloses_product():
 
 
 def _clear_every_cache():
-    for fn in (zeta, prime_zeta, zetas._root_table, zetas._em_coeff,
+    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._root_table, zetas._em_coeff,
                zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
                shapes.power_sum_euler, _prime_list):
         fn.cache_clear()
@@ -218,3 +218,33 @@ def test_zeta_cold_equals_warm_after_other_tables():
     warm = zeta(s, 40)
     assert warm.value._mpf_ == cold.value._mpf_
     assert warm.radius._mpf_ == cold.radius._mpf_
+
+
+def test_prime_zeta_tail_cold_equals_warm():
+    s = Fraction(5, 2)
+    _clear_every_cache()
+    cold = prime_zeta_tail(s, 100, 40)
+    _clear_every_cache()
+    # other (s, p0, digits) fill the memo and the tables first, and the
+    # repeated call comes from a caller at another precision
+    prime_zeta_tail(s, 100, 20)
+    prime_zeta_tail(s, 50, 40)
+    prime_zeta_tail(Fraction(7, 2), 100, 40)
+    shapes.power_sum_euler(2, 3, 40)
+    with mp.workdps(15):
+        warm = prime_zeta_tail(s, 100, 40)
+    with mp.workdps(90):
+        again = prime_zeta_tail(s, 100, 40)
+    assert prime_zeta_tail.cache_info().hits >= 1
+    for out in (warm, again):
+        assert out.value._mpf_ == cold.value._mpf_
+        assert out.radius._mpf_ == cold.radius._mpf_
+
+
+def test_prime_zeta_tail_int_and_fraction_share_an_entry():
+    prime_zeta_tail.cache_clear()
+    a = prime_zeta_tail(3, 100, 30)
+    b = prime_zeta_tail(Fraction(3), 100, 30)
+    assert b is a
+    info = prime_zeta_tail.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
