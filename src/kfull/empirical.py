@@ -32,16 +32,19 @@ sets well defined and the fractional-part criterion
 evaluated numerically with doubling precision until the strict inequality
 is decided (lam is irrational, so ties cannot occur); the direct side is
 exact integer arithmetic on kth powers.  The two routes stay independent.
+
+numpy and the process pool are imported inside the functions that use them,
+so a command that never sweeps (table, constants) loads neither.  Before
+empirical_table starts its pool, the parent imports numpy once: the forked
+workers inherit it instead of each importing it again.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .arith import KFullRepr, introot, shape_tuples
@@ -128,6 +131,8 @@ def _floor_roots(k: int, M: int, lam: float, a0: int, a1: int, lo: int, top: int
     powers are int64 while (top+1)^k < 2^63 and Python ints (dtype=object)
     past that, through the same lines.
     """
+    import numpy as np
+
     a = np.arange(a0, a1, dtype=np.int64)
     r = np.maximum(np.minimum(np.floor(a * lam).astype(np.int64), top), lo)
     if (top + 1) ** k > _INT64_MAX:
@@ -149,6 +154,8 @@ def _window_hits(k: int, lo: int, hi: int, keep=frozenset()):
     Also returns, for each shape tuple b in keep, the int64 array of the roots
     r its values land on (empty when the shape never enters the window).
     """
+    import numpy as np
+
     X = hi**k - 1
     shapes = [(M, b) for M, b in shape_tuples(k, X) if M > 1]
     # one shape hits each root at most once, so the shape count bounds hits[i]
@@ -176,6 +183,8 @@ def _window_hits(k: int, lo: int, hi: int, keep=frozenset()):
 def _window_counts(k: int, lo: int, hi: int) -> dict:
     """Cell counts for n in [lo, hi): left(n) = hits[n - lo] and
     right(n) = hits[n + 1 - lo], tallied in chunks with bincount."""
+    import numpy as np
+
     hits, _ = _window_hits(k, lo, hi + 1)
     W = int(hits.max()) + 1
     tally = np.zeros(W * W, dtype=np.int64)
@@ -200,8 +209,12 @@ def empirical_table(k: int, N: int, threads: int = 1) -> EmpiricalCounts:
         edges = [1 + (N * i) // workers for i in range(workers)] + [N + 1]
         jobs = [(k, edges[i], edges[i + 1]) for i in range(workers)
                 if edges[i] < edges[i + 1]]
+        import concurrent.futures
+
+        import numpy  # noqa: F401  (imported once here, inherited by every forked worker)
+
         counts = {}
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             for part in pool.map(_window_counts_star, jobs):
                 for cell, c in part.items():
                     counts[cell] = counts.get(cell, 0) + c
@@ -221,6 +234,8 @@ def members_B(k: int, I: SubsetSpec, J: SubsetSpec, N: int) -> list:
         raise ValueError("I and J must be disjoint")
     if N < 1:
         return []
+    import numpy as np
+
     want_left, want_right = I.key_set(), J.key_set()
     hits, roots = _window_hits(k, 1, N + 2, want_left | want_right)
     # n is a member iff its hit counts are |I| and |J| and every shape of I
@@ -236,6 +251,8 @@ def members_B(k: int, I: SubsetSpec, J: SubsetSpec, N: int) -> list:
 
 def _marks(idx, size: int):
     """Boolean array of length size, True at the in-range entries of idx."""
+    import numpy as np
+
     out = np.zeros(size, dtype=bool)
     out[idx[(idx >= 0) & (idx < size)]] = True
     return out

@@ -38,7 +38,11 @@ independent routes:
   relative precision when every factor is 1 + tiny, with one counted
   relative radius: n (a + 4) units of 2^(1-W) after n primes, a = m(2k-1),
   plus the rounding to working precision (see _exact_product).  It enters
-  the log through one interval log1p per m.
+  the log through one interval log1p per m.  The exact formal-log
+  coefficients are built only as deep as the cut reads them (_log_coeffs).
+
+numpy serves only the k = 3 box sum and is imported there, so the Euler
+route, and every command that uses only it, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import fsum
 
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sum, round_nearest
 
@@ -173,6 +176,8 @@ def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
     elif k == 3:
         if B * 15 > _DIRECT_WORK_CAP:
             raise ValueError("box too large")
+        import numpy as np
+
         total = _box_sum_k3(m, B)
         work = int(B * (np.log(B) + 1))
     else:
@@ -188,6 +193,8 @@ def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
 def _box_sum_k3(m: int, B: int) -> float:
     # pairwise coprimality resolved by the gcd-Moebius identity:
     # sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g)
+    import numpy as np
+
     mu = mobius_sieve(B)
     b = np.arange(B + 1, dtype=np.float64)
     b[0] = 1.0
@@ -214,26 +221,30 @@ def _box_sum_generic(k: int, m: int, B: int) -> float:
 
 
 _T_CAP = 600
+_LOG_TABLES = {}  # k -> (c, h), the coefficient lists _log_coeffs grows
 
 
-@lru_cache(maxsize=None)
-def _log_coeffs(k: int) -> tuple:
-    """Exact coefficients (c_t, h_t) for t = 0.._T_CAP of log(1 + g) and of
-    -log(1 - g), where g(x) = x^(k+1) + ... + x^(2k-1).  h dominates |c|."""
-    support = set(range(k + 1, 2 * k))
-    c = [Fraction(0)] * (_T_CAP + 1)
-    h = [Fraction(0)] * (_T_CAP + 1)
-    for t in range(1, _T_CAP + 1):
-        at = Fraction(1 if t in support else 0)
-        sc = at
-        sh = at
-        for u in range(1, t):
-            if (t - u) in support:
-                sc -= Fraction(u, t) * c[u]
-                sh += Fraction(u, t) * h[u]
-        c[t] = sc
-        h[t] = sh
-    return tuple(c), tuple(h)
+def _log_coeffs(k: int, T: int) -> tuple:
+    """Exact coefficients (c_t, h_t) of log(1 + g) and of -log(1 - g), where
+    g(x) = x^(k+1) + ... + x^(2k-1), for t = 0..T at least (T <= _T_CAP).
+    h dominates |c|.  The per-k lists grow on demand, each time to about
+    twice their length (never past _T_CAP), and only by appending, so
+    entries already read never change; callers must not modify them.
+
+    c_t = [k < t < 2k] - sum (u/t) c_u and h_t = [k < t < 2k] + sum (u/t) h_u,
+    both over u = t - d >= 1 for the k - 1 orders k < d < 2k where g has a
+    coefficient."""
+    c, h = _LOG_TABLES.setdefault(k, ([Fraction(0)], [Fraction(0)]))
+    if len(c) <= T:
+        for t in range(len(c), min(max(T, 2 * len(c) - 1), _T_CAP) + 1):
+            sc = sh = Fraction(1 if k < t < 2 * k else 0)
+            for d in range(k + 1, min(2 * k, t)):
+                w = Fraction(t - d, t)
+                sc -= w * c[t - d]
+                sh += w * h[t - d]
+            c.append(sc)
+            h.append(sh)
+    return c, h
 
 
 @lru_cache(maxsize=None)
@@ -280,10 +291,10 @@ def _power_sum_euler_once(k, m, digits, p0):
         # target is the floor the cascade's log-zeta terms are computed to
         # (digits + 6, then 4 deeper), so the cut never dominates the radius.
         target = mpf(10) ** (-(digits + 10))
-        c, h = _log_coeffs(k)
         neg_log = -mp.log1p(-gy)
         partial_h = mpf(0)
         for t_max in range(k, _T_CAP + 1):
+            c, h = _log_coeffs(k, t_max)
             if h[t_max]:
                 partial_h += mpf(h[t_max].numerator) / h[t_max].denominator * y**t_max
             s_prime = mpf(m * (t_max + 1)) / k

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import pytest
@@ -146,7 +147,7 @@ def test_empirical_window_straddling_int64():
 @pytest.mark.parametrize("k,N", [(2, 997), (3, 997), (4, 300), (2, 3000)])
 def test_empirical_window_edges_match_oracle(monkeypatch, k, N):
     seen = []
-    monkeypatch.setattr(empirical, "ProcessPoolExecutor", recording_pool(seen))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
     assert empirical_table(k, N, threads=3).counts == oracle_counts(k, N)
     assert seen == [3, 3]
@@ -168,7 +169,7 @@ def test_floor_roots_fix_up_repairs_a_bad_seed(k, M, a0, a1, skew):
 
 def test_empirical_workers_clamped(monkeypatch):
     seen = []
-    monkeypatch.setattr(empirical, "ProcessPoolExecutor", recording_pool(seen))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
     base = empirical_table(2, 3000, threads=1)
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
     assert empirical_table(2, 3000, threads=10**6).counts == base.counts

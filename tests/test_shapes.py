@@ -6,11 +6,14 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from kfull import shapes
 from kfull.arith import is_squarefree
 from kfull.shapes import (
+    _T_CAP,
     LambdaElement,
     _box_sum_k3,
     _exact_product,
+    _log_coeffs,
     enumerate_lambda,
     lambda_min_radicand,
     lambda_value,
@@ -276,3 +279,38 @@ def test_exact_product_drops_below_floor():
         rest = _exact_log_product(2, 60, primes[3:])
         assert rest <= dropped * mpf("1.000001")
         assert dropped <= rest * (1 + mpf(10) ** (-50))
+
+
+def _log_coeffs_every_u(k, T):
+    # the recurrence over every u < t, skipping the orders where g is zero
+    support = set(range(k + 1, 2 * k))
+    c = [Fraction(0)] * (T + 1)
+    h = [Fraction(0)] * (T + 1)
+    for t in range(1, T + 1):
+        sc = sh = Fraction(1 if t in support else 0)
+        for u in range(1, t):
+            if (t - u) in support:
+                sc -= Fraction(u, t) * c[u]
+                sh += Fraction(u, t) * h[u]
+        c[t], h[t] = sc, sh
+    return c, h
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_log_coeffs_match_recurrence_over_every_u(k):
+    c, h = _log_coeffs(k, _T_CAP)
+    assert (c, h) == _log_coeffs_every_u(k, _T_CAP)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_log_coeffs_grow_on_demand(monkeypatch, k):
+    monkeypatch.setattr(shapes, "_LOG_TABLES", {})
+    whole = tuple(list(x) for x in _log_coeffs(k, _T_CAP))
+    # asking for 64 builds at most twice that; the entries read then stay
+    # as they are while the table grows to _T_CAP
+    monkeypatch.setattr(shapes, "_LOG_TABLES", {})
+    c, h = _log_coeffs(k, 64)
+    assert 65 <= len(c) <= 129
+    first = (c[:65], h[:65])
+    c, h = _log_coeffs(k, _T_CAP)
+    assert (c, h) == whole and (c[:65], h[:65]) == first
