@@ -46,7 +46,6 @@ class RunConfig:
     max_index: int = 5
     digits: int = 30
     trunc_B: int = 10_000
-    guard: int = 40
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF
     N: int | None = None
     fmt: str = "text"
@@ -64,7 +63,7 @@ class RunConfig:
             raise ValueError("--digits must be >= 6")
         if self.max_index < 0:
             raise ValueError("--max-index must be >= 0")
-        for name in ("trunc_B", "guard", "prime_cutoff", "threads", "cap"):
+        for name in ("trunc_B", "prime_cutoff", "threads", "cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.N is not None and self.N < 1:
@@ -126,7 +125,7 @@ def _render_table_text(table) -> str:
 
 def cmd_table(cfg: RunConfig) -> int:
     table = density.build_table(cfg.k, cfg.max_index, cfg.method, cfg.digits,
-                                cfg.prime_cutoff, cfg.guard)
+                                cfg.prime_cutoff)
 
     def doc():
         cells = [{"l": l, "m": m, "value": _num(e.value), "radius": _rad(e.radius)}
@@ -145,7 +144,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 def _constants(cfg: RunConfig) -> list:
     out = []
-    C = density.constant_C(cfg.k, cfg.digits)
+    C = density.constant_C(cfg.k, cfg.digits, cfg.prime_cutoff)
     out.append((f"C_{cfg.k}", C))
     if cfg.k == 2:
         with mp.workdps(cfg.digits + 10):
@@ -153,8 +152,7 @@ def _constants(cfg: RunConfig) -> list:
         out.append(("c_2", c2))
     for l in range(cfg.max_index + 1):
         out.append((f"d_{cfg.k},{l}", density.density_shiu(cfg.k, l, "xi_alternating",
-                                                           cfg.digits, cfg.prime_cutoff,
-                                                           cfg.guard)))
+                                                           cfg.digits, cfg.prime_cutoff)))
     for m in range(1, 9):
         out.append((f"P_{cfg.k}({m})", power_sum_euler(cfg.k, m, cfg.digits,
                                                        cfg.prime_cutoff)))
@@ -201,8 +199,7 @@ def run_verify(cfg: RunConfig) -> dict:
     for l in range(6):
         for m in range(l, 6):
             vals = [
-                float(density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff,
-                                        cfg.guard).value)
+                float(density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff).value)
                 for meth in ("direct", "inversion", "xi")
             ]
             worst = max(worst, max(vals) - min(vals))
@@ -216,10 +213,8 @@ def run_verify(cfg: RunConfig) -> dict:
 
     worst = 0.0
     for l in range(4):
-        a = density.density_shiu(k, l, "xi_alternating", cfg.digits,
-                                 cfg.prime_cutoff, cfg.guard)
-        b = density.density_shiu(k, l, "row_sum", cfg.digits,
-                                 cfg.prime_cutoff, cfg.guard)
+        a = density.density_shiu(k, l, "xi_alternating", cfg.digits, cfg.prime_cutoff)
+        b = density.density_shiu(k, l, "row_sum", cfg.digits, cfg.prime_cutoff)
         worst = max(worst, abs(float(a.value - b.value)) - float(a.radius + b.radius))
     add("row_sum_consistency", max(worst, 0.0), 1e-12 * scale,
         "one-sided densities: alternating route vs row sums, beyond combined radii")
@@ -254,7 +249,7 @@ def run_verify(cfg: RunConfig) -> dict:
     emp = empirical.empirical_table(k, n_emp, cfg.threads)
     max_idx = max(max(l, m) for l, m in emp.counts)
     ana = density.build_table(k, max(cfg.max_index, max_idx), "direct",
-                              cfg.digits, cfg.prime_cutoff, cfg.guard)
+                              cfg.digits, cfg.prime_cutoff)
     comp = empirical.compare_tables(emp, ana)
     # a cell off by e deviates from this sample by at least e - observed
     # (triangle inequality), so any error above tolerance + observed fails
@@ -377,7 +372,7 @@ def cmd_empirical(cfg: RunConfig, compare: bool) -> int:
     if compare:
         max_idx = max(max(l, m) for l, m in emp.counts)
         ana = density.build_table(cfg.k, max_idx, "direct", cfg.digits,
-                                  cfg.prime_cutoff, cfg.guard)
+                                  cfg.prime_cutoff)
         comp = empirical.compare_tables(emp, ana)
     rows = []
     for (l, m) in sorted(emp.counts):
@@ -434,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--digits", type=int, default=S)
         sp.add_argument("--max-index", type=int, default=S, dest="max_index")
         sp.add_argument("--trunc-B", type=int, default=S, dest="trunc_B")
-        sp.add_argument("--r-max", type=int, default=S, dest="guard",
-                        help="series guard depth beyond each truncation point")
         sp.add_argument("--prime-cutoff", type=int, default=S, dest="prime_cutoff")
         sp.add_argument("--N", type=int, default=S)
         sp.add_argument("--format", choices=("csv", "json", "text"),
@@ -522,7 +515,7 @@ def _merge_options(parser, args) -> dict:
             raise ValueError("config file must hold a JSON object")
         actions = _option_actions(parser)
         for name, val in from_file.items():
-            key = {"format": "fmt", "r_max": "guard"}.get(name, name)
+            key = "fmt" if name == "format" else name
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
             _check_config_value(name, val, actions[key])

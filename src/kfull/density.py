@@ -22,11 +22,14 @@ Everything reduces to three layers on top of the power sums P_k(m):
 
 All infinite sums are truncated with proven bounds folded into the radius:
 xi_r <= P_k(1)^r / r! gives super-exponential decay, and every weighted
-tail reduces to a ratio-bounded exponential remainder.  Truncation order
-r_max = n + guard (guard defaults to 40) matters for accuracy as well as
-cost: past the point where xi_r reaches the working-precision noise floor,
-the binomial weights amplify that noise, so deeper sums would be worse,
-not better.  The tracked radii account for both effects honestly.
+tail reduces to a ratio-bounded exponential remainder.  Every series keeps
+the terms n..n + g past its leading index n, with one guard g per
+(k, digits, p0): _engine picks it from that envelope and every route reads
+it, so no caller can ask for another depth.  The depth matters for accuracy
+as well as cost: too shallow leaves a tail the envelope cannot bound tightly,
+and past the point where xi_r reaches the working-precision noise floor the
+binomial weights amplify that noise, so deeper sums would be worse, not
+better.  The tracked radii account for both effects honestly.
 
 Every fixed linear sum above (Newton's identities, a_n, the xi and
 inversion cells, the one-sided d_l, the row sums and the total mass) goes
@@ -41,7 +44,7 @@ produced by the xi route, so it is a consistency check of the published
 inversion formula rather than an independent source.  Each one-sided density
 is a memoised value of the engine (_one_sided): a table of cells reads each
 d_j once instead of once per cell that needs it.  The memo is keyed by
-(k, l, digits, p0, guard) and not by the caller's precision; that is sound
+(k, l, digits, p0) and not by the caller's precision; that is sound
 because the sum runs at its own fixed precision digits + 20 over an engine
 that is itself cached by the same key, so a cached value is bit-identical to
 a fresh one whatever precision the caller holds.
@@ -69,8 +72,6 @@ from .shapes import (
 )
 
 DEFAULT_DIGITS = 30
-DEFAULT_GUARD = 40
-DEFAULT_N_MAX = 44
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _exp_tail(x, T: int):
     return first / (1 - x / (T + 2))
 
 
-def coeffs_a(xi: XiSequence, n_max: int, guard: int = DEFAULT_GUARD,
+def coeffs_a(xi: XiSequence, n_max: int, guard: int,
              p1_hi=None, target=None) -> SeriesCoeffs:
     """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, truncation bounded by
     the xi_r <= P_k(1)^r / r! envelope.  p1_hi is an upper bound on P_k(1)
@@ -202,20 +203,22 @@ def coeffs_a(xi: XiSequence, n_max: int, guard: int = DEFAULT_GUARD,
 
 
 @lru_cache(maxsize=8)
-def _engine(k: int, digits: int, p0: int, n_max: int, guard: int):
-    """Shared computation bundle: power sums, xi, coefficients.
+def _engine(k: int, digits: int, p0: int):
+    """Shared computation bundle (power sums, xi, coefficients, guard g) and
+    the only place that picks a series depth.
 
-    r_max = n_max + 2*guard so that the inversion route (which needs
-    one-sided densities up to index n_max + guard, each truncated guard
-    terms deep) stays inside the computed xi range.
-
-    The xi envelope P_k(1)^r / r! only starts decaying past r ~ P_k(1), so
-    for larger k (where P grows) the guard and coefficient range scale up
-    automatically, and the power sums gain digits to pay for the larger
-    binomial weights the deeper sums incur.
+    g is the number of terms every series keeps past its leading index: at
+    least 40, deepened in steps of 5 until the envelope tail
+    sum_{t > g} (2 P_k(1))^t / t! falls below 1e-16.  The xi envelope
+    P_k(1)^r / r! only starts decaying past r ~ P_k(1), so for larger k
+    (where P grows) g scales up on its own: 40, 45 and 75 for k = 2, 3, 4.
+    The coefficients run to n_max = max(44, g), and r_max = n_max + 2g so
+    that the inversion route (one-sided densities up to index n_max + g,
+    each g terms deep) stays inside the computed xi range.  The power sums
+    gain digits to pay for the larger binomial weights the deeper sums incur.
     """
     two_p = 2 * float(power_sum_euler(k, 1, 15, p0).hi())
-    g = max(guard, int(two_p) + 4)
+    g = max(40, int(two_p) + 4)
     try:
         while _float_exp_tail(two_p, g) > 1e-16 and g < 400:
             g += 5
@@ -225,7 +228,7 @@ def _engine(k: int, digits: int, p0: int, n_max: int, guard: int):
         raise ArithmeticError(
             f"k = {k} is beyond the series engine: its truncation guard reached "
             f"g = {g} with the bound still above 1e-16") from None
-    n_max = max(n_max, g)
+    n_max = max(44, g)
     r_max = n_max + 2 * g
     # the binomial weights in the coefficient sums amplify absolute xi errors
     # by up to ~4^r, so the power sums run ~30 digits deeper than the target,
@@ -235,7 +238,7 @@ def _engine(k: int, digits: int, p0: int, n_max: int, guard: int):
         ps = power_sums(k, r_max, digits + 30 + extra, p0)
         xi = xi_from_power_sums(ps, r_max)
         coeffs = coeffs_a(xi, n_max, g)
-    return ps, xi, coeffs
+    return ps, xi, coeffs, g
 
 
 def _float_exp_tail(x: float, T: int) -> float:
@@ -244,14 +247,15 @@ def _float_exp_tail(x: float, T: int) -> float:
     return x ** (T + 1) / factorial(T + 1) / (1 - x / (T + 2))
 
 
-def series_coefficients(k: int, n_max: int = DEFAULT_N_MAX, digits: int = DEFAULT_DIGITS,
-                        p0: int = DEFAULT_PRIME_CUTOFF, guard: int = DEFAULT_GUARD) -> SeriesCoeffs:
-    return _engine(k, digits, p0, max(n_max, DEFAULT_N_MAX), guard)[2]
+def series_coefficients(k: int, digits: int = DEFAULT_DIGITS,
+                        p0: int = DEFAULT_PRIME_CUTOFF) -> SeriesCoeffs:
+    return _engine(k, digits, p0)[2]
 
 
-def constant_C(k: int, digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
+def constant_C(k: int, digits: int = DEFAULT_DIGITS,
+               p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """C_k = prod (1 - 2/lam) = F_k(0) = a_0: the no-hit density."""
-    return series_coefficients(k, digits=digits).a[0]
+    return series_coefficients(k, digits, p0).a[0]
 
 
 def _trinom(l: int, m: int, n: int) -> int:
@@ -259,15 +263,15 @@ def _trinom(l: int, m: int, n: int) -> int:
 
 
 def density_A(k: int, l: int, m: int, method: str = "direct",
-              digits: int = DEFAULT_DIGITS, p0: int = DEFAULT_PRIME_CUTOFF,
-              guard: int = DEFAULT_GUARD) -> ErrorBoundedReal:
+              digits: int = DEFAULT_DIGITS,
+              p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers in the left
     interval and m in the right one."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if l < 0 or m < 0:
         raise ValueError("l and m must be >= 0")
-    ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
+    ps, xi, coeffs, g = _engine(k, digits, p0)
     if l + m > coeffs.n_max:
         raise ValueError(f"l + m = {l + m} beyond computed range {coeffs.n_max}")
     with mp.workdps(digits + 20):
@@ -276,59 +280,59 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
         P = ps.p(1).hi()
         if method == "xi":
             acc = dot((xi.xi[l + m + n], _trinom(l, m, n) * (-2) ** n)
-                      for n in range(guard + 1))
-            tail = P ** (l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, guard)
+                      for n in range(g + 1))
+            tail = P ** (l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, g)
             return acc.widened(tail)
         if method == "inversion":
-            acc = dot((_one_sided(k, l + m + n, digits, p0, guard),
-                       (-1) ** n * _trinom(l, m, n)) for n in range(guard + 1))
+            acc = dot((_one_sided(k, l + m + n, digits, p0),
+                       (-1) ** n * _trinom(l, m, n)) for n in range(g + 1))
             # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
             tail = (
                 mp.exp(P) * P ** (l + m)
                 / (mp.factorial(l) * mp.factorial(m))
-                * _exp_tail(P, guard)
+                * _exp_tail(P, g)
             )
             return acc.widened(tail)
     raise ValueError(f"unknown method {method!r}")
 
 
 @lru_cache(maxsize=4096)
-def _one_sided(k: int, l: int, digits: int, p0: int, guard: int) -> ErrorBoundedReal:
-    """d_l = sum_n (-1)^n C(l+n, l) xi_(l+n), truncated after guard + 1 terms;
-    the caller checks that l + guard stays inside the engine's xi range."""
-    ps, xi, _ = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
+def _one_sided(k: int, l: int, digits: int, p0: int) -> ErrorBoundedReal:
+    """d_l = sum_n (-1)^n C(l+n, l) xi_(l+n), truncated after g + 1 terms;
+    the caller checks that l + g stays inside the engine's xi range."""
+    ps, xi, _, g = _engine(k, digits, p0)
     with mp.workdps(digits + 20):
-        acc = dot((xi.xi[l + n], (-1) ** n * comb(l + n, l)) for n in range(guard + 1))
+        acc = dot((xi.xi[l + n], (-1) ** n * comb(l + n, l)) for n in range(g + 1))
         P = ps.p(1).hi()
-        return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, guard))
+        return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, g))
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
-                 digits: int = DEFAULT_DIGITS, p0: int = DEFAULT_PRIME_CUTOFF,
-                 guard: int = DEFAULT_GUARD) -> ErrorBoundedReal:
+                 digits: int = DEFAULT_DIGITS,
+                 p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers between
     consecutive kth powers (the one-sided law)."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, guard)
-    if l > xi.r_max - guard:
-        raise ValueError(f"l = {l} beyond computed range {xi.r_max - guard}")
+    ps, xi, coeffs, g = _engine(k, digits, p0)
+    if l > xi.r_max - g:
+        raise ValueError(f"l = {l} beyond computed range {xi.r_max - g}")
     if method == "xi_alternating":
-        return _one_sided(k, l, digits, p0, guard)
+        return _one_sided(k, l, digits, p0)
     with mp.workdps(digits + 20):
         P = ps.p(1).hi()
         if method == "row_sum":
-            if l > DEFAULT_N_MAX:
+            if l > coeffs.n_max:
                 raise ValueError("row_sum needs l within the coefficient range")
-            M = DEFAULT_N_MAX - l
+            M = coeffs.n_max - l
             acc = dot((coeffs.a[l + m], comb(l + m, l)) for m in range(M + 1))
             tail = P**l / mp.factorial(l) * _exp_tail(P, M)
             return acc.widened(tail)
     raise ValueError(f"unknown method {method!r}")
 
 
-def density_B(k: int, I: SubsetSpec, J: SubsetSpec,
-              digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
+def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS,
+              p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """Density of integers whose left interval is hit by exactly the shapes
     of I, the right by exactly those of J, and nothing else hits; depends
     only on the union of I and J."""
@@ -336,7 +340,7 @@ def density_B(k: int, I: SubsetSpec, J: SubsetSpec,
         raise ValueError("subset k mismatch")
     if I.key_set() & J.key_set():
         raise ValueError("I and J must be disjoint")
-    out = constant_C(k, digits)
+    out = constant_C(k, digits, p0)
     with mp.workdps(digits + 20):
         for e in list(I.elements) + list(J.elements):
             lam = lambda_value(e, digits + 10)
@@ -347,7 +351,7 @@ def density_B(k: int, I: SubsetSpec, J: SubsetSpec,
 def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
                         p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """sum over n of a_n 2^n, which must enclose 1 (total cell mass)."""
-    ps, xi, coeffs = _engine(k, digits, p0, DEFAULT_N_MAX, DEFAULT_GUARD)
+    ps, _, coeffs, _ = _engine(k, digits, p0)
     with mp.workdps(digits + 20):
         acc = dot((coeffs.a[n], 1 << n) for n in range(coeffs.n_max + 1))
         P = ps.p(1).hi()
@@ -363,7 +367,7 @@ def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> Error
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    ps, xi, _ = _engine(k, max(digits, DEFAULT_DIGITS), p0, DEFAULT_N_MAX, DEFAULT_GUARD)
+    ps, xi, _, _ = _engine(k, max(digits, DEFAULT_DIGITS), p0)
     with mp.workdps(digits + 20):
         w = mpf(z) - 2
         lam_min = mp.root(mpf(lambda_min_radicand(k)), k)
@@ -422,13 +426,13 @@ def _eval_F_product(k: int, w, digits: int) -> ErrorBoundedReal:
 
 
 def build_table(k: int, L: int, method: str = "direct",
-                digits: int = DEFAULT_DIGITS, p0: int = DEFAULT_PRIME_CUTOFF,
-                guard: int = DEFAULT_GUARD) -> DensityTable:
+                digits: int = DEFAULT_DIGITS,
+                p0: int = DEFAULT_PRIME_CUTOFF) -> DensityTable:
     """Cell densities for 0 <= l <= m <= L."""
     if L < 0:
         raise ValueError("L must be >= 0")
     entries = {}
     for l in range(L + 1):
         for m in range(l, L + 1):
-            entries[(l, m)] = density_A(k, l, m, method, digits, p0, guard)
+            entries[(l, m)] = density_A(k, l, m, method, digits, p0)
     return DensityTable(k, L, method, entries)

@@ -62,12 +62,23 @@ def test_table_json_and_determinism(capsys):
 
 
 def test_table_methods_agree(capsys):
-    _, direct, _ = run_cli(capsys, "table", "--k", "2", "--max-index", "2",
-                           "--format", "csv")
-    _, xi, _ = run_cli(capsys, "table", "--k", "2", "--max-index", "2",
-                       "--format", "csv", "--method", "xi")
-    for a, b in zip(parse_csv(direct), parse_csv(xi)):
-        assert abs(float(a["value"]) - float(b["value"])) <= 1e-9
+    # every route sums as deep as the engine's guard, so the xi and inversion
+    # cells stay tight at k = 4 (g = 75) too, and all three enclosures overlap
+    for k in (2, 3, 4):
+        tables = {}
+        for method in ("direct", "xi", "inversion"):
+            code, out, _ = run_cli(capsys, "table", "--k", str(k), "--max-index", "2",
+                                   "--format", "csv", "--method", method)
+            assert code == 0
+            tables[method] = {(r["l"], r["m"]): (Decimal(r["value"]), Decimal(r["radius"]))
+                              for r in parse_csv(out)}
+            if method != "direct":
+                assert all(rad <= Decimal("1e-12") for _, rad in tables[method].values()), k
+        for a, b in (("direct", "xi"), ("direct", "inversion"), ("xi", "inversion")):
+            assert tables[a].keys() == tables[b].keys()
+            for cell, (va, ra) in tables[a].items():
+                vb, rb = tables[b][cell]
+                assert abs(va - vb) <= ra + rb, (k, a, b, cell)
 
 
 def test_constants_text(capsys):
@@ -300,13 +311,13 @@ def test_config_file_feeds_every_option(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_table", record)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"r_max": 41, "format": "csv", "prime_cutoff": 500,
+    cfg.write_text(json.dumps({"format": "csv", "prime_cutoff": 500,
                                "cap": 7, "digits": 33, "tolerance_scale": 0.5}))
     code, _, _ = run_cli(capsys, "table", "--config", str(cfg), "--digits", "35")
     assert code == 0
     got = seen[0]
-    assert (got.guard, got.fmt, got.prime_cutoff, got.cap, got.tolerance_scale) == (
-        41, "csv", 500, 7, 0.5)
+    assert (got.fmt, got.prime_cutoff, got.cap, got.tolerance_scale) == (
+        "csv", 500, 7, 0.5)
     assert got.digits == 35  # the flag beats the file
     assert (got.k, got.max_index, got.method, got.N) == (2, 5, "direct", None)
     # command-specific options come from the file too
@@ -317,6 +328,29 @@ def test_config_file_feeds_every_option(tmp_path, capsys, monkeypatch):
     cfg.write_text(json.dumps({"command": "table"}))
     code, _, err = run_cli(capsys, "table", "--config", str(cfg))
     assert code == 2 and "command" in err
+
+
+def test_series_depth_is_not_an_option(tmp_path, capsys):
+    # the engine picks the series guard; neither a flag nor a config key sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--k", "2", "--r-max", "40"])
+    assert exc.value.code == 2
+    assert "--r-max" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for key in ("r_max", "guard"):
+        cfg.write_text(json.dumps({key: 41}))
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: unknown config key {key!r}\n"
+
+
+def test_constants_build_one_engine(capsys):
+    # C_k and the d_l read the engine at the same prime cutoff
+    density._engine.cache_clear()
+    code, _, _ = run_cli(capsys, "constants", "--k", "2", "--prime-cutoff", "500",
+                         "--max-index", "2", "--format", "csv")
+    assert code == 0
+    assert density._engine.cache_info().misses == 1
 
 
 def test_uncertifiable_bound_exits_2(capsys, monkeypatch):
@@ -525,7 +559,9 @@ def test_config_values_checked_like_flags(tmp_path, capsys, doc):
 
 
 # exact csv stdout of the engine's table and constants routes: a change in how
-# the series are summed may shrink a radius only below its printed 8 digits
+# the series are summed may shrink a radius only below its printed 8 digits.
+# The k = 3 xi cells and d_3,l rows are as the engine's guard g = 45 prints
+# them; FIXED_GUARD_ROWS keeps their earlier enclosures
 EXACT_SERIES_OUTPUT = {
     "table --k 2 --max-index 5 --method direct": (
         'k,l,m,value,radius,method\n'
@@ -553,37 +589,37 @@ EXACT_SERIES_OUTPUT = {
     ),
     "table --k 3 --max-index 5 --method xi": (
         'k,l,m,value,radius,method\n'
-        '3,0,0,0.000146352836245950301214880201959,1.0002453e-14,xi\n'
-        '3,0,1,0.000898954913393338300095420554776,3.6601637e-14,xi\n'
-        '3,0,2,0.00241318469443338350579042780722,6.6967565e-14,xi\n'
-        '3,0,3,0.00389944540611754470216088051182,8.1684047e-14,xi\n'
-        '3,0,4,0.00436092537010464478691567032897,7.4725917e-14,xi\n'
-        '3,0,5,0.00365499793953792878497369674414,5.4688403e-14,xi\n'
-        '3,1,1,0.00482636938886676701158085561445,1.3393513e-13,xi\n'
-        '3,1,2,0.0116983362183526341064826415355,2.4505214e-13,xi\n'
-        '3,1,3,0.0174437014804185791476626813159,2.9890367e-13,xi\n'
-        '3,1,4,0.0182749896976896439248684837207,2.7344202e-13,xi\n'
-        '3,1,5,0.0145044464529023800305331399365,2.0011942e-13,xi\n'
-        '3,2,2,0.0261655522206278687214940219738,4.483555e-13,xi\n'
-        '3,2,3,0.0365499793953792878497369674414,5.4688403e-13,xi\n'
-        '3,2,4,0.0362611161322559500763328498412,5.0029855e-13,xi\n'
-        '3,2,5,0.0274727056687557545777507803822,3.6614511e-13,xi\n'
-        '3,3,3,0.0483481548430079334351104664549,6.6706474e-13,xi\n'
-        '3,3,4,0.0457878427812595909629179673036,6.1024185e-13,xi\n'
-        '3,3,5,0.0333183925139008249040092208086,4.4660746e-13,xi\n'
-        '3,4,4,0.0416479906423760311300115260108,5.5825933e-13,xi\n'
-        '3,4,5,0.02924700017264584739693968996,4.0856389e-13,xi\n'
-        '3,5,5,0.0198968826699103982334850596484,2.990088e-13,xi\n'
+        '3,0,0,0.000146352836245950288782280998592,1.2486594e-18,xi\n'
+        '3,0,1,0.000898954913393338273097719914563,4.5691772e-18,xi\n'
+        '3,0,2,0.00241318469443338347665411581083,8.3599177e-18,xi\n'
+        '3,0,3,0.00389944540611754468132190575991,1.0197055e-17,xi\n'
+        '3,0,4,0.00436092537010464477580206787672,9.328434e-18,xi\n'
+        '3,0,5,0.00365499793953792878025907159873,6.8270445e-18,xi\n'
+        '3,1,1,0.00482636938886676695330823162166,1.6719835e-17,xi\n'
+        '3,1,2,0.0116983362183526340439657172797,3.0591164e-17,xi\n'
+        '3,1,3,0.0174437014804185791032082715069,3.7313736e-17,xi\n'
+        '3,1,4,0.0182749896976896439012953579937,3.4135223e-17,xi\n'
+        '3,1,5,0.014504446452902380020588711374,2.4981973e-17,xi\n'
+        '3,2,2,0.0261655522206278686548124072603,5.5970604e-17,xi\n'
+        '3,2,3,0.0365499793953792878025907159873,6.8270445e-17,xi\n'
+        '3,2,4,0.0362611161322559500514717784349,6.2454932e-17,xi\n'
+        '3,2,5,0.0274727056687557545673204592916,4.5707843e-17,xi\n'
+        '3,3,3,0.0483481548430079334019623712465,8.3273243e-17,xi\n'
+        '3,3,4,0.0457878427812595909455340988193,7.6179739e-17,xi\n'
+        '3,3,5,0.0333183925139008248967551355438,5.5752388e-17,xi\n'
+        '3,4,4,0.0416479906423760311209439194298,6.9690484e-17,xi\n'
+        '3,4,5,0.0292470001726458473931758688605,5.1003206e-17,xi\n'
+        '3,5,5,0.0198968826699103982319308643708,3.7326861e-17,xi\n'
     ),
     "constants --k 3": (
         'name,value,radius\n'
         'C_3,0.000146352836245950288782280998592,1.2486594e-18\n'
-        '"d_3,0",0.0200375956179512025504920137545,4.1144685e-27\n'
-        '"d_3,1",0.084806202320633468385327993365,1.5055935e-26\n'
-        '"d_3,2",0.171014563321717356370704572588,2.7546837e-26\n'
-        '"d_3,3",0.220239555929766750371172780953,3.3600402e-26\n'
-        '"d_3,4",0.204704699050673834630145073229,3.0738203e-26\n'
-        '"d_3,5",0.147035502233370916475887419161,2.2495853e-26\n'
+        '"d_3,0",0.0200375956179512025504920137545,1.6246345e-32\n'
+        '"d_3,1",0.084806202320633468385327993365,5.94497e-32\n'
+        '"d_3,2",0.171014563321717356370704572588,1.0877114e-31\n'
+        '"d_3,3",0.220239555929766750371172780953,1.3267418e-31\n'
+        '"d_3,4",0.204704699050673834630145073229,1.2137253e-31\n'
+        '"d_3,5",0.147035502233370916475887419161,8.8826879e-32\n'
         'P_3(1),3.65926612250065694127743110891,1.8108513e-38\n'
         'P_3(2),0.398105028048410820538154908534,4.5777907e-40\n'
         'P_3(3),0.114576315025302288937661068255,4.1068091e-40\n'
@@ -680,17 +716,18 @@ def test_inversion_values_pinned_and_radii_never_grow(capsys):
         assert Decimal(r["radius"]) <= Decimal(radius)
 
 
-# name -> (value, radius) of constants --k 4 as printed before the power-sum
-# layer took its powers from the root table; values stay byte for byte, a
-# radius may only shrink
+# name -> (value, radius) of constants --k 4: the P rows as printed before the
+# power-sum layer took its powers from the root table, the d_4,l rows as the
+# engine's guard g = 75 prints them; values stay byte for byte, a radius may
+# only shrink
 CONSTANTS_4 = {
     'C_4': ('0.00000000250704801450303419875844839674', '1.0025562e-17'),
-    'd_4,0': ('0.000114835958260193578134483769775', '1.0806473e-11'),
-    'd_4,1': ('0.00110111186637993397300040760794', '9.3686449e-11'),
-    'd_4,2': ('0.00520125162922145363086381745851', '4.0610618e-10'),
-    'd_4,3': ('0.0161533707898907106747156509042', '1.1735759e-9'),
-    'd_4,4': ('0.0371384969958940039645471935844', '2.5435718e-9'),
-    'd_4,5': ('0.067477202254313530755748973085', '4.4102867e-9'),
+    'd_4,0': ('0.000114835958198348513783370305067', '1.1585244e-40'),
+    'd_4,1': ('0.00110111186594176346738904722488', '1.0043799e-39'),
+    'd_4,2': ('0.00520125162767387227549740444813', '4.3537235e-39'),
+    'd_4,3': ('0.0161533707862574581231104521578', '1.25815e-38'),
+    'd_4,4': ('0.037138496989515158804684032508', '2.7268751e-38'),
+    'd_4,5': ('0.0674772022453796303734643738102', '4.7281153e-38'),
     'P_4(1)': ('8.6694754843823681065006669432', '9.3495209e-36'),
     'P_4(2)': ('0.640791932632135461169645780226', '5.7939193e-39'),
     'P_4(3)': ('0.180413547819446903713349760499', '3.188374e-39'),
@@ -711,6 +748,69 @@ def test_constants_k4_values_pinned_and_radii_never_grow(capsys):
         value, radius = CONSTANTS_4[r["name"]]
         assert r["value"] == value
         assert Decimal(r["radius"]) <= Decimal(radius)
+
+
+# name or "l,m" -> (value, radius) of the rows that moved when the xi,
+# inversion and one-sided sums stopped at a fixed guard of 40, whatever depth
+# the engine had built; each row's value now lies inside that enclosure and
+# its radius is no larger
+FIXED_GUARD_ROWS = {
+    "table --k 3 --max-index 5 --method xi": {
+        "0,0": ('0.000146352836245950301214880201959', '1.0002453e-14'),
+        "0,1": ('0.000898954913393338300095420554776', '3.6601637e-14'),
+        "0,2": ('0.00241318469443338350579042780722', '6.6967565e-14'),
+        "0,3": ('0.00389944540611754470216088051182', '8.1684047e-14'),
+        "0,4": ('0.00436092537010464478691567032897', '7.4725917e-14'),
+        "0,5": ('0.00365499793953792878497369674414', '5.4688403e-14'),
+        "1,1": ('0.00482636938886676701158085561445', '1.3393513e-13'),
+        "1,2": ('0.0116983362183526341064826415355', '2.4505214e-13'),
+        "1,3": ('0.0174437014804185791476626813159', '2.9890367e-13'),
+        "1,4": ('0.0182749896976896439248684837207', '2.7344202e-13'),
+        "1,5": ('0.0145044464529023800305331399365', '2.0011942e-13'),
+        "2,2": ('0.0261655522206278687214940219738', '4.483555e-13'),
+        "2,3": ('0.0365499793953792878497369674414', '5.4688403e-13'),
+        "2,4": ('0.0362611161322559500763328498412', '5.0029855e-13'),
+        "2,5": ('0.0274727056687557545777507803822', '3.6614511e-13'),
+        "3,3": ('0.0483481548430079334351104664549', '6.6706474e-13'),
+        "3,4": ('0.0457878427812595909629179673036', '6.1024185e-13'),
+        "3,5": ('0.0333183925139008249040092208086', '4.4660746e-13'),
+        "4,4": ('0.0416479906423760311300115260108', '5.5825933e-13'),
+        "4,5": ('0.02924700017264584739693968996', '4.0856389e-13'),
+        "5,5": ('0.0198968826699103982334850596484', '2.990088e-13'),
+    },
+    "constants --k 3": {
+        'd_3,0': ('0.0200375956179512025504920137545', '4.1144685e-27'),
+        'd_3,1': ('0.084806202320633468385327993365', '1.5055935e-26'),
+        'd_3,2': ('0.171014563321717356370704572588', '2.7546837e-26'),
+        'd_3,3': ('0.220239555929766750371172780953', '3.3600402e-26'),
+        'd_3,4': ('0.204704699050673834630145073229', '3.0738203e-26'),
+        'd_3,5': ('0.147035502233370916475887419161', '2.2495853e-26'),
+    },
+    "constants --k 4": {
+        'd_4,0': ('0.000114835958260193578134483769775', '1.0806473e-11'),
+        'd_4,1': ('0.00110111186637993397300040760794', '9.3686449e-11'),
+        'd_4,2': ('0.00520125162922145363086381745851', '4.0610618e-10'),
+        'd_4,3': ('0.0161533707898907106747156509042', '1.1735759e-9'),
+        'd_4,4': ('0.0371384969958940039645471935844', '2.5435718e-9'),
+        'd_4,5': ('0.067477202254313530755748973085', '4.4102867e-9'),
+    },
+}
+
+
+def _pinned_rows(command):
+    if command == "constants --k 4":
+        return dict(CONSTANTS_4)
+    rows = parse_csv(EXACT_SERIES_OUTPUT[command])
+    return {r.get("name") or f"{r['l']},{r['m']}": (r["value"], r["radius"]) for r in rows}
+
+
+@pytest.mark.parametrize("command", sorted(FIXED_GUARD_ROWS))
+def test_engine_guard_rows_inside_fixed_guard_enclosures(command):
+    new = _pinned_rows(command)
+    for name, (old_value, old_radius) in FIXED_GUARD_ROWS[command].items():
+        value, radius = new[name]
+        assert abs(Decimal(value) - Decimal(old_value)) <= Decimal(old_radius), name
+        assert Decimal(radius) <= Decimal(old_radius), name
 
 
 @pytest.mark.parametrize("argv, k", [

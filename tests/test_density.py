@@ -20,6 +20,7 @@ from kfull.density import (
     xi_from_power_sums,
 )
 from kfull.shapes import (
+    DEFAULT_PRIME_CUTOFF,
     LambdaElement,
     enumerate_lambda,
     lambda_value,
@@ -353,6 +354,20 @@ def test_enclosures_consistent_across_precision():
         a = density_shiu(k, 2, digits=30)
         b = density_shiu(k, 2, digits=42)
         assert a.agrees_with(b)
+
+
+@pytest.mark.parametrize("k, g", [(2, 40), (3, 45)])
+def test_every_reader_shares_one_engine(k, g):
+    # one (k, digits, p0) builds one engine, and its guard is every route's depth
+    density._engine.cache_clear()
+    build_table(k, 2, "inversion")
+    normalization_check(k)
+    density_shiu(k, 3, "row_sum")
+    eval_F(k, 3, 30)
+    assert density._engine.cache_info().misses == 1
+    _, xi, coeffs, guard = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    assert guard == g and coeffs.n_max == max(44, g)
+    assert xi.r_max == coeffs.n_max + 2 * g
 
 
 def test_k4_engine_scales_depth():
