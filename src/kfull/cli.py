@@ -179,6 +179,12 @@ def cmd_constants(cfg: RunConfig) -> int:
 # -- verify -------------------------------------------------------------------
 
 
+def _excess(a, b) -> float:
+    """How far two enclosures of one quantity lie apart beyond their combined
+    radii; at most 0 when they overlap."""
+    return abs(float(a.value - b.value)) - float(a.radius + b.radius)
+
+
 def run_verify(cfg: RunConfig) -> dict:
     """All cross-checks for one k; tolerances scale with cfg.tolerance_scale."""
     k = cfg.k
@@ -198,13 +204,12 @@ def run_verify(cfg: RunConfig) -> dict:
     worst = 0.0
     for l in range(6):
         for m in range(l, 6):
-            vals = [
-                float(density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff).value)
-                for meth in ("direct", "inversion", "xi")
-            ]
-            worst = max(worst, max(vals) - min(vals))
-    add("three_route_agreement", worst, 1e-9 * scale,
-        "max pairwise spread of d(A[l,m]) over methods, 0<=l<=m<=5")
+            d, inv, xi = (density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff)
+                          for meth in ("direct", "inversion", "xi"))
+            worst = max(worst, _excess(d, inv), _excess(d, xi), _excess(inv, xi))
+    add("three_route_agreement", worst, 0.0,
+        "direct, inversion and xi enclosures of d(A[l,m]) beyond combined radii, "
+        "0<=l<=m<=5")
 
     norm = density.normalization_check(k, cfg.digits, cfg.prime_cutoff)
     add("normalization_total_mass", abs(float(norm.value) - 1.0),
@@ -215,7 +220,7 @@ def run_verify(cfg: RunConfig) -> dict:
     for l in range(4):
         a = density.density_shiu(k, l, "xi_alternating", cfg.digits, cfg.prime_cutoff)
         b = density.density_shiu(k, l, "row_sum", cfg.digits, cfg.prime_cutoff)
-        worst = max(worst, abs(float(a.value - b.value)) - float(a.radius + b.radius))
+        worst = max(worst, _excess(a, b))
     add("row_sum_consistency", max(worst, 0.0), 1e-12 * scale,
         "one-sided densities: alternating route vs row sums, beyond combined radii")
 
@@ -262,8 +267,7 @@ def run_verify(cfg: RunConfig) -> dict:
     for m in range(1, 9):
         d = power_sum_direct(k, m, cfg.trunc_B)
         e = power_sum_euler(k, m, cfg.digits, cfg.prime_cutoff)
-        over = abs(float(d.value - e.value)) - float(d.radius + e.radius)
-        worst = max(worst, over)
+        worst = max(worst, _excess(d, e))
     add("power_sum_routes", max(worst, 0.0), 0.0,
         f"direct (box {cfg.trunc_B}) vs Euler route beyond combined radii, m=1..8")
 
@@ -272,8 +276,7 @@ def run_verify(cfg: RunConfig) -> dict:
         for m in range(1, 9):
             e = power_sum_euler(2, m, cfg.digits, cfg.prime_cutoff)
             cf = zeta(1.5 * m, cfg.digits) / zeta(3 * m, cfg.digits) - 1
-            over = abs(float(e.value - cf.value)) - float(e.radius + cf.radius)
-            worst = max(worst, over)
+            worst = max(worst, _excess(e, cf))
         add("closed_form_power_sums", max(worst, 0.0), 0.0,
             "zeta(3m/2)/zeta(3m) - 1 vs Euler route beyond combined radii")
 

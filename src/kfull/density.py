@@ -31,6 +31,16 @@ and past the point where xi_r reaches the working-precision noise floor the
 binomial weights amplify that noise, so deeper sums would be worse, not
 better.  The tracked radii account for both effects honestly.
 
+The engine's depths are ceilings, not work done up front: P_k(m), xi_r and
+a_n are each computed the first time they are read, and never past what is
+read.  Reading a_n grows xi up to n + g; reading xi_r grows the power sums
+and Newton's identities up to r.  Each step is the one the eager
+xi_from_power_sums and coeffs_a take, and every step runs at the engine's
+one fixed precision, whatever the reader holds.  Each value depends only on
+the values below it, which are themselves fixed, so it is bit-identical to
+the eager sums whatever was read before it: a table up to L builds the
+series to 2L + g of the ceiling r_max = n_max + 2g.
+
 Every fixed linear sum above (Newton's identities, a_n, the xi and
 inversion cells, the one-sided d_l, the row sums and the total mass) goes
 through bounded.dot, which sums exactly and rounds once.  Its weights must
@@ -67,7 +77,6 @@ from .shapes import (
     lambda_min_radicand,
     lambda_value,
     power_sum_euler,
-    power_sums,
     tail_bound,
 )
 
@@ -76,7 +85,8 @@ DEFAULT_DIGITS = 30
 
 @dataclass(frozen=True)
 class XiSequence:
-    """Elementary symmetric functions xi_0..xi_r_max of the 1/lam."""
+    """Elementary symmetric functions xi_0..xi_r_max of the 1/lam; xi is a
+    tuple, or the engine's sequence that grows on read."""
 
     k: int
     xi: tuple
@@ -88,7 +98,8 @@ class XiSequence:
 
 @dataclass(frozen=True)
 class SeriesCoeffs:
-    """Power-series coefficients a_0..a_n_max of F_k around 0; a_0 = C_k."""
+    """Power-series coefficients a_0..a_n_max of F_k around 0; a_0 = C_k.
+    a is a tuple, or the engine's sequence that grows on read."""
 
     k: int
     a: tuple
@@ -142,19 +153,68 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
+class _Grown:
+    """The sequence v_0..v_top, each value computed by step(i) on its first
+    read, in ascending order (step(i) may read v_0..v_(i-1)) and at the
+    precision that was current when the sequence was made.  A value never
+    depends on what was read before it or on the precision its reader holds."""
+
+    def __init__(self, top: int, step):
+        self._top = top
+        self._step = step
+        self._prec = mp.prec
+        self._vals = []
+
+    def __len__(self) -> int:
+        return self._top + 1
+
+    def __getitem__(self, i: int):
+        if not 0 <= i <= self._top:
+            raise IndexError(f"index {i} beyond 0..{self._top}")
+        vals = self._vals
+        if i >= len(vals):
+            with mp.workprec(self._prec):
+                while len(vals) <= i:
+                    vals.append(self._step(len(vals)))
+        return vals[i]
+
+
+def _newton(ps: PowerSums, r_max: int) -> _Grown:
+    """xi_0..xi_r_max by Newton's identities, each xi_r one exact dot over
+    xi_0..xi_(r-1) and the signed power sums (-1)^(i-1) p_i; xi_0 = 1."""
+    # signed[i - 1] = (-1)^(i-1) p_i, negated once rather than once per r
+    signed = _Grown(r_max - 1, lambda i: -ps.p(i + 1) if i % 2 else ps.p(i + 1))
+
+    def step(r):
+        if r == 0:
+            return ErrorBoundedReal.exact(1)
+        return dot((xi[r - i], signed[i - 1]) for i in range(1, r + 1)) * (mpf(1) / r)
+
+    xi = _Grown(r_max, step)
+    return xi
+
+
+def _coefficients(xi, n_max: int, guard: int, target=None) -> _Grown:
+    """a_0..a_n_max from the xi sequence, each a_n one exact dot over
+    xi_n..xi_(n+guard) widened by its envelope tail."""
+    def step(n):
+        P = xi[1].hi()
+        acc = dot((xi[r], comb(r, n) * (-2) ** (r - n)) for r in range(n, n + guard + 1))
+        tail = P**n / mp.factorial(n) * _exp_tail(2 * P, guard)
+        if target is not None and tail > mpf(target):
+            raise ValueError(f"guard {guard} leaves truncation {tail} > {target}")
+        return acc.widened(tail)
+
+    return _Grown(n_max, step)
+
+
 def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
     """Newton's identities; xi_0 = 1 exactly, radii propagated."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     if ps.m_max < r_max:
         raise ValueError(f"need P_k(1..{r_max}), have 1..{ps.m_max}")
-    # signed[i] = (-1)^(i-1) p_i, negated once rather than once per r
-    signed = [None] + [ps.p(i) if i % 2 else -ps.p(i) for i in range(1, r_max + 1)]
-    out = [ErrorBoundedReal.exact(1)]
-    for r in range(1, r_max + 1):
-        acc = dot((out[r - i], signed[i]) for i in range(1, r + 1))
-        out.append(acc * (mpf(1) / r))
-    return XiSequence(ps.k, tuple(out))
+    return XiSequence(ps.k, tuple(_newton(ps, r_max)))
 
 
 def xi_direct(elements, r_max: int, digits: int = 30) -> list:
@@ -181,25 +241,15 @@ def _exp_tail(x, T: int):
     return first / (1 - x / (T + 2))
 
 
-def coeffs_a(xi: XiSequence, n_max: int, guard: int,
-             p1_hi=None, target=None) -> SeriesCoeffs:
+def coeffs_a(xi: XiSequence, n_max: int, guard: int, target=None) -> SeriesCoeffs:
     """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, truncation bounded by
-    the xi_r <= P_k(1)^r / r! envelope.  p1_hi is an upper bound on P_k(1)
-    (defaults to xi_1's upper endpoint, which equals P_k(1))."""
+    the xi_r <= P_k(1)^r / r! envelope with P_k(1) taken as xi_1's upper
+    endpoint.  A tail above target (when given) raises ValueError."""
     if n_max < 0 or guard < 1:
         raise ValueError("need n_max >= 0, guard >= 1")
     if xi.r_max < n_max + guard:
         raise ValueError(f"xi computed to {xi.r_max}, need {n_max + guard}")
-    P = mpf(p1_hi) if p1_hi is not None else xi.xi[1].hi()
-    out = []
-    for n in range(n_max + 1):
-        acc = dot((xi.xi[r], comb(r, n) * (-2) ** (r - n))
-                  for r in range(n, n + guard + 1))
-        tail = P**n / mp.factorial(n) * _exp_tail(2 * P, guard)
-        if target is not None and tail > mpf(target):
-            raise ValueError(f"guard {guard} leaves truncation {tail} > {target}")
-        out.append(acc.widened(tail))
-    return SeriesCoeffs(xi.k, tuple(out))
+    return SeriesCoeffs(xi.k, tuple(_coefficients(xi.xi, n_max, guard, target)))
 
 
 @lru_cache(maxsize=8)
@@ -214,8 +264,13 @@ def _engine(k: int, digits: int, p0: int):
     (where P grows) g scales up on its own: 40, 45 and 75 for k = 2, 3, 4.
     The coefficients run to n_max = max(44, g), and r_max = n_max + 2g so
     that the inversion route (one-sided densities up to index n_max + g,
-    each g terms deep) stays inside the computed xi range.  The power sums
-    gain digits to pay for the larger binomial weights the deeper sums incur.
+    each g terms deep) stays inside the xi range.  The power sums gain digits
+    to pay for the larger binomial weights the deeper sums incur.
+
+    n_max and r_max are ceilings: the range checks read them, while P_k(m),
+    xi_r and a_n grow on read (see _Grown) up to what the caller reads.  The
+    working precision comes from the ceilings and (k, digits, p0) alone, never
+    from what was read, so a grown value is bit-identical to the eager one.
     """
     two_p = 2 * float(power_sum_euler(k, 1, 15, p0).hi())
     g = max(40, int(two_p) + 4)
@@ -234,11 +289,13 @@ def _engine(k: int, digits: int, p0: int):
     # by up to ~4^r, so the power sums run ~30 digits deeper than the target,
     # plus ~0.65 per unit of extra depth beyond the k in {2,3} calibration
     extra = max(0, int(0.65 * (r_max + n_max - 168)) + 1)
+    ps_digits = digits + 30 + extra
     with mp.workdps(digits + 40 + extra):
-        ps = power_sums(k, r_max, digits + 30 + extra, p0)
-        xi = xi_from_power_sums(ps, r_max)
-        coeffs = coeffs_a(xi, n_max, g)
-    return ps, xi, coeffs, g
+        ps = PowerSums(k, _Grown(r_max - 1,
+                                 lambda i: power_sum_euler(k, i + 1, ps_digits, p0)))
+        xi = _newton(ps, r_max)
+        coeffs = _coefficients(xi, n_max, g)
+    return ps, XiSequence(k, xi), SeriesCoeffs(k, coeffs), g
 
 
 def _float_exp_tail(x: float, T: int) -> float:

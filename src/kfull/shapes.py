@@ -122,7 +122,8 @@ def enumerate_lambda(k: int, bound, cap: int = DEFAULT_ELEMENT_CAP) -> list:
 
 @dataclass(frozen=True)
 class PowerSums:
-    """P_k(1), ..., P_k(m_max) as enclosures."""
+    """P_k(1), ..., P_k(m_max) as enclosures; values is a tuple, or the
+    series engine's sequence that computes each P_k(m) on its first read."""
 
     k: int
     values: tuple

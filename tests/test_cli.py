@@ -254,6 +254,24 @@ def test_verify_small_N_still_catches_a_wrong_cell(capsys, monkeypatch):
     assert "[FAIL] empirical_vs_analytic" in out
 
 
+def test_verify_three_routes_see_a_cell_off_by_1e_10(capsys, monkeypatch):
+    # the routes' enclosures of a k = 2 cell are ~1e-38 wide, so a shift far
+    # below any float spread tolerance still leaves them apart
+    density_A = density.density_A
+
+    def shifted(k, l, m, method="direct", *args):
+        e = density_A(k, l, m, method, *args)
+        return e + 1e-10 if (l, m, method) == (1, 2, "xi") else e
+
+    monkeypatch.setattr(density, "density_A", shifted)
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000",
+                           "--format", "json")
+    assert code == 1
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["three_route_agreement"]
+    assert not check["passed"] and check["tolerance"] == 0.0
+    assert check["observed"] == pytest.approx(1e-10, rel=1e-6)
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "table", "--k", "1")
     assert code == 2 and "error" in err
@@ -351,6 +369,34 @@ def test_constants_build_one_engine(capsys):
                          "--max-index", "2", "--format", "csv")
     assert code == 0
     assert density._engine.cache_info().misses == 1
+
+
+def test_table_grows_power_sums_only_as_deep_as_it_reads(capsys, monkeypatch):
+    # cells up to l + m = 10 read a_0..a_10, so xi and P_2 up to 10 + g = 50,
+    # of the engine's ceiling r_max = 124
+    computed = []
+    euler = density.power_sum_euler
+
+    def recorded(k, m, digits, p0):
+        computed.append((k, m, digits))
+        return euler(k, m, digits, p0)
+
+    monkeypatch.setattr(density, "power_sum_euler", recorded)
+    density._engine.cache_clear()
+    code, _, _ = run_cli(capsys, "table", "--k", "2", "--max-index", "5", "--digits", "30")
+    assert code == 0
+    assert sorted(m for k, m, d in computed if d == 61) == list(range(1, 51))
+    assert {d for _, _, d in computed} == {15, 61}  # 15: the guard's P_2(1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--k", "2", "--max-index", "23"), "l + m = 45 beyond computed range 44"),
+    (("constants", "--k", "2", "--max-index", "85"), "l = 85 beyond computed range 84"),
+])
+def test_reads_past_the_engine_ceilings_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_uncertifiable_bound_exits_2(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -368,6 +369,39 @@ def test_every_reader_shares_one_engine(k, g):
     _, xi, coeffs, guard = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
     assert guard == g and coeffs.n_max == max(44, g)
     assert xi.r_max == coeffs.n_max + 2 * g
+
+
+# the engine at its default 30 digits: its ceilings r_max and n_max, its
+# guard, its power-sum digits and the working digits everything grows at
+ENGINE = {2: (124, 44, 40, 61, 71), 3: (135, 45, 45, 68, 78)}
+
+
+def _bits(e):
+    return e.value._mpf_, e.radius._mpf_
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("caller_dps", [15, 120])
+def test_engine_reads_match_the_eager_sums(k, order, caller_dps):
+    # every value grows on read at one fixed precision, so neither the order
+    # of the reads nor the caller's precision can move a bit of it
+    r_max, n_max, g, ps_digits, work_digits = ENGINE[k]
+    with mp.workdps(work_digits):
+        xi = xi_from_power_sums(power_sums(k, r_max, ps_digits), r_max)
+        eager = {"xi": xi.xi, "a": coeffs_a(xi, n_max, g).a}
+    density._engine.cache_clear()
+    _, lazy_xi, lazy_co, guard = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    assert (lazy_xi.r_max, lazy_co.n_max, guard) == (r_max, n_max, g)
+    lazy = {"xi": lazy_xi.xi, "a": lazy_co.a}
+    reads = [("xi", r) for r in range(r_max + 1)] + [("a", n) for n in range(n_max + 1)]
+    if order == "descending":
+        reads.reverse()
+    elif order == "shuffled":
+        random.Random(f"{k}-{caller_dps}").shuffle(reads)
+    with mp.workdps(caller_dps):
+        for name, i in reads:
+            assert _bits(lazy[name][i]) == _bits(eager[name][i]), (name, i)
 
 
 def test_k4_engine_scales_depth():
