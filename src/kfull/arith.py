@@ -27,6 +27,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter
 
 MAX_N = 2**63 - 1
 
@@ -308,23 +309,29 @@ def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
     if box is not None:
         cap = min(cap, box)
     sf = squarefree_sieve(cap)
+    coords = [b for b in range(2, cap + 1) if sf[b]]  # the squarefree b > 1
     out = []
 
     def rec(j, m_so_far, prod_so_far, prefix):
-        if j == k:
-            out.append((m_so_far, tuple(prefix)))
-            return
         exp = k + j
         bmax = cap if X is None else min(cap, introot(X // m_so_far, exp))
-        for bj in range(1, bmax + 1):
-            if bj > 1 and (not sf[bj] or gcd(bj, prod_so_far) > 1):
+        last = j == k - 1
+        if last:
+            out.append((m_so_far, prefix + (1,)))
+        else:
+            rec(j + 1, m_so_far, prod_so_far, prefix + (1,))
+        for bj in coords:
+            if bj > bmax:
+                break
+            if prod_so_far > 1 and gcd(bj, prod_so_far) > 1:
                 continue
-            prefix.append(bj)
-            rec(j + 1, m_so_far * bj**exp, prod_so_far * bj, prefix)
-            prefix.pop()
+            if last:
+                out.append((m_so_far * bj**exp, prefix + (bj,)))
+            else:
+                rec(j + 1, m_so_far * bj**exp, prod_so_far * bj, prefix + (bj,))
 
-    rec(1, 1, 1, [])
-    out.sort()
+    rec(1, 1, 1, ())
+    out.sort(key=itemgetter(0))  # distinct tuples have distinct M
     return out
 
 

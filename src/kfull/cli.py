@@ -263,20 +263,19 @@ def run_verify(cfg: RunConfig) -> dict:
         f"max cell deviation at N={n_emp}; catches any cell error above "
         f"{catches:.3e} (tolerance + observed)")
 
+    # the Euler-route sums the densities above were built from
+    euler = density._engine(k, cfg.digits, cfg.prime_cutoff)[0]
     worst = 0.0
     for m in range(1, 9):
-        d = power_sum_direct(k, m, cfg.trunc_B)
-        e = power_sum_euler(k, m, cfg.digits, cfg.prime_cutoff)
-        worst = max(worst, _excess(d, e))
+        worst = max(worst, _excess(power_sum_direct(k, m, cfg.trunc_B), euler.p(m)))
     add("power_sum_routes", max(worst, 0.0), 0.0,
         f"direct (box {cfg.trunc_B}) vs Euler route beyond combined radii, m=1..8")
 
     if k == 2:
         worst = 0.0
         for m in range(1, 9):
-            e = power_sum_euler(2, m, cfg.digits, cfg.prime_cutoff)
             cf = zeta(1.5 * m, cfg.digits) / zeta(3 * m, cfg.digits) - 1
-            worst = max(worst, _excess(e, cf))
+            worst = max(worst, _excess(euler.p(m), cf))
         add("closed_form_power_sums", max(worst, 0.0), 0.0,
             "zeta(3m/2)/zeta(3m) - 1 vs Euler route beyond combined radii")
 

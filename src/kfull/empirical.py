@@ -3,26 +3,32 @@
 Each n is classified by the pair (l, m) counting proper k-full integers in
 the open intervals (n^k, (n+1)^k) and ((n+1)^k, (n+2)^k).
 
-The sweep rests on one window primitive, _window_hits(k, lo, hi): for every
+The sweep rests on one window primitive, _root_blocks(k, lo, hi): for every
 lo <= r < hi, the number of proper k-full v with floor(v^(1/k)) = r.  Then
 left(n) = hits at n and right(n) = hits at n + 1.  A proper k-full v is
 a^k * M for one shape M > 1 (see arith), and M^(1/k) is irrational, so
-r = floor(a * M^(1/k)).  For each shape the window takes only its own slice
-a_lo <= a <= a_hi (exact introot bounds for lo^k < a^k M < hi^k), in numpy
-chunks: a float64 seed for r, then an exact integer fix-up repeated until
-r^k < a^k M < (r+1)^k holds for every element.  The powers are int64 while
-(r+1)^k < 2^63 is guaranteed for the chunk and Python ints (dtype=object)
-past that, through the same lines, so nothing wraps.  Since
-M^(1/k) >= 2^((k+1)/k) > 2, one shape's r are at least 2 apart, so the
-fancy-indexed hits[r - lo] += 1 never repeats an index and is exact.  The
-same fact bounds the hits at any r by the shape count, which sizes the
-unsigned hit array.  The cost of a window is its share of the k-full values
-plus a few numpy calls per shape, never a walk from 1 and never the
-integers in between.
+r = floor(a * M^(1/k)), and the a of one shape that land in roots
+[s0, s1) are exactly A(s0) < a <= A(s1) with A(R) = floor(R / M^(1/k)).
+
+The window is value-major: it takes every shape at once, as arrays, and
+walks the roots in blocks.  Per block it finds A(s1) for all shapes in one
+numpy pass, lays the block's (shape, a) pairs end to end, decides every r
+and tallies the block with bincount.  Every floor is decided exactly: each
+shape's float64 seed of M^(1/k) is proven to a relative 2^-48 with
+correctly rounded float products (_Shapes), which bounds the error of
+a * seed and R / seed; a floor is taken from the float only when that
+error interval holds no integer, and otherwise (a near-tie, a seed that
+failed its proof, or values past 2^46) from introot in Python integers.
+Nothing wraps and nothing rests on an unproven float.  A block holds about
+max(_BLOCK, shapes) pairs and its hits; consecutive blocks share one
+boundary root, which right(n) of the block's last n needs.  Memory is
+O(shapes + block), never O(N), and the cost of a window is its share of the
+k-full values plus a few numpy calls per block.
 
 empirical_table tallies (left, right) over disjoint n-windows (one per
-worker), members_B reads one window that also keeps the roots of the shapes
-it names, and classify_pair is the one-n window.  interval_hits, hit_count
+worker, _window_counts per window), members_B reads one window that also
+keeps the roots of the shapes it names, and classify_pair is the one-n
+window.  interval_hits, hit_count
 and enumerate_kfull's heap merge stay separate routes to check it against.
 
 A single shape lam can hit (n^k, (n+2)^k) at most once (consecutive
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -51,8 +58,8 @@ from .arith import KFullRepr, introot, shape_tuples
 from .density import DensityTable, SubsetSpec
 from .shapes import LambdaElement
 
-_CHUNK = 1 << 15  # a-values (or n-values) per numpy chunk
-_INT64_MAX = 2**63 - 1
+_BLOCK = 1 << 14  # (shape, a) pairs per root block, about
+_W = 2.0**-48  # relative half-width of the interval proven around each seed
 
 
 @dataclass(frozen=True)
@@ -118,81 +125,161 @@ def classify_pair(n: int, k: int) -> tuple:
     """(l, m) for a single n: the one-n window of the sweep."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1, k >= 2")
-    hits, _ = _window_hits(k, n, n + 2)
-    return (int(hits[0]), int(hits[1]))
+    (cell,) = _window_counts(k, n, n + 1)
+    return cell
 
 
-def _floor_roots(k: int, M: int, lam: float, a0: int, a1: int, lo: int, top: int):
-    """r = floor(a * M^(1/k)) for a in [a0, a1), given lo <= r <= top for all
-    of them, as an int64 array.
+class _Shapes:
+    """A window's proper shapes (M > 1), in ascending M: the exact radicands
+    M (a list), float64 seeds lam of M^(1/k), and ok, True where the seed is
+    proven: lam (1 - _W) < M^(1/k) < lam (1 + _W).
 
-    The float64 seed a * lam is only a guess; the exact integer fix-up below
-    repeats until r^k < a^k M < (r+1)^k holds for every element.  The kth
-    powers are int64 while (top+1)^k < 2^63 and Python ints (dtype=object)
-    past that, through the same lines.
+    The proof uses only correctly rounded float64 products and the correctly
+    rounded float(M).  With u = 2^-53, c = 2 (k + 1) u and hi = lam (1 + _W)
+    as rounded, the k - 1 products of hi^k round by at most (1 + u)^(k-1)
+    and M <= float(M) (1 + u), so hi^k > float(M) (1 + c) as computed, itself
+    rounded by 1 - u, gives hi^k > M exactly since (1 + c)(1 - u) >= (1 + u)^k;
+    likewise lo^k < float(M) (1 - c) gives lo^k < M.  A shape whose check
+    fails (or whose M leaves the float range) keeps ok False, and every
+    floor that involves it is decided in integers.  lam is an optional
+    seed in place of the computed one.
+    """
+
+    def __init__(self, k: int, Ms: list, lam=None):
+        import numpy as np
+
+        self.k = k
+        self.M = Ms
+        Mf = np.fromiter((float(M) if M.bit_length() < 1024 else math.inf for M in Ms),
+                         dtype=np.float64, count=len(Ms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lam is None:
+                lam = Mf ** (1.0 / k)
+                lam += lam * (Mf / _power(lam, k) - 1) / k  # one Newton step
+            c = 2 * (k + 1) * 2.0**-53
+            hi = _power(lam * (1 + _W), k)
+            ok = (np.isfinite(hi) & (hi > Mf * (1 + c))
+                  & (_power(lam * (1 - _W), k) < Mf * (1 - c)))
+        self.ok = ok
+        self.all_ok = bool(ok.all())
+        self.lam = np.where(ok, lam, 1.0)
+
+    def floor_div(self, R: int, n: int):
+        """A(R) = floor(R / M^(1/k)), the number of a >= 1 with a^k M < R^k,
+        for the first n shapes."""
+        return _floors(R / self.lam[:n], self.ok[:n],
+                       lambda i: introot((R**self.k - 1) // self.M[i], self.k))
+
+    def floor_roots(self, s, a):
+        """r = floor(a M^(1/k)) for the pairs (shape s, a), as int64."""
+        ok = None if self.all_ok else self.ok[s]
+        return _floors(a * self.lam[s], ok,
+                       lambda i: introot(int(a[i]) ** self.k * self.M[s[i]], self.k))
+
+
+def _power(x, k: int):
+    """x^k by k - 1 rounded float products."""
+    p = x.copy()
+    for _ in range(k - 1):
+        p *= x
+    return p
+
+
+def _floors(x, ok, exact):
+    """floor(X) as int64 for irrational X, given float64 x with
+    |X - x| < 2 _W x wherever ok (everywhere if ok is None).  exact(i)
+    decides entry i where ok is False or where x (1 -+ 4 _W), as rounded,
+    holds an integer; the factor 2 of slack pays for that rounding.
+
+    For X = a M^(1/k) and a proven seed, M^(1/k) / lam lies within
+    (1 -+ _W)(1 -+ u) (the widened seed is itself rounded, u = 2^-53), and
+    x = a * lam rounds a and the product, so X / x lies within
+    (1 -+ _W)(1 -+ u)^3, inside 1 -+ 2 _W as _W = 32 u; the same holds for
+    X = R / M^(1/k).  Past x = 2^46 the interval is wider than 2 and every
+    entry is exact.
     """
     import numpy as np
 
-    a = np.arange(a0, a1, dtype=np.int64)
-    r = np.maximum(np.minimum(np.floor(a * lam).astype(np.int64), top), lo)
-    if (top + 1) ** k > _INT64_MAX:
-        a, r = a.astype(object), r.astype(object)
-    v = a**k * M
-    while True:
-        down = r**k > v  # v is never a kth power, so > and >= agree
-        up = (r + 1) ** k < v
-        if not (down.any() or up.any()):
-            return r.astype(np.int64)
-        r[down] -= 1
-        r[up] += 1
+    e = x * (4 * _W)
+    f = np.floor(x - e)
+    tie = f != np.floor(x + e)
+    if ok is not None:
+        tie |= ~ok
+    f[tie] = 0
+    out = f.astype(np.int64)
+    for i in np.flatnonzero(tie).tolist():
+        out[i] = exact(i)
+    return out
 
 
-def _window_hits(k: int, lo: int, hi: int, keep=frozenset()):
-    """hits[i] = number of proper k-full v with floor(v^(1/k)) = lo + i, for
-    lo <= lo + i < hi; that is, every v in (lo^k, hi^k), bucketed by root.
+def _root_blocks(k: int, lo: int, hi: int, keep=frozenset()):
+    """The window primitive: yield (n0, h, kept) for consecutive blocks of
+    roots between lo and hi, where h[i] = number of proper k-full v with
+    floor(v^(1/k)) = n0 + i, and kept[b] = the int64 array of roots
+    n0 <= r < n0 + len(h) of shape b, for each tuple b in keep.
 
-    Also returns, for each shape tuple b in keep, the int64 array of the roots
-    r its values land on (empty when the shape never enters the window).
+    Each block after the first starts at the last root of the one before,
+    carried over, so the n with n and n + 1 in one block,
+    n0 <= n < n0 + len(h) - 1, cover lo <= n < hi - 1 once each: left(n)
+    is h[n - n0] and right(n) is h[n + 1 - n0].
+
+    A block [s0, s1) holds, for every shape with M^(1/k) < s1, the a-values
+    A(s0) < a <= A(s1) (see _Shapes.floor_div), walked as one flat run of
+    (shape, a) pairs, with r = floor(a M^(1/k)) decided by _floors and
+    tallied with bincount.  Its width in roots is sized so that a block holds
+    about max(_BLOCK, shapes) pairs: memory is O(shapes + block), and the
+    per-block work over the shapes never outgrows the pairs.
     """
     import numpy as np
 
-    X = hi**k - 1
-    shapes = [(M, b) for M, b in shape_tuples(k, X) if M > 1]
-    # one shape hits each root at most once, so the shape count bounds hits[i]
-    hits = np.zeros(hi - lo, dtype=np.min_scalar_type(len(shapes)))
-    kept = {b: [] for b in keep}
-    lo_pow = lo**k
-    wide = X > _INT64_MAX  # only then can a chunk's kth powers leave int64
-    for M, b in shapes:
-        a_lo = introot(lo_pow // M, k) + 1  # smallest a with a^k M > lo^k
-        a_hi = introot(X // M, k)  # largest a with a^k M < hi^k
-        lam = math.exp(math.log(M) / k)
-        for a0 in range(a_lo, a_hi + 1, _CHUNK):
-            a1 = min(a0 + _CHUNK, a_hi + 1)
-            top = introot((a1 - 1) ** k * M, k) if wide else hi - 1
-            r = _floor_roots(k, M, lam, a0, a1, lo, top)
-            # lam = M^(1/k) > 2, so consecutive a land at least two roots
-            # apart: the indices are distinct and the buffered += is exact
-            hits[r - lo] += 1
-            if b in kept:
-                kept[b].append(r)
-    return hits, {b: np.concatenate(rs) if rs else np.zeros(0, np.int64)
-                  for b, rs in kept.items()}
+    shapes = [(M, b) for M, b in shape_tuples(k, hi**k - 1) if M > 1]
+    keep_at = {b: len(shapes) for b in keep}
+    keep_at.update((b, i) for i, (_, b) in enumerate(shapes) if b in keep_at)
+    Ms = [M for M, _ in shapes]
+    del shapes
+    sh = _Shapes(k, Ms)
+    density = float(np.sum(1.0 / sh.lam))  # pairs per root, about
+    width = max(1, int(max(_BLOCK, len(Ms)) / max(density, 1.0)))
+    A = sh.floor_div(lo, bisect_left(Ms, lo**k))
+    carry = None
+    s0 = lo
+    while s0 < hi:
+        s1 = min(s0 + width, hi)
+        n1 = bisect_left(Ms, s1**k)  # the shapes with M^(1/k) < s1
+        A1 = sh.floor_div(s1, n1)
+        c = A1.copy()
+        c[: len(A)] -= A
+        off = np.cumsum(c) - c
+        s = np.repeat(np.arange(n1), c)
+        # a = A(s0) + 1 + (position within the shape's run)
+        a = np.arange(len(s), dtype=np.int64) - np.repeat(off - (A1 - c) - 1, c)
+        r = sh.floor_roots(s, a)
+        h = np.bincount(r - s0, minlength=s1 - s0)
+        kept = {b: r[off[i] : off[i] + c[i]] if i < n1 else r[:0] for b, i in keep_at.items()}
+        if carry is None:
+            n0 = s0
+        else:
+            n0 = s0 - 1
+            h = np.concatenate((carry[0], h))
+            kept = {b: np.concatenate((carry[1][b], v)) for b, v in kept.items()}
+        yield n0, h, kept
+        carry = (h[-1:], {b: v[v == s1 - 1] for b, v in kept.items()})
+        A, s0 = A1, s1
 
 
 def _window_counts(k: int, lo: int, hi: int) -> dict:
-    """Cell counts for n in [lo, hi): left(n) = hits[n - lo] and
-    right(n) = hits[n + 1 - lo], tallied in chunks with bincount."""
+    """Cell counts for n in [lo, hi): left(n) = hits at n and right(n) =
+    hits at n + 1, tallied per root block with bincount."""
     import numpy as np
 
-    hits, _ = _window_hits(k, lo, hi + 1)
-    W = int(hits.max()) + 1
-    tally = np.zeros(W * W, dtype=np.int64)
-    for i in range(0, hi - lo, _CHUNK):
-        j = min(i + _CHUNK, hi - lo)
-        code = hits[i:j].astype(np.int64) * W + hits[i + 1 : j + 1]
-        tally += np.bincount(code, minlength=W * W)
-    return {(int(c) // W, int(c) % W): int(tally[c]) for c in np.flatnonzero(tally)}
+    counts = {}
+    for _, h, _ in _root_blocks(k, lo, hi + 1):
+        W = int(h.max()) + 1
+        tally = np.bincount(h[:-1] * W + h[1:])
+        for code in np.flatnonzero(tally).tolist():
+            cell = (code // W, code % W)
+            counts[cell] = counts.get(cell, 0) + int(tally[code])
+    return counts
 
 
 def empirical_table(k: int, N: int, threads: int = 1) -> EmpiricalCounts:
@@ -237,16 +324,19 @@ def members_B(k: int, I: SubsetSpec, J: SubsetSpec, N: int) -> list:
     import numpy as np
 
     want_left, want_right = I.key_set(), J.key_set()
-    hits, roots = _window_hits(k, 1, N + 2, want_left | want_right)
-    # n is a member iff its hit counts are |I| and |J| and every shape of I
-    # (of J) lands left (right) of n; one shape hits (n^k, (n+2)^k) at most
-    # once, so the counts then leave room for no other shape
-    member = (hits[:N] == len(want_left)) & (hits[1:] == len(want_right))
-    for b in want_left:
-        member &= _marks(roots[b] - 1, N)  # left of n: r = n
-    for b in want_right:
-        member &= _marks(roots[b] - 2, N)  # right of n: r = n + 1
-    return [int(i) + 1 for i in np.flatnonzero(member)]
+    out = []
+    for n0, h, kept in _root_blocks(k, 1, N + 2, want_left | want_right):
+        # n is a member iff its hit counts are |I| and |J| and every shape of
+        # I (of J) lands left (right) of n; one shape hits (n^k, (n+2)^k) at
+        # most once, so the counts then leave room for no other shape
+        m = len(h) - 1
+        member = (h[:-1] == len(want_left)) & (h[1:] == len(want_right))
+        for b in want_left:
+            member &= _marks(kept[b] - n0, m)  # left of n: r = n
+        for b in want_right:
+            member &= _marks(kept[b] - n0 - 1, m)  # right of n: r = n + 1
+        out.extend((np.flatnonzero(member) + n0).tolist())
+    return out
 
 
 def _marks(idx, size: int):

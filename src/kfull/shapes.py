@@ -13,8 +13,11 @@ independent routes:
   with the omitted mass bounded by integral comparison (tail_bound).
   k = 2 sums a squarefree sieve, k = 3 uses the gcd-Moebius identity, and
   k >= 4 sums over the box tuples of arith.shape_tuples (the one tuple
-  walker).  Converges like B^(-m/k) at best, so it serves as the oracle
-  route.
+  walker).  For k >= 3 the box is walked once per (k, B) and cached
+  (_box), and each m reads it in numpy passes: at k = 3 the multiples of
+  every squarefree d, summed per d with one np.add.reduceat; at k >= 4 the
+  tuples as index columns, each term a product of per-(m, j) power tables.
+  Converges like B^(-m/k) at best, so it serves as the oracle route.
 
 * power_sum_euler: since each prime divides at most one b_j, the sum over
   all shape tuples factors over primes,
@@ -41,8 +44,9 @@ independent routes:
   the log through one interval log1p per m.  The exact formal-log
   coefficients are built only as deep as the cut reads them (_log_coeffs).
 
-numpy serves only the k = 3 box sum and is imported there, so the Euler
-route, and every command that uses only it, runs without loading numpy.
+numpy serves only the box sums of k >= 3 and is imported there, so the
+Euler route, and every command that uses only it, runs without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import fsum
 
 from mpmath import mp, mpf
@@ -191,34 +196,71 @@ def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
         return ErrorBoundedReal(mpf(total), tail_bound(k, m, B) + slop)
 
 
-def _box_sum_k3(m: int, B: int) -> float:
-    # pairwise coprimality resolved by the gcd-Moebius identity:
-    # sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g)
+_GATHER = 1 << 14  # box indices gathered per numpy pass
+
+
+@lru_cache(maxsize=4)
+def _box(k: int, B: int):
+    """The coordinate box b_j <= B, walked once per (k, B) for every m.
+
+    k = 3: the Moebius signs mu of the squarefree d <= B, ascending; the
+    multiples of each d laid end to end in idx (int32), the run of the j-th
+    d starting at starts[j]; spans (j0, j1) of consecutive runs, about
+    _GATHER indices each; and the squarefree mask sf over 0..B.
+    k >= 4: the proper box tuples of shape_tuples as k - 1 index columns.
+    """
     import numpy as np
 
-    mu = mobius_sieve(B)
+    if k == 3:
+        mu = np.array(mobius_sieve(B), dtype=np.int8)
+        ds = np.flatnonzero(mu).astype(np.int32)
+        runs = B // ds
+        starts = np.cumsum(runs, dtype=np.int64) - runs
+        # the run of d is d, 2d, ..., (B // d) d
+        idx = np.arange(1, runs.sum() + 1, dtype=np.int32)
+        idx -= np.repeat(starts.astype(np.int32), runs)
+        idx *= np.repeat(ds, runs)
+        cuts = sorted(set(np.searchsorted(starts, np.arange(0, len(idx), _GATHER)).tolist()))
+        spans = list(zip(cuts, cuts[1:] + [len(ds)]))
+        return mu[ds].astype(np.float64), idx, starts, spans, mu != 0
+    tuples = shape_tuples(k, box=B)  # the all-ones tuple, M = 1, is one of them
+    cols = np.fromiter(chain.from_iterable(b for M, b in tuples if M > 1), dtype=np.int32,
+                       count=(len(tuples) - 1) * (k - 1))
+    return tuple(cols.reshape(-1, k - 1).T)
+
+
+def _box_sum_k3(m: int, B: int) -> float:
+    # pairwise coprimality resolved by the gcd-Moebius identity:
+    # sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g),
+    # each inner sum one segment of np.add.reduceat over the box's multiples
+    import numpy as np
+
+    mu, idx, starts, spans, sf = _box(3, B)
     b = np.arange(B + 1, dtype=np.float64)
     b[0] = 1.0
-    sf = np.array([x != 0 for x in mu], dtype=bool)
     w1 = np.where(sf, b ** (-4.0 * m / 3.0), 0.0)
     w2 = np.where(sf, b ** (-5.0 * m / 3.0), 0.0)
-    parts = []
-    for d in range(1, B + 1):
-        if mu[d] == 0:
-            continue
-        parts.append(mu[d] * float(w1[d::d].sum()) * float(w2[d::d].sum()))
-    return fsum(parts) - 1.0  # remove the (1,1) tuple
+    s1, s2 = [], []
+    for j0, j1 in spans:
+        i0, i1 = starts[j0], (starts[j1] if j1 < len(starts) else len(idx))
+        seg = idx[i0:i1]
+        s1.append(np.add.reduceat(w1[seg], starts[j0:j1] - i0))
+        s2.append(np.add.reduceat(w2[seg], starts[j0:j1] - i0))
+    parts = mu * np.concatenate(s1) * np.concatenate(s2)
+    return fsum(parts.tolist()) - 1.0  # remove the (1,1) tuple
 
 
 def _box_sum_generic(k: int, m: int, B: int) -> float:
-    terms = []
-    for M, b in shape_tuples(k, box=B):
-        if M > 1:
-            w = 1.0
-            for j, bj in enumerate(b, start=1):
-                w *= bj ** (-(m * (k + j) / k))
-            terms.append(w)
-    return fsum(terms)
+    # each term is prod_j b_j^(-m(k+j)/k), read from one power table per j
+    import numpy as np
+
+    b = np.arange(B + 1, dtype=np.float64)
+    b[0] = 1.0
+    w = None
+    for j, col in enumerate(_box(k, B), start=1):
+        t = (b ** (-(m * (k + j) / k)))[col]
+        w = t if w is None else w * t
+    return fsum(w.tolist())
 
 
 _T_CAP = 600

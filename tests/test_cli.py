@@ -272,6 +272,23 @@ def test_verify_three_routes_see_a_cell_off_by_1e_10(capsys, monkeypatch):
     assert check["observed"] == pytest.approx(1e-10, rel=1e-6)
 
 
+def test_verify_power_sum_routes_see_a_direct_sum_moved_by_10_radii(capsys, monkeypatch):
+    direct = cli.power_sum_direct
+
+    def moved(k, m, B):
+        d = direct(k, m, B)
+        return d + 10 * d.radius if m == 3 else d
+
+    monkeypatch.setattr(cli, "power_sum_direct", moved)
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000",
+                           "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["power_sum_routes"]["passed"]
+    assert checks["power_sum_routes"]["tolerance"] == 0.0
+    assert checks["closed_form_power_sums"]["passed"]
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "table", "--k", "1")
     assert code == 2 and "error" in err

@@ -154,17 +154,88 @@ def test_empirical_window_edges_match_oracle(monkeypatch, k, N):
 
 
 @pytest.mark.parametrize("k,M,a0,a1", [
-    (2, 8, 1, 3000),  # int64 powers
-    (4, 2**5, 20_000, 23_000),  # (r+1)^4 passes 2^63: Python ints
+    (2, 8, 1, 3000),  # a^k M below 2^63
+    (4, 2**5, 20_000, 23_000),  # a^4 M passes 2^63
 ])
 @pytest.mark.parametrize("skew", [0.999, 1.0, 1.001])
 def test_floor_roots_fix_up_repairs_a_bad_seed(k, M, a0, a1, skew):
     # a seed off by up to tens of units in either direction must still come
-    # out exact: the fix-up is checked, not assumed
+    # out exact: the seed is proven or set aside, never assumed
+    np = pytest.importorskip("numpy")
     exact = [introot(a**k * M, k) for a in range(a0, a1)]
-    lam = skew * M ** (1 / k)
-    r = empirical._floor_roots(k, M, lam, a0, a1, exact[0], exact[-1])
+    shapes = empirical._Shapes(k, [M], lam=np.array([skew * M ** (1 / k)]))
+    assert bool(shapes.ok[0]) == (skew == 1.0)
+    a = np.arange(a0, a1, dtype=np.int64)
+    r = shapes.floor_roots(np.zeros(len(a), dtype=np.int64), a)
     assert r.dtype == "int64" and r.tolist() == exact
+
+
+# x^2 - 2 y^2 = 1 with x = 131836323: 2 y sqrt(2) lies 7.6e-9 below the
+# integer 2 x, inside half an ulp of the double product; and
+# x^2 - 2 y^2 = -1 with x = 1855077841: 2 x / sqrt(8) lies just below y,
+# and the double quotient rounds up to y
+PELL = (131_836_323, 93_222_358)
+PELL_MINUS = (1_855_077_841, 1_311_738_121)
+
+
+def test_floor_roots_decides_a_forced_near_tie():
+    np = pytest.importorskip("numpy")
+    x, y = PELL
+    assert x * x - 2 * y * y == 1
+    lam = np.sqrt(np.array([8.0]))  # correctly rounded, so proven
+    # a kernel that trusted the seed would put this pair one root too high
+    assert int(np.floor(y * lam[0])) == 2 * x
+    shapes = empirical._Shapes(2, [8], lam=lam)
+    assert bool(shapes.ok[0])
+    a = np.array([y - 1, y, y + 1], dtype=np.int64)
+    r = shapes.floor_roots(np.zeros(3, dtype=np.int64), a)
+    assert r.tolist() == [introot(8 * int(v) ** 2, 2) for v in a]
+    assert r[1] == 2 * x - 1
+    # the a-bounds face the same kind of tie: A(2x) = floor(2x / sqrt(8))
+    x, y = PELL_MINUS
+    assert x * x - 2 * y * y == -1
+    assert int(np.floor(2 * x / lam[0])) == y
+    assert shapes.floor_div(2 * x, 1).tolist() == [y - 1] == [introot((4 * x * x - 1) // 8, 2)]
+
+
+@pytest.mark.parametrize("k,lo,hi", [
+    (2, 1, 5000), (2, 777, 3001), (3, 5, 2500), (4, 1, 400),
+    (5, 1, 1200), (6, 1, 500),  # a^k M past 2^63 for most pairs
+])
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_root_blocks_match_heap_merge(monkeypatch, k, lo, hi, block):
+    # tiny blocks put block edges inside every shape's run of a-values; the
+    # hits, the carried boundary root and the kept roots must still be exact
+    monkeypatch.setattr(empirical, "_BLOCK", block)
+    hits = {}
+    roots = {}
+    for v, rep in enumerate_kfull(k, hi**k - 1):
+        r = introot(v, k)
+        if r >= lo:
+            hits[r] = hits.get(r, 0) + 1
+            roots.setdefault(rep.b, []).append(r)
+    keep = {b for b in list(roots)[:5]} | {(10**6,) + (1,) * (k - 2)}
+    seen = []
+    for n0, h, kept in empirical._root_blocks(k, lo, hi, keep):
+        assert n0 == (seen[-1] if seen else lo)
+        assert h.tolist() == [hits.get(r, 0) for r in range(n0, n0 + len(h))]
+        for b in keep:
+            assert kept[b].tolist() == [r for r in roots.get(b, ()) if n0 <= r < n0 + len(h)]
+        seen.append(n0 + len(h) - 1)
+    assert seen[-1] == hi - 1
+    assert len(seen) > 1 or block == 100
+
+
+@pytest.mark.parametrize("k,N", [(5, 60), (6, 40)])
+def test_members_B_and_classify_pair_past_int64_match_interval_hits(k, N):
+    empty = SubsetSpec(k, ())
+    one = SubsetSpec(k, ((2,) + (1,) * (k - 2),))
+    for I, J in ((empty, empty), (one, empty), (empty, one)):
+        assert members_B(k, I, J, N) == members_by_interval_hits(k, I, J, N)
+    for n in range(1, N + 1):
+        hits = interval_hits(n, k)
+        cell = (sum(h.side == "left" for h in hits), sum(h.side == "right" for h in hits))
+        assert classify_pair(n, k) == cell, n
 
 
 def test_empirical_workers_clamped(monkeypatch):

@@ -1,13 +1,13 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import fsum, gcd, log
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from kfull import shapes
-from kfull.arith import is_squarefree
+from kfull.arith import is_squarefree, moebius, shape_tuples
 from kfull.shapes import (
     _T_CAP,
     LambdaElement,
@@ -123,6 +123,38 @@ def test_box_sum_k3_matches_brute_force():
         if is_squarefree(b1 * b2) and gcd(b1, b2) == 1:
             brute += b1 ** (-8.0 / 3.0) * b2 ** (-10.0 / 3.0)
     assert abs(_box_sum_k3(m, B) - brute) < 1e-12
+
+
+def box_sum_per_m(k, m, B):
+    """The box sum walked afresh for one m: a squarefree sieve at k = 2, a
+    slice per squarefree d at k = 3, the tuples of the walker at k >= 4."""
+    if k == 2:
+        return fsum(b ** (-1.5 * m) for b in range(2, B + 1) if is_squarefree(b))
+    if k == 3:
+        mu = [0] + [moebius(d) for d in range(1, B + 1)]
+        f = [0.0] + [b ** (-4.0 * m / 3.0) if mu[b] else 0.0 for b in range(1, B + 1)]
+        g = [0.0] + [b ** (-5.0 * m / 3.0) if mu[b] else 0.0 for b in range(1, B + 1)]
+        return fsum(mu[d] * fsum(f[d::d]) * fsum(g[d::d]) for d in range(1, B + 1)) - 1.0
+    terms = []
+    for M, b in shape_tuples(k, box=B):
+        if M > 1:
+            w = 1.0
+            for j, bj in enumerate(b, start=1):
+                w *= bj ** (-(m * (k + j) / k))
+            terms.append(w)
+    return fsum(terms)
+
+
+@pytest.mark.parametrize("k, B, work", [(2, 500, 500), (3, 300, 300 * (log(300) + 1)),
+                                        (4, 25, 25**3)])
+def test_box_sums_match_the_per_m_walk(k, B, work):
+    # one cached box serves every m; each value stays within the float
+    # envelope power_sum_direct adds to its radius
+    envelope = (int(work) + 16) * 2.3e-16 * 8
+    for m in range(1, 9):
+        d = power_sum_direct(k, m, B)
+        assert abs(float(d.value) - box_sum_per_m(k, m, B)) <= envelope, (k, m)
+        assert float(d.radius) >= envelope
 
 
 def test_direct_examples():
