@@ -170,6 +170,21 @@ def test_floor_roots_fix_up_repairs_a_bad_seed(k, M, a0, a1, skew):
     assert r.dtype == "int64" and r.tolist() == exact
 
 
+def test_radicands_past_the_float_range_are_decided_in_integers():
+    # at k = 200 a radicand past 2^1024 still has a small root, 3^3.25
+    np = pytest.importorskip("numpy")
+    k, M = 200, 3**650
+    shapes = empirical._Shapes(k, [2**201, M])
+    assert shapes.ok.tolist() == [True, False]
+    s = np.array([0, 1, 1, 1], dtype=np.int64)
+    a = np.array([5, 1, 2, 7], dtype=np.int64)
+    Ms = [2**201, M]
+    assert shapes.floor_roots(s, a).tolist() == [
+        introot(int(v) ** k * Ms[i], k) for i, v in zip(s, a)]
+    assert shapes.floor_div(100, 2).tolist() == [
+        introot((100**k - 1) // m, k) for m in Ms] == [49, 2]
+
+
 # x^2 - 2 y^2 = 1 with x = 131836323: 2 y sqrt(2) lies 7.6e-9 below the
 # integer 2 x, inside half an ulp of the double product; and
 # x^2 - 2 y^2 = -1 with x = 1855077841: 2 x / sqrt(8) lies just below y,
