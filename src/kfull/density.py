@@ -194,16 +194,13 @@ def _newton(ps: PowerSums, r_max: int) -> _Grown:
     return xi
 
 
-def _coefficients(xi, n_max: int, guard: int, target=None) -> _Grown:
+def _coefficients(xi, n_max: int, guard: int) -> _Grown:
     """a_0..a_n_max from the xi sequence, each a_n one exact dot over
     xi_n..xi_(n+guard) widened by its envelope tail."""
     def step(n):
         P = xi[1].hi()
         acc = dot((xi[r], comb(r, n) * (-2) ** (r - n)) for r in range(n, n + guard + 1))
-        tail = P**n / mp.factorial(n) * _exp_tail(2 * P, guard)
-        if target is not None and tail > mpf(target):
-            raise ValueError(f"guard {guard} leaves truncation {tail} > {target}")
-        return acc.widened(tail)
+        return acc.widened(P**n / mp.factorial(n) * _exp_tail(2 * P, guard))
 
     return _Grown(n_max, step)
 
@@ -241,15 +238,15 @@ def _exp_tail(x, T: int):
     return first / (1 - x / (T + 2))
 
 
-def coeffs_a(xi: XiSequence, n_max: int, guard: int, target=None) -> SeriesCoeffs:
+def coeffs_a(xi: XiSequence, n_max: int, guard: int) -> SeriesCoeffs:
     """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, truncation bounded by
     the xi_r <= P_k(1)^r / r! envelope with P_k(1) taken as xi_1's upper
-    endpoint.  A tail above target (when given) raises ValueError."""
+    endpoint."""
     if n_max < 0 or guard < 1:
         raise ValueError("need n_max >= 0, guard >= 1")
     if xi.r_max < n_max + guard:
         raise ValueError(f"xi computed to {xi.r_max}, need {n_max + guard}")
-    return SeriesCoeffs(xi.k, tuple(_coefficients(xi.xi, n_max, guard, target)))
+    return SeriesCoeffs(xi.k, tuple(_coefficients(xi.xi, n_max, guard)))
 
 
 @lru_cache(maxsize=8)

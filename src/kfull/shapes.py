@@ -32,6 +32,10 @@ independent routes:
   below target, which for large m is order k, i.e. no prime-zeta tail at
   all; and a small prime whose factor sum is below the working floor is
   moved into the radius by 0 <= log1p(x) <= x.  This is the precision route.
+  One pass per P_k(m): the tail of order t gets digits + max(6, ceil(log10
+  |c_t|)) digits, so no formal-log coefficient c_t swamps the radius, and
+  the result has radius <= 10^(-digits) or raises ArithmeticError naming
+  the cause (the cut reached _T_CAP, or the radius it reached).
   The exact-product factors p^(-m(k+j)/k) = u_p^(m(k+j)) are integer
   powers of the roots u_p = p^(-1/k) from zetas' table of prime roots, as is
   the first omitted prime's y = q^(-m/k), not exp/log pairs.  The exact
@@ -54,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from math import fsum
 
 from mpmath import mp, mpf
@@ -293,19 +297,12 @@ def _log_coeffs(k: int, T: int) -> tuple:
 @lru_cache(maxsize=None)
 def power_sum_euler(k: int, m: int, digits: int = 30,
                     p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
-    """P_k(m) through the Euler product, radius <= 10^(-digits)."""
+    """P_k(m) through the Euler product, radius <= 10^(-digits) or ArithmeticError."""
     if k < 2 or m < 1:
         raise ValueError("need k >= 2, m >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for extra in (0, 10, 25):
-        out = _power_sum_euler_once(k, m, digits + extra, p0)
-        if out is not None and out.radius <= mpf(10) ** (-digits):
-            return out
-    raise ArithmeticError(f"could not certify P_{k}({m}) to {digits} digits")
-
-
-def _power_sum_euler_once(k, m, digits, p0):
+    fail = f"could not certify P_{k}({m}) to {digits} digits"
     with mp.workdps(digits + 15):
         # raise the exact-product cutoff until the tail factor polynomial is
         # small at the first omitted prime (keeps the log series geometric)
@@ -346,14 +343,17 @@ def _power_sum_euler_once(k, m, digits, p0):
             if tail < target:
                 break
         else:
-            return None
+            raise ArithmeticError(f"{fail}: formal-log cut reached t = {_T_CAP}")
         for t in range(k + 1, t_max + 1):
             if not c[t]:
                 continue
-            pzt = prime_zeta_tail(Fraction(m * t, k), p0_eff, digits + 6)
+            tail_digits = digits + next(e for e in count(6) if abs(c[t]) <= 10**e)
+            pzt = prime_zeta_tail(Fraction(m * t, k), p0_eff, tail_digits)
             L = L + pzt * (mpf(c[t].numerator) / c[t].denominator)
-        L = L.widened(tail)
-        return L.expm1()
+        out = L.widened(tail).expm1()
+        if out.radius > mpf(10) ** (-digits):
+            raise ArithmeticError(f"{fail}: radius {mp.nstr(out.radius, 2)} > 1e-{digits}")
+    return out
 
 
 def _exact_product(k, m, primes, floor):

@@ -416,6 +416,22 @@ def test_reads_past_the_engine_ceilings_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_constants_k3_certifies_at_prime_cutoff_3(capsys):
+    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", "3",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    _, default, _ = run_cli(capsys, "constants", "--k", "3", "--format", "csv")
+    # the same values; only the P_3(m) radii depend on the cutoff
+    assert [r["value"] for r in parse_csv(out)] == [r["value"] for r in parse_csv(default)]
+
+
+def test_formal_log_cut_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: could not certify P_3(1) to 68 digits: "
+                   "formal-log cut reached t = 600\n")
+
+
 def test_uncertifiable_bound_exits_2(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ArithmeticError("could not certify P_2(1) to 30 digits")

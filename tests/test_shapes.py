@@ -219,6 +219,39 @@ def test_euler_radius_contract_and_reference(reference):
             assert abs(e.value - mpf(reference[key])) <= e.radius + mpf("1e-28")
 
 
+def test_euler_certifies_at_a_small_prime_cutoff():
+    # past p0 = 3 the formal-log coefficients of P_3(1) reach |c_t| ~ 3e25;
+    # each prime-zeta tail is asked for as many more digits as |c_t| has
+    e = power_sum_euler(3, 1, 68, 3)
+    assert e.radius <= mpf(10) ** (-68)
+    assert e.agrees_with(power_sum_euler(3, 1, 68))
+
+
+def test_euler_certifies_k4_in_one_pass(monkeypatch):
+    calls = []
+    exact = shapes._exact_product
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(shapes, "_exact_product", counted)
+    power_sum_euler.cache_clear()
+    e = power_sum_euler(4, 1, 146, 100)
+    assert len(calls) == 1
+    assert e.radius <= mpf(10) ** (-146)
+
+
+def test_euler_radius_postcondition_names_its_cause(monkeypatch):
+    # P_2(1) reads prime-zeta tails; each one 1e-50 wide swamps 60 digits
+    tail = shapes.prime_zeta_tail
+    monkeypatch.setattr(shapes, "prime_zeta_tail",
+                        lambda s, p0, digits: tail(s, p0, digits).widened(mpf(10) ** -50))
+    with pytest.raises(ArithmeticError, match=r"^could not certify P_2\(1\) to 60 digits: "
+                                              r"radius [0-9.]+e-\d+ > 1e-60$"):
+        power_sum_euler.__wrapped__(2, 1, 60)
+
+
 def test_power_sums_invariants():
     for k in (2, 3):
         ps = power_sums(k, 10, 25)
