@@ -11,7 +11,7 @@ possible: walk the squarefree coprime tuples b and the cofactor a instead
 of factoring every integer in the range.  shape_tuples is the one walker
 over those tuples, capped by the radicand (M <= X), by a coordinate box
 (every b_j <= B), or by both; the k-full enumeration, the sweep's shape
-lists, the shape box sums and the box product behind eval_F all read it.
+lists, the shape box sums and the head of eval_F all read it.
 
 Supported factorization range is 1 <= n <= 2^63 - 1, enforced; the method
 is deterministic trial division (primes up to 10^6, early exit at p*p > n),

@@ -46,8 +46,9 @@ inversion cells, the one-sided d_l, the row sums and the total mass) goes
 through bounded.dot, which sums exactly and rounds once.  Its weights must
 be exact Python ints, signs and powers of two included, such as
 C(r,n) * (-2)^(r-n); a rounded weight such as 1/r stays outside the sum as
-an ErrorBoundedReal multiply.  eval_F keeps its term-by-term loops,
-because they stop early on the running radius.
+an ErrorBoundedReal multiply.  eval_F's log series goes through dot as well,
+once its depth is chosen, with its rounded weights (-w)^j / j as
+ErrorBoundedReals.
 
 The inversion route consumes one-sided densities that are themselves
 produced by the xi route, so it is a consistency check of the published
@@ -64,23 +65,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from mpmath import mp, mpf
 
-from .arith import shape_tuples
 from .bounded import ErrorBoundedReal, dot
 from .shapes import (
     DEFAULT_PRIME_CUTOFF,
     LambdaElement,
     PowerSums,
-    lambda_min_radicand,
+    enumerate_lambda,
     lambda_value,
     power_sum_euler,
-    tail_bound,
 )
 
 DEFAULT_DIGITS = 30
+# the deepest truncation guard _engine builds (k = 5 needs 130, k = 6 233)
+_GUARD_CAP = 200
+# eval_F's head holds about Lam0^(k/(k+1)) shapes at some M + 3 interval
+# operations each; past this many (|z - 2| of about 1400 at k = 2, 600 at
+# k = 3) it refuses
+_HEAD_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,11 @@ def _engine(k: int, digits: int, p0: int):
 
     g is the number of terms every series keeps past its leading index: at
     least 40, deepened in steps of 5 until the envelope tail
-    sum_{t > g} (2 P_k(1))^t / t! falls below 1e-16.  The xi envelope
-    P_k(1)^r / r! only starts decaying past r ~ P_k(1), so for larger k
-    (where P grows) g scales up on its own: 40, 45 and 75 for k = 2, 3, 4.
+    sum_{t > g} (2 P_k(1))^t / t! (_exp_tail) falls below 1e-16.  The xi
+    envelope P_k(1)^r / r! only starts decaying past r ~ P_k(1), so for larger
+    k (where P grows) g scales up on its own: 40, 45, 75 and 130 for
+    k = 2..5.  k = 6 would need 233, past _GUARD_CAP, and there the search
+    raises ArithmeticError naming k instead of building an engine that deep.
     The coefficients run to n_max = max(44, g), and r_max = n_max + 2g so
     that the inversion route (one-sided densities up to index n_max + g,
     each g terms deep) stays inside the xi range.  The power sums gain digits
@@ -269,17 +276,15 @@ def _engine(k: int, digits: int, p0: int):
     working precision comes from the ceilings and (k, digits, p0) alone, never
     from what was read, so a grown value is bit-identical to the eager one.
     """
-    two_p = 2 * float(power_sum_euler(k, 1, 15, p0).hi())
-    g = max(40, int(two_p) + 4)
-    try:
-        while _float_exp_tail(two_p, g) > 1e-16 and g < 400:
+    with mp.workdps(15):
+        two_p = 2 * power_sum_euler(k, 1, 15, p0).hi()
+        g = max(40, int(two_p) + 4)
+        while g <= _GUARD_CAP and _exp_tail(two_p, g) > 1e-16:
             g += 5
-    except OverflowError:
-        # (2 P_k(1))^(g+1) leaves the float range long before an engine that
-        # deep could finish, so the search stops here
+    if g > _GUARD_CAP:
         raise ArithmeticError(
-            f"k = {k} is beyond the series engine: its truncation guard reached "
-            f"g = {g} with the bound still above 1e-16") from None
+            f"k = {k} is beyond the series engine: its truncation guard would pass "
+            f"g = {_GUARD_CAP} with the bound still above 1e-16")
     n_max = max(44, g)
     r_max = n_max + 2 * g
     # the binomial weights in the coefficient sums amplify absolute xi errors
@@ -293,12 +298,6 @@ def _engine(k: int, digits: int, p0: int):
         xi = _newton(ps, r_max)
         coeffs = _coefficients(xi, n_max, g)
     return ps, XiSequence(k, xi), SeriesCoeffs(k, coeffs), g
-
-
-def _float_exp_tail(x: float, T: int) -> float:
-    if x >= T + 2:
-        return float("inf")
-    return x ** (T + 1) / factorial(T + 1) / (1 - x / (T + 2))
 
 
 def series_coefficients(k: int, digits: int = DEFAULT_DIGITS,
@@ -413,70 +412,62 @@ def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
 
 
 def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
-    """The entire product F_k(z) = prod (1 + (z-2)/lam).
+    """The entire product F_k(z) = prod (1 + w/lam), w = z - 2, as an exact
+    head times the exp of one geometric power-sum tail.
 
-    Near the expansion center (|z-2| at most 0.8 lam_min) the logarithmic
-    series in the power sums converges geometrically; beyond that the xi
-    series (factorial decay, valid everywhere) takes over.
+    The head is the finite product over the shapes lam <= Lam0, a cutoff
+    above |w|; enumerate_lambda's boundary is exact, so every other shape
+    exceeds Lam0.  The log of the rest is
+
+        sum_{m>=1} (-1)^(m-1) w^m P_tail(m) / m,
+        P_tail(m) = P_k(m) - sum_head lam^(-m),
+
+    and P_tail(m+1) <= P_tail(m) / Lam0, so past m terms it is below
+    P_tail(m+1) |w|^(m+1) / ((m+1) (1 - |w|/Lam0)).  The power sums' radius
+    rides on |w|^m, so the depth M stops where that noise would reach the
+    engine's digits; Lam0 is the cutoff at which M terms reach
+    10^-(digits + 3), and the sum stops at the first term whose bound does.
+    The head and the subtraction run at the power sums' own precision.  Near
+    z = 2 the head is empty.  An argument whose head would pass _HEAD_CAP
+    shapes raises ValueError.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    ps, xi, _, _ = _engine(k, max(digits, DEFAULT_DIGITS), p0)
-    with mp.workdps(digits + 20):
-        w = mpf(z) - 2
-        lam_min = mp.root(mpf(lambda_min_radicand(k)), k)
-        target = mpf(10) ** (-digits - 2)
-        if abs(w) <= mpf("0.8") * lam_min:
-            if w == 0:
-                return ErrorBoundedReal.exact(1)
-            acc = ErrorBoundedReal.exact(0)
-            ratio = abs(w) / lam_min
-            M = ps.m_max
-            for m in range(1, M + 1):
-                term = ps.p(m) * (w**m / m)
-                acc = acc + term if m % 2 == 1 else acc - term
-                tail = ps.p(m + 1).hi() * abs(w) ** (m + 1) / ((m + 1) * (1 - ratio)) if m < M else None
-                if tail is not None and tail < target:
-                    return acc.widened(tail).exp()
-            tail = ps.p(M).hi() / lam_min * abs(w) ** (M + 1) / ((M + 1) * (1 - ratio))
-            return acc.widened(tail).exp()
-        P = ps.p(1).hi()
-        x = P * abs(w)
-        if x < xi.r_max - 6:
-            # adaptive cut: past the needed depth the w^r weights amplify the
-            # noise in the high-order xi values, so deeper is worse, not better
-            acc = ErrorBoundedReal.exact(0)
-            for r in range(xi.r_max + 1):
-                acc = acc + xi.xi[r] * w**r
-                if x < r + 2:
-                    tail = _exp_tail(x, r)
-                    if tail < target or tail < acc.radius / 4:
-                        return acc.widened(tail)
-            return acc.widened(_exp_tail(x, xi.r_max))
-        return _eval_F_product(k, w, digits)
-
-
-def _eval_F_product(k: int, w, digits: int) -> ErrorBoundedReal:
-    """Fallback for arguments beyond the series depth: exact product over a
-    coordinate box of shapes, times a bracket for the omitted factors.  The
-    achievable radius degrades with |w| (the omitted mass shrinks only like
-    a power of the box side), and the returned radius says so honestly."""
-    # the box must keep every omitted shape above 2|w| so the omitted
-    # log-factors are dominated; then widen until the tail bound stops paying
-    B_floor = max(64, int((2 * abs(w)) ** (mpf(k) / (k + 1))) + 1)
-    B_cap = max(B_floor, int(200_000 ** (1.0 / (k - 1))))
-    B = min(B_floor * 16, B_cap)
-    prod = ErrorBoundedReal.exact(1)
-    for M, _ in shape_tuples(k, box=B)[1:]:  # [0] is the trivial tuple, M = 1
-        lam = mp.root(mpf(M), k)
-        lam_e = ErrorBoundedReal(lam, lam * mp.eps * 8)
-        prod = prod * (1 + w / lam_e)
-    lam_min_omitted = mpf(B + 1) ** (mpf(k + 1) / k)
-    kappa = 1 / (1 - abs(w) / lam_min_omitted)
-    tail_log = kappa * abs(w) * tail_bound(k, 1, B)
-    lo_f, hi_f = mp.exp(-tail_log), mp.exp(tail_log)
-    bracket = ErrorBoundedReal((lo_f + hi_f) / 2, (hi_f - lo_f) / 2 + mp.eps * hi_f * 4)
-    return prod * bracket
+    digits = max(digits, DEFAULT_DIGITS)
+    ps = _engine(k, digits, p0)[0]
+    w = mp.fsub(z, 2, exact=True)
+    if not w:
+        return ErrorBoundedReal.exact(1)
+    ps_digits = int(-mp.log10(ps.p(1).radius))
+    with mp.workdps(ps_digits + 10):
+        aw = abs(w)
+        target = mpf(10) ** (-digits - 3)
+        M = ps.m_max - 1
+        if aw > 1:
+            M = min(M, int((ps_digits - digits - 4) / mp.log10(aw)))
+        # a float cutoff, which enumerate_lambda and the bound read exactly
+        lam0 = float(aw * max(2, (aw / target) ** (mpf(1) / max(M, 1))))
+        # about lam0^(k/(k+1)) shapes lie below lam0
+        if M < 1 or lam0 ** (k / (k + 1)) > _HEAD_CAP:
+            raise ValueError(f"|z - 2| = {mp.nstr(aw, 3)} needs a head past {_HEAD_CAP} "
+                             f"shapes at {ps_digits}-digit power sums")
+        inv = [lambda_value(e, ps_digits + 2).reciprocal() for e in enumerate_lambda(k, lam0)]
+        head = ErrorBoundedReal.exact(1)
+        for r in inv:
+            head = head * (1 + r * w)
+        # the tail's log is -sum_m (-w)^m P_tail(m) / m; terms holds its
+        # (P_tail(m), (-w)^m / m), and P_tail(m + 1) bounds the rest
+        pows, up, terms = inv, ErrorBoundedReal.exact(1), []
+        p_tail = ps.p(1) - dot((p, 1) for p in pows)
+        for m in range(1, M + 1):
+            up = up * -w
+            terms.append((p_tail, up / m))
+            pows = [p * r for p, r in zip(pows, inv)]
+            p_tail = ps.p(m + 1) - dot((p, 1) for p in pows)
+            bound = p_tail.hi() * aw ** (m + 1) / ((m + 1) * (1 - aw / lam0))
+            if bound < target:
+                break
+        return head * (-dot(terms)).widened(bound).exp()
 
 
 def build_table(k: int, L: int, method: str = "direct",

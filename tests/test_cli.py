@@ -895,10 +895,11 @@ def test_engine_guard_rows_inside_fixed_guard_enclosures(command):
 @pytest.mark.parametrize("argv, k", [
     (("constants", "--k", "6"), 6),
     (("table", "--k", "10", "--max-index", "1"), 10),
+    (("constants", "--k", "7"), 7),
 ])
 def test_engine_beyond_float_guard_exits_2(capsys, argv, k):
-    # the guard search leaves the float range; that ends in a message naming
-    # k, not in the errno text of a raw OverflowError
+    # the guard search passes the engine's ceiling; that ends in a message
+    # naming k, not in the errno text of a raw OverflowError
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: k = {k} ")

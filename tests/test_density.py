@@ -128,11 +128,15 @@ def test_constant_C_reference(reference):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_three_route_agreement_and_positivity(k):
+    # the routes must overlap as enclosures: a float spread of 1e-9 would let
+    # a cell that is 40 % off pass at k >= 3
     for l in range(6):
         for m in range(6):
-            vals = [float(density_A(k, l, m, meth)) for meth in ("direct", "inversion", "xi")]
-            assert max(vals) - min(vals) <= 1e-9, (k, l, m)
-            assert min(vals) > 0, (k, l, m)  # every cell density is positive
+            vals = [density_A(k, l, m, meth) for meth in ("direct", "inversion", "xi")]
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    assert vals[i].agrees_with(vals[j]), (k, l, m, i, j)
+            assert min(v.value for v in vals) > 0, (k, l, m)  # every cell density is positive
 
 
 def test_density_A_table_values(golden_tables):
@@ -318,7 +322,7 @@ def test_eval_F_far_argument_uses_series():
 
 
 def test_eval_F_beyond_series_depth_stays_enclosing():
-    # the product fallback trades precision for validity at extreme arguments
+    # far from z = 2 the head product carries the value
     with mp.workdps(40):
         F = eval_F(2, 120, 15)
         assert F.lo() > 0
@@ -332,6 +336,36 @@ def test_eval_F_beyond_series_depth_stays_enclosing():
             partial *= 1 + w / mp.root(mpf(M), 2)
         t = 2 * w * tail_bound(2, 1, B)
         assert F.lo() <= partial * mp.exp(t) and partial * mp.exp(-t) <= F.hi()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_eval_F_changes_sign_at_each_shape(k):
+    # F_k(2 - lam) = 0 for every shape lam, a simple zero, so a step of 1e-6
+    # to either side gives two certified values of opposite sign
+    with mp.workdps(40):
+        for e in first_elements(k, 3):
+            lam = mp.root(mpf(e.radicand()), k)
+            below = eval_F(k, 2 - lam - mpf("1e-6"))
+            above = eval_F(k, 2 - lam + mpf("1e-6"))
+            assert below.hi() < 0 < above.lo() or above.hi() < 0 < below.lo(), e.b
+
+
+def test_eval_F_keeps_its_sign_off_the_shapes():
+    # control: 72 = 2^3 * 3^2 is no k = 2 radicand b^3, so F_2 has no zero
+    # at 2 - sqrt(72)
+    with mp.workdps(40):
+        at = 2 - mp.sqrt(72)
+        below = eval_F(2, at - mpf("1e-6"))
+        above = eval_F(2, at + mpf("1e-6"))
+        assert min(below.lo(), above.lo()) > 0 or max(below.hi(), above.hi()) < 0
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("k, z", [(2, -40), (2, 10), (2, 40), (2, 120), (3, -20), (3, 30)])
+def test_eval_F_relative_radius_meets_digits(k, z, digits):
+    F = eval_F(k, z, digits)
+    with mp.workdps(40):
+        assert F.radius <= mpf(10) ** (-digits) * abs(F.value), (F, k, z)
 
 
 def test_build_table_shape():
