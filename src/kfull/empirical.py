@@ -51,6 +51,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -361,6 +362,13 @@ def hit_count(n: int, e: LambdaElement, j: int) -> int:
     return max(0, a_hi - a_lo)
 
 
+@lru_cache(maxsize=4096)
+def _lam(M: int, k: int, dps: int) -> mpf:
+    """M^(1/k) at dps digits; verify's samples reach few (M, k), each often."""
+    with mp.workdps(dps):
+        return mp.root(mpf(M), k)
+
+
 def lemma_check(n: int, e: LambdaElement, j: int) -> tuple:
     """(criterion, direct): the fractional-part test {n/lam} > 1 - j/lam and
     the exact interval-membership test.  The criterion is decided by
@@ -370,8 +378,8 @@ def lemma_check(n: int, e: LambdaElement, j: int) -> tuple:
     k = e.k
     dps = 25
     while True:
+        lam = _lam(M, k, dps)
         with mp.workdps(dps):
-            lam = mp.root(mpf(M), k)
             t = n / lam
             frac = t - mp.floor(t)
             rhs = 1 - j / lam

@@ -35,18 +35,21 @@ independent routes:
   One pass per P_k(m): the tail of order t gets digits + max(6, ceil(log10
   |c_t|)) digits, so no formal-log coefficient c_t swamps the radius, and
   the result has radius <= 10^(-digits) or raises ArithmeticError naming
-  the cause (the cut reached _T_CAP, or the radius it reached).
-  The exact-product factors p^(-m(k+j)/k) = u_p^(m(k+j)) are integer
-  powers of the roots u_p = p^(-1/k) from zetas' table of prime roots, as is
-  the first omitted prime's y = q^(-m/k), not exp/log pairs.  The exact
-  primes accumulate as one raw mpf S = prod_p (1 + s_p) - 1 at the table's
-  W bits, each factor sum s_p summed exactly and rounded once, through the
-  update S <- S + s_p (1 + S).  All its terms are positive, so S keeps its
-  relative precision when every factor is 1 + tiny, with one counted
-  relative radius: n (a + 4) units of 2^(1-W) after n primes, a = m(2k-1),
-  plus the rounding to working precision (see _exact_product).  It enters
-  the log through one interval log1p per m.  The exact formal-log
-  coefficients are built only as deep as the cut reads them (_log_coeffs).
+  the cause (the cut reached _T_CAP, or the radius it reached).  Below the
+  default cutoff p0 is raised until the cut is expected to fit under _T_CAP
+  (_cut_estimate), so a cutoff as small as 1 or 2 certifies as well.
+  The exact-product factors p^(-m(k+j)/k) are integer powers of the roots
+  r_p = floor(p^(-1/k) 2^F) from zetas' fixed-point table, as is the first
+  omitted prime's y = q^(-m/k), not exp/log pairs.  The exact primes
+  accumulate as one integer S = prod_p (1 + s_p) - 1 at a scale set by the
+  first s_p, through the update S <- S + s_p + floor(s_p S), each s_p an
+  exact sum of F-bit powers.  All its terms are positive, so S keeps its
+  relative precision when every factor is 1 + tiny; its floors are counted
+  inside the old relative radius of n (a + 4) units of 2^(1-W) after n
+  primes, a = m(2k-1), plus the rounding to working precision (see
+  _exact_product).  It enters the log through one interval log1p per m.
+  The exact formal-log coefficients are built only as deep as the cut reads
+  them (_log_coeffs).
 
 numpy serves only the box sums of k >= 3 and is imported there, so the
 Euler route, and every command that uses only it, runs without loading
@@ -59,14 +62,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
-from math import fsum
+from math import fsum, log
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sum, round_nearest
+from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
 from .arith import is_squarefree, mobius_sieve, next_prime, shape_tuples, squarefree_sieve
 from .bounded import ErrorBoundedReal
-from .zetas import _GUARD_BITS, _prime_power, _prime_roots, prime_zeta_tail, primes_upto, zeta
+from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
+                    prime_zeta_tail, primes_upto, zeta)
 
 DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -295,6 +299,27 @@ def _log_coeffs(k: int, T: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _convergence_radius(k: int) -> float:
+    """x0 in (0, 1] with g(x0) = 1, g(x) = x^(k+1) + ... + x^(2k-1), by bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sum(mid ** (k + j) for j in range(1, k)) < 1 else (lo, mid)
+    return hi
+
+
+def _cut_estimate(k: int, m: int, q: int, digits: int) -> float:
+    """About where the formal-log cut of P_k(m) falls when q is the first
+    omitted prime, erring low.  The coefficients of -log(1 - g) grow like
+    x0^(-t)/t, so the tail past t is about rho^t/t with rho = q^(-m/k)/x0.
+    This is the t where rho^t/_T_CAP reaches the cut's target
+    10^-(digits+10), less 3 orders: the cut stops one order before that
+    term, and at k = 2 (g = x^3) only every third order has one."""
+    return ((digits + 10) * log(10) - log(_T_CAP)) / (log(_convergence_radius(k))
+                                                      + m / k * log(q)) - 3
+
+
+@lru_cache(maxsize=None)
 def power_sum_euler(k: int, m: int, digits: int = 30,
                     p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """P_k(m) through the Euler product, radius <= 10^(-digits) or ArithmeticError."""
@@ -306,12 +331,15 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
     with mp.workdps(digits + 15):
         # raise the exact-product cutoff until the tail factor polynomial is
         # small at the first omitted prime (keeps the log series geometric)
+        # and, below the default cutoff, until the formal-log cut is
+        # expected to fit under _T_CAP
         p0_eff = max(p0, 2)
         while True:
             q = next_prime(p0_eff)
             y = _prime_power(q, Fraction(m, k))
             gy = sum(y ** (k + j) for j in range(1, k))
-            if gy <= mpf("0.5"):
+            if gy <= mpf("0.5") and (p0_eff >= DEFAULT_PRIME_CUTOFF
+                                     or _cut_estimate(k, m, q, digits) <= _T_CAP):
                 break
             p0_eff = q
 
@@ -362,39 +390,50 @@ def _exact_product(k, m, primes, floor):
     primes up to the first whose s_p is below floor, and dropped = the sum
     of s_p over the rest.
 
-    The terms are u_p^(m(k+j)), u_p = p^(-1/k) from the table of prime roots
-    at W = working precision + _GUARD_BITS bits, and S is one raw W-bit mpf
-    updated by S <- S + s_p (1 + S).  Every term is positive, so S keeps its
-    relative precision when each factor is 1 + tiny (the coefficient sums
-    amplify absolute errors in P by up to ~4^r, so the log of a rounded
-    product prod (1 + s_p) would not do).  The count, in units of
-    eps_W = 2^(1-W), with a = m(2k-1) the largest exponent:
+    The terms are _float_pow(r_p, m(k+j)) from zetas' fixed-point table of
+    roots r_p = floor(p^(-1/k) 2^F), each a mantissa of F bits with its own
+    exponent, so a tiny term keeps its relative precision.  s_p is their
+    exact sum.  S is one integer at G fraction bits, G the exponent of the
+    first s_p, updated by S <- S + s_p + floor(s_p S / 2^G).  Every term is
+    positive, so S keeps its relative precision when each factor is
+    1 + tiny (the coefficient sums amplify absolute errors in P by up to
+    ~4^r, so the log of a rounded product prod (1 + s_p) would not do).
 
-      u_p^a is within a + 2 (see zetas); s_p, summed exactly and rounded
-      once, is within a + 3.
-      An update's three positive parts S, s_p and s_p S carry relative
-      errors e, a + 3 and e + a + 3 to first order, so the update, taken
-      exactly and rounded once, is within e + a + 3 + 1/2.  One more 1/2
-      takes every second-order term, since n (a + 4) eps_W < 2^-20.
-      After n updates S is within n (a + 4); rounding it to working
-      precision adds eps/2 = 2^(_GUARD_BITS-1), and 1 more pays for taking
-      the radius relative to the rounded value.
+    Every value errs low.  With a = m(2k-1) the largest exponent, a term is
+    within a (p^(1/k) + 2) 2^(1-F) relative (see zetas), and so is s_p.
+    Aligning s_p to 2^-G floors it by less than one unit of 2^-G, and an
+    update errs by at most e(S) (1 + s_p) + e(s_p) (1 + S) + 1 units.  S is
+    at least 2^(F-1) units from the first update on, so after n updates its
+    relative error is below (1 + S) (a (p^(1/k) + 2) + n (2 + S)) 2^(1-F).
+    The radius keeps the old count of n (a + 4) units of eps_W = 2^(1-W),
+    W = working precision + _GUARD_BITS, relative.  One eps_W is at least
+    2^32 units of 2^(1-F), and 1 + S <= 1 + P_k(1) < 2^6 and p^(1/k) < 2^20
+    for every k and cutoff the engine serves, so the count sits far inside
+    it.  Rounding S to working precision adds eps/2 = 2^(_GUARD_BITS-1)
+    eps_W, and 1 more pays for taking the radius relative to the rounded
+    value.
     """
     prec = mp.prec
     W = prec + _GUARD_BITS
-    roots = _prime_roots(k, W, primes[-1])
+    F = _fraction_bits(prec)
+    roots = _fixed_roots(k, F, primes[-1])
     exps = [m * (k + j) for j in range(1, k)]
-    S, n = fzero, 0
+    S = G = n = 0
     dropped = mpf(0)
     for p in primes:
-        s_p = mpf_sum([mpf_pow_int(roots[p], a, W, round_nearest) for a in exps],
-                      W, round_nearest)
+        terms = [_float_pow(roots[p], a, F) for a in exps]
+        e0 = max(e for _, e in terms)
+        s = sum(man << (e0 - e) for man, e in terms)  # s_p = s 2^-e0, exactly
+        s_p = from_man_exp(s, -e0)
         if dropped or mpf_lt(s_p, floor._mpf_):
             dropped += mp.make_mpf(s_p)
             continue
-        S = mpf_sum((S, s_p, mpf_mul(s_p, S)), W, round_nearest)
+        if not n:
+            G = e0
+        s = s >> (e0 - G) if e0 >= G else s << (G - e0)
+        S += s + (s * S >> G)
         n += 1
-    v = mp.make_mpf(mpf_pos(S, prec, round_nearest))
+    v = mp.make_mpf(from_man_exp(S, -G, prec, round_nearest))
     units = n * (exps[-1] + 4) + 1 + (1 << (_GUARD_BITS - 1))
     return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u")), dropped
 

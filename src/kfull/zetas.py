@@ -23,37 +23,54 @@ is a function of (s, p0, digits) alone, whatever the caller's precision;
 3 and Fraction(3) hash alike and share one entry.  prime_zeta(s) is the
 p0 = 1 case.
 
-Powers from one table of prime roots.  Every exponent the engine reaches is
-a rational a/q with a small denominator: m(k+j)/k and the cascade's
-multiples n s.  For such s, _prime_roots holds u_p = p^(-1/q) for the
-primes up to a limit, at W = working precision + _GUARD_BITS bits, each
-taken 20 bits deeper and rounded once, so within eps_W = 2^(1-W) relative.
-Then p^(-s) = u_p^a is an integer power, and a composite n takes
-n^(-s) = p^(-s) (n/p)^(-s), p its least prime factor, in one product.  The
-tables are built lazily and kept in a bounded lru_cache keyed on
-(q, W, limit), so no value depends on which tables already exist.
+Fixed-point powers from one table of prime roots.  Every exponent the
+engine reaches is a rational a/q with a small denominator: m(k+j)/k and the
+cascade's multiples n s.  For such s the inner loops run on Python ints at F
+fraction bits, F = prec + _GUARD_BITS + 32 rounded up to a multiple of 64
+(_fraction_bits), so F depends on the working precision alone and nearby
+precisions share one table.  _fixed_roots(q, F, n) holds
+r_p = floor(p^(-1/q) 2^F), exactly, for the primes up to a power-of-two limit
+past n.  There is one table per (q, F); it only grows, and each entry is a
+function of (p, q, F) alone, so no value depends on which tables or entries
+already exist.  It serves the zeta table route, _euler_factor, _prime_power
+and shapes._exact_product.
 
-The envelope counts these roundings.  u_p^a is within (a + 2) eps_W of
-p^(-s): a from the root and one each for mpmath's integer power (truncated
-internally far below eps_W, rounded once) and for second-order terms.  Each
-sieve product adds one rounding, so n^(-s) is within Omega(n) (a + 3) eps_W,
-Omega(n) <= log2 N counting prime factors with multiplicity.  The partial
-sum over n < N is taken exactly and rounded once to working precision (mpf_sum
-drops only terms below 2^(-2 prec) of the sum).  With a + 3 <= 2^_GUARD_BITS
-every term is then within log2(N) eps, and the partial sum, the N^(-s) terms
-and their three operations stay within (2 log2 N + 5) eps |sum|: inside the
-two roundings per term, 2N eps |sum|, that the Euler-Maclaurin slop has
-always carried, so the slop formula is unchanged.  Any other s (a float
-such as 1.1 is 2476979795053773/2^51) keeps an exp/log power per term, bit
-for bit as before.  The Euler-Maclaurin powers N^(1-s-2j) on the table route
-follow from N^(-s) by division by N^2, and B_2j/(2j)! is cached per
-precision.
+The envelope counts every floor in units of 2^-F.  Each fixed-point value
+here lies at or below its exact value.  A product of two values in [0, 1],
+taken as floor(x y / 2^F), errs by at most e(x) + e(y) + 1 units, so
+_fixed_pow(r_p, a) = p^(-a/q) errs by less than 2a: a from the root and
+fewer than a from the floors of its binary powering (a squaring doubles the
+error it carries).  A composite n takes n^(-s) = p^(-s) (n/p)^(-s), p its
+least prime factor, in one product, so it errs by less than Omega(n) (2a + 2),
+Omega(n) <= log2 N counting prime factors with multiplicity.  The zeta table
+route sums the partial sum over n < N, N^(-s)/2, N^(-s) N/(s - 1) and the
+corrections T_j = c_j N^(-s) on one integer and rounds it once to working
+precision.  Here
+c_j = B_2j/(2j)! s (s+1) ... (s+2j-2) N^(1-2j) is an exact rational, each
+T_j is computed once, as the next bound and then as the next term, and its
+floor errs by less than |c_j| e(N^(-s)) + 1.  The corrections are summed
+only while |c_j| falls, so |c_j| <= c_1 = s/(12N) < 2^6 (s < 2^12, N >= 8),
+and |c_(J+1)/c_J| = zeta(2J+2)/zeta(2J) (s+2J-1)(s+2J)/(2 pi N)^2 is below
+2^13, so the first omitted |c_(J+1)| < 2^19.  With a < 2^12 and N < 2^32,
+log2(N) (2a + 2) < 2^18 units, and N/(s - 1) <= 64N, so the whole count is
+below (65N + 2^19 (J + 2)) 2^18 < (2N + 8J + 16) 2^37 units.  Since
+F >= prec + 44 that is below 2^-8 of the slop |sum| eps (2N + 8J + 16) that
+the Euler-Maclaurin radius has always carried (eps = 2^(1-prec), sum >= 1),
+which also pays for the final rounding, so the slop formula is unchanged.
+Any other s (a float such as 1.1 is 2476979795053773/2^51) keeps an exp/log
+power per term on mpf, bit for bit as before.
 
-The sieved log-zeta product prod_{p <= p0} (1 - p^(-x)) is one plain product
-at W bits.  Since t = p^(-x) <= 1/2, the error of t is at most its own
-share of 1 - t, so each factor and its product is within (a + 3) eps_W;
-the radius counts those, one eps_W for second-order terms and eps/2 for the
-final rounding.
+The sieved log-zeta product prod_{p <= p0} (1 - p^(-x)) is one fixed-point
+product too: n factors, each within 2a units, take it within n (2a + 2)
+units.  Its radius keeps the old count of n (a + 3) + 1 units of
+eps_W = 2^(1-W), W = prec + _GUARD_BITS, relative, plus eps/2 for the
+rounding to working precision.  One eps_W is 2^(F-W+1) >= 2^33 units of
+2^-F, and the product is at least 1/zeta(x) >= (x - 1)/x >= 1/65 for every
+x = a/q the table serves (q <= 64), so the fixed-point error sits inside
+that radius with room to spare.  _prime_power keeps relative precision for
+tiny values: _float_pow keeps F bits through the powering, so p^(-x) is
+within a (p^(1/q) + 2) 2^(1-F) relative (a p^(1/q) 2^-F from the root), far
+below eps.
 """
 
 from __future__ import annotations
@@ -61,11 +78,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import isqrt
+from math import factorial, isqrt
 
 from mpmath import bernfrac, mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, mpf_sum,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
 
 from .arith import _prime_list, mobius_sieve, next_prime
 from .bounded import ErrorBoundedReal
@@ -73,7 +89,7 @@ from .bounded import ErrorBoundedReal
 _MAX_EM_DOUBLINGS = 24
 _GUARD_BITS = 12
 _MAX_ROOT_DENOM = 64  # past it a table would serve few exponents
-_MAX_ROOT_NUMER = (1 << _GUARD_BITS) - 3  # keeps the partial-sum count in the slop
+_MAX_ROOT_NUMER = (1 << _GUARD_BITS) - 3  # keeps the fixed-point counts small
 
 
 @lru_cache(maxsize=None)
@@ -90,22 +106,99 @@ def _em_coeff(j: int, prec: int) -> mpf:
         return mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
 
 
+@lru_cache(maxsize=None)
+def _em_fraction(j: int) -> tuple:
+    """B_2j/(2j)! exactly, as (numerator, denominator > 0)."""
+    b = _bern(2 * j) / factorial(2 * j)
+    return b.numerator, b.denominator
+
+
+def _fraction_bits(prec: int) -> int:
+    """F, the fraction bits of the fixed-point layer at working precision prec."""
+    return -(-(prec + _GUARD_BITS + 32) // 64) * 64
+
+
 def _span(n: int) -> int:
     # table limits are powers of two, so nearby needs share one table
     return max(256, 1 << (n - 1).bit_length())
 
 
+def _iroot(x: int, q: int) -> int:
+    """floor(x^(1/q)) for an integer x >= 1."""
+    if q == 1:
+        return x
+    if q == 2:
+        return isqrt(x)
+    # integer Newton: one step from any y > 0 lands at or above the root and
+    # the iterates then fall to it; a float start saves the slow first steps
+    sh = max(0, x.bit_length() - 900) // q * q
+    y = int(float(x >> sh) ** (1 / q)) + 1 << sh // q
+    y = ((q - 1) * y + x // y ** (q - 1)) // q
+    while True:
+        z = ((q - 1) * y + x // y ** (q - 1)) // q
+        if z >= y:
+            return y
+        y = z
+
+
+class _Roots(dict):
+    """{p: floor(p^(-1/q) 2^F)} for the primes p <= limit."""
+
+    limit = 1
+
+
 @lru_cache(maxsize=64)
-def _root_table(q: int, prec: int, limit: int) -> dict:
-    with mp.workprec(prec + 20):
-        return {p: mpf_pos((1 / mp.root(p, q))._mpf_, prec, round_nearest)
-                for p in _prime_list(limit)}
+def _fixed_root_table(q: int, F: int) -> _Roots:
+    return _Roots()
 
 
-def _prime_roots(q: int, prec: int, n: int) -> dict:
-    """{p: p^(-1/q)} for the primes p <= n (and a few past it), as raw mpf
-    of prec bits, each within 2^(1-prec) relative."""
-    return _root_table(q, prec, _span(n))
+def _fixed_roots(q: int, F: int, n: int) -> _Roots:
+    """The table of r_p = floor(p^(-1/q) 2^F) for (q, F), grown to cover the
+    primes p <= n.  Every entry is exact, so growing it changes none."""
+    table = _fixed_root_table(q, F)
+    if table.limit < n:
+        limit = _span(n)
+        table.update((p, _iroot((1 << (q * F)) // p, q))
+                     for p in _prime_list(limit) if p > table.limit)
+        table.limit = limit
+    return table
+
+
+def _fixed_pow(r: int, a: int, F: int) -> int:
+    """(r 2^-F)^a at F fraction bits, a >= 1, by binary powering with every
+    product floored."""
+    y = 1 << F
+    while True:
+        if a & 1:
+            y = y * r >> F
+        a >>= 1
+        if not a:
+            return y
+        r = r * r >> F
+        if not r:
+            return 0
+
+
+def _float_pow(r: int, a: int, F: int) -> tuple:
+    """(man, e) with man 2^-e at or below (r 2^-F)^a, a >= 1: binary powering
+    that keeps F bits.  Each truncation loses less than 2^(1-F) relative and
+    a squaring doubles what the base carries, so the result is within
+    (a + bitlen(a)) 2^(1-F) relative."""
+    man, e = 1, 0
+    b, be = r, F
+    while True:
+        if a & 1:
+            man, e = man * b, e + be
+            x = man.bit_length() - F
+            if x > 0:
+                man, e = man >> x, e - x
+        a >>= 1
+        if not a:
+            return man, e
+        b, be = b * b, 2 * be
+        x = b.bit_length() - F
+        if x > 0:
+            b, be = b >> x, be - x
 
 
 @lru_cache(maxsize=8)
@@ -119,16 +212,15 @@ def _least_prime_factors(limit: int) -> list:
     return lpf
 
 
-def _sieved_powers(a: int, q: int, N: int, prec: int) -> list:
-    """n^(-a/q) for n = 0..N as raw mpf of prec bits (index 0 unused): one
-    integer power of the root table per prime, one product per composite."""
-    roots = _prime_roots(q, prec, N)
+def _fixed_powers(a: int, q: int, N: int, F: int) -> list:
+    """n^(-a/q) for n = 0..N at F fraction bits (index 0 unused): one power of
+    the root table per prime, one floored product per composite."""
+    roots = _fixed_roots(q, F, N)
     lpf = _least_prime_factors(_span(N))
-    out = [fzero, fone]
+    out = [0, 1 << F]
     for n in range(2, N + 1):
         p = lpf[n]
-        out.append(mpf_pow_int(roots[p], a, prec, round_nearest) if p == n
-                   else mpf_mul(out[p], out[n // p], prec, round_nearest))
+        out.append(_fixed_pow(roots[p], a, F) if p == n else out[p] * out[n // p] >> F)
     return out
 
 
@@ -163,30 +255,24 @@ def zeta(s, digits: int = 15) -> ErrorBoundedReal:
         ratio = _ratio(s)
         n_terms = max(8, int(mp.dps * 1.2))
         for _ in range(_MAX_EM_DOUBLINGS):
-            out = _zeta_em(sm, n_terms, target, ratio)
+            if ratio is None:
+                out = _zeta_em(sm, n_terms, target)
+            else:
+                out = _zeta_table(*ratio, n_terms, digits)
             if out is not None:
                 return out
             n_terms *= 2
     raise ArithmeticError("Euler-Maclaurin failed to converge")  # unreachable
 
 
-def _zeta_em(s: mpf, N: int, target: mpf, ratio=None):
-    """One Euler-Maclaurin attempt; None when the terms stall above target.
-
-    ratio = (a, q) with s = a/q takes the powers from the root table; None
-    takes an exp/log power per term."""
-    if ratio is None:
-        acc = mpf(0)
-        for n in range(1, N):
-            acc += mpf(n) ** (-s)
-        Npow = mpf(N) ** (-s)
-        powers = ((mpf(N) ** (1 - s - 2 * j), mpf(N) ** (1 - s - 2 * j - 2))
-                  for j in count(1))
-    else:
-        pw = _sieved_powers(*ratio, N, mp.prec + _GUARD_BITS)
-        acc = mp.make_mpf(mpf_sum(pw[1:N], mp.prec, round_nearest))
-        Npow = mp.make_mpf(mpf_pos(pw[N], mp.prec, round_nearest))
-        powers = _em_powers(Npow, N)
+def _zeta_em(s: mpf, N: int, target: mpf):
+    """One Euler-Maclaurin attempt with an exp/log power per term; None when
+    the terms stall above target."""
+    acc = mpf(0)
+    for n in range(1, N):
+        acc += mpf(n) ** (-s)
+    Npow = mpf(N) ** (-s)
+    powers = ((mpf(N) ** (1 - s - 2 * j), mpf(N) ** (1 - s - 2 * j - 2)) for j in count(1))
     acc += Npow / 2 + Npow * N / (s - 1)
     # correction terms T_j = B_2j/(2j)! * N^(1-s-2j) * prod_{i=0}^{2j-2}(s+i)
     rise = s  # running product (s)(s+1)...(s+2j-2)
@@ -212,13 +298,40 @@ def _zeta_em(s: mpf, N: int, target: mpf, ratio=None):
         coeff = coeff_next
 
 
-def _em_powers(Npow: mpf, N: int):
-    """(N^(1-s-2j), N^(-1-s-2j)) for j = 1, 2, ... from Npow = N^(-s)."""
-    pw = Npow / N
-    while True:
-        nxt = pw / (N * N)
-        yield pw, nxt
-        pw = nxt
+def _zeta_table(a: int, q: int, N: int, digits: int):
+    """One Euler-Maclaurin attempt for s = a/q on F-bit fixed point (see the
+    module docstring); None when the corrections stop falling before the
+    first omitted one is below 10^(-digits) of the sum."""
+    prec = mp.prec
+    F = _fraction_bits(prec)
+    pw = _fixed_powers(a, q, N, F)
+    X = pw[N]  # N^(-s)
+    acc = sum(pw[1:N]) + (X >> 1) + X * N * q // (a - q)
+    # T_j = c_j X, c_j = B_2j/(2j)! * rise_j / N^(2j-1) = cn / cd, with the
+    # exact rise_j = s (s+1) ... (s+2j-2) = rn / rd
+    rn, rd, Nodd = a, q, N
+    bn, bd = _em_fraction(1)
+    cn, cd = bn * rn, bd * rd * Nodd
+    term = cn * X // cd
+    scale = 10 ** digits
+    for j in count(1):
+        acc += term
+        # the first omitted term bounds the remainder after the 2j-term
+        rn *= (a + (2 * j - 1) * q) * (a + 2 * j * q)
+        rd *= q * q
+        Nodd *= N * N
+        bn, bd = _em_fraction(j + 1)
+        nn, nd = bn * rn, bd * rd * Nodd
+        nterm = nn * X // nd
+        bound = abs(nterm)
+        if bound * scale < acc:
+            v = mp.make_mpf(from_man_exp(acc, -F, prec, round_nearest))
+            slop = abs(v) * mp.eps * (2 * N + 8 * j + 16)
+            return ErrorBoundedReal(v, mp.make_mpf(from_man_exp(bound, -F, prec, round_ceiling))
+                                    + slop)
+        if abs(nn) * cd >= abs(cn) * nd:
+            return None  # asymptotic series turned; need larger N
+        cn, cd, term = nn, nd, nterm
 
 
 def _exact(s) -> Fraction:
@@ -246,8 +359,9 @@ def _prime_power(p: int, x: Fraction) -> mpf:
     if ratio is None:
         return mpf(p) ** (-_to_mpf(x))
     a, q = ratio
-    root = _prime_roots(q, mp.prec + _GUARD_BITS, p)[p]
-    return mp.make_mpf(mpf_pow_int(root, a, mp.prec, round_nearest))
+    F = _fraction_bits(mp.prec)
+    man, e = _float_pow(_fixed_roots(q, F, p)[p], a, F)
+    return mp.make_mpf(from_man_exp(man, -e, mp.prec, round_nearest))
 
 
 @lru_cache(maxsize=4096)
@@ -279,15 +393,17 @@ def _sieved_log_zeta(x: Fraction, p0: int, digits: int) -> ErrorBoundedReal:
 
 
 def _euler_factor(a: int, q: int, primes: tuple) -> ErrorBoundedReal:
-    """prod_p (1 - p^(-a/q)) over primes from the root table, with the counted
-    radius of the module docstring."""
-    W = mp.prec + _GUARD_BITS
-    roots = _prime_roots(q, W, primes[-1])
-    prod = fone
+    """prod_p (1 - p^(-a/q)) over primes, one fixed-point product from the
+    root table, with the radius of the module docstring."""
+    prec = mp.prec
+    W = prec + _GUARD_BITS
+    F = _fraction_bits(prec)
+    roots = _fixed_roots(q, F, primes[-1])
+    one = 1 << F
+    prod = one
     for p in primes:
-        t = mpf_pow_int(roots[p], a, W, round_nearest)
-        prod = mpf_mul(prod, mpf_sub(fone, t, W, round_nearest), W, round_nearest)
-    v = mp.make_mpf(mpf_pos(prod, mp.prec, round_nearest))
+        prod = prod * (one - _fixed_pow(roots[p], a, F)) >> F
+    v = mp.make_mpf(from_man_exp(prod, -F, prec, round_nearest))
     units = len(primes) * (a + 3) + 1 + (1 << (_GUARD_BITS - 1))
     return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u"))
 
@@ -310,9 +426,10 @@ def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
     q = next_prime(p0)
     with mp.workdps(digits + 12):
         target = mpf(10) ** (-digits - 2)
+        gap = 1 - _prime_power(q, s)
         n_max = 1
         while True:
-            rest = _sieved_bound((n_max + 1) * s, q) / ((n_max + 1) * (1 - _prime_power(q, s)))
+            rest = _sieved_bound((n_max + 1) * s, q) / ((n_max + 1) * gap)
             if rest < target:
                 break
             n_max += 1

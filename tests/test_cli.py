@@ -425,11 +425,18 @@ def test_constants_k3_certifies_at_prime_cutoff_3(capsys):
     assert [r["value"] for r in parse_csv(out)] == [r["value"] for r in parse_csv(default)]
 
 
-def test_formal_log_cut_limit_exits_2(capsys):
-    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", "2")
-    assert code == 2 and out == ""
-    assert err == ("error: could not certify P_3(1) to 68 digits: "
-                   "formal-log cut reached t = 600\n")
+@pytest.mark.parametrize("cutoff", ["1", "2"])
+def test_small_prime_cutoff_certifies(capsys, cutoff):
+    # the cutoff is raised until the formal-log cut is expected to fit
+    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", cutoff,
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    _, default, _ = run_cli(capsys, "constants", "--k", "3", "--format", "csv")
+    rows, ref = parse_csv(out), parse_csv(default)
+    assert [r["name"] for r in rows] == [r["name"] for r in ref]
+    for r, d in zip(rows, ref):
+        gap = abs(Decimal(r["value"]) - Decimal(d["value"]))
+        assert gap <= Decimal(r["radius"]) + Decimal(d["radius"]), r["name"]
 
 
 def test_uncertifiable_bound_exits_2(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import concurrent.futures
 import random
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from kfull import empirical
 from kfull.arith import enumerate_kfull, factorize, introot
@@ -339,6 +339,19 @@ def test_lemma_check_examples():
     assert lemma_check(3, e, 1) == (False, False)
     with pytest.raises(ValueError):
         hit_count(2, e, 3)
+
+
+def test_lemma_check_reads_one_root_per_shape_and_precision():
+    e = LambdaElement(2, (2,))
+    empirical._lam.cache_clear()
+    for n in range(1, 41):
+        lemma_check(n, e, 1)
+    info = empirical._lam.cache_info()
+    # every escalation level of the one shape is computed once
+    assert info.misses == info.currsize and info.hits >= 40 - info.misses
+    with mp.workdps(25):
+        fresh = mp.root(mpf(e.radicand()), 2)
+    assert empirical._lam(e.radicand(), 2, 25)._mpf_ == fresh._mpf_
 
 
 def test_lemma_j2_weaker_than_j1():

@@ -1,0 +1,25 @@
+"""Byte pins: the stdout of four engine commands, stored as the engine printed
+it before its Euler layer moved onto fixed-point integers.  Any printed digit
+or radius that moves fails here."""
+
+from pathlib import Path
+
+import pytest
+
+from kfull.cli import main
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("table_k2_L5_d30.csv", ("table", "--k", "2", "--max-index", "5", "--digits", "30")),
+    ("table_k3_L5_d30.csv", ("table", "--k", "3", "--max-index", "5", "--digits", "30")),
+    ("constants_k2_d50_L5.csv", ("constants", "--k", "2", "--digits", "50", "--max-index", "5")),
+    ("table_k2_inversion_L3.csv", ("table", "--k", "2", "--method", "inversion",
+                                   "--max-index", "3")),
+])
+def test_stdout_matches_pinned_bytes(capsys, name, argv):
+    code = main([*argv, "--format", "csv"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out == (PINNED / name).read_text()

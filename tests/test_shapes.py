@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from kfull import shapes
-from kfull.arith import is_squarefree, moebius, shape_tuples
+from kfull.arith import is_squarefree, moebius, next_prime, shape_tuples
 from kfull.shapes import (
     _T_CAP,
     LambdaElement,
@@ -252,6 +252,49 @@ def test_euler_radius_postcondition_names_its_cause(monkeypatch):
         power_sum_euler.__wrapped__(2, 1, 60)
 
 
+def test_formal_log_cut_cap_names_its_cause(monkeypatch):
+    # at the default cutoff p0 is never raised for the cut, so a cap below
+    # the cut P_3(1) needs (about t = 180 at 68 digits) stops it
+    monkeypatch.setattr(shapes, "_T_CAP", 20)
+    monkeypatch.setattr(shapes, "_LOG_TABLES", {})
+    with pytest.raises(ArithmeticError, match=r"^could not certify P_3\(1\) to 68 digits: "
+                                              r"formal-log cut reached t = 20$"):
+        power_sum_euler.__wrapped__(3, 1, 68)
+
+
+@pytest.mark.parametrize("k, digits", [(2, 61), (3, 68), (4, 146)])
+def test_cut_estimate_keeps_every_certifying_cutoff(k, digits):
+    # wherever the cut at the cutoff g(y) <= 1/2 picks fits under _T_CAP, the
+    # estimate asks for no larger cutoff, so those results keep their bytes
+    for m in (1, 2, 3, 5, 8):
+        p0 = 2
+        for _ in range(30):
+            q = next_prime(p0)
+            with mp.workdps(digits + 15):
+                y = mpf(q) ** (-mpf(m) / k)
+                if sum(y ** (k + j) for j in range(1, k)) <= mpf("0.5"):
+                    if _cut_needed(k, m, q, y, digits) <= _T_CAP:
+                        assert shapes._cut_estimate(k, m, q, digits) <= _T_CAP, (m, q)
+            p0 = q
+
+
+def _cut_needed(k, m, q, y, digits):
+    # the cut loop of power_sum_euler, on its own
+    gy = sum(y ** (k + j) for j in range(1, k))
+    target = mpf(10) ** (-(digits + 10))
+    neg_log = -mp.log1p(-gy)
+    partial_h = mpf(0)
+    for t in range(k, _T_CAP + 1):
+        c, h = _log_coeffs(k, t)
+        partial_h += mpf(h[t].numerator) / h[t].denominator * y**t
+        s_prime = mpf(m * (t + 1)) / k
+        tail = ((neg_log - partial_h) * (1 + q / (s_prime - 1)) * mpf("1.000001")
+                + neg_log * mp.eps * 4 * (t + 2))
+        if tail < target:
+            return t
+    return _T_CAP + 1
+
+
 def test_power_sums_invariants():
     for k in (2, 3):
         ps = power_sums(k, 10, 25)
@@ -321,7 +364,8 @@ def _exact_log_product(k, m, primes):
                    for p in primes)
 
 
-@pytest.mark.parametrize("k, m", [(2, 1), (2, 60), (2, 124), (3, 1), (3, 10), (4, 2)])
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 60), (2, 124), (3, 1), (3, 10), (3, 100),
+                                  (4, 2)])
 def test_exact_product_encloses_product(k, m):
     primes = primes_upto(100)
     with mp.workdps(60):

@@ -169,23 +169,83 @@ def test_zeta_fallback_route_bit_identical(s):
     assert z.radius._mpf_ == radius._mpf_
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 64])
 @pytest.mark.parametrize("prec", [64, 200, 650])
 def test_root_table_encloses_library_roots(q, prec):
-    roots = zetas._prime_roots(q, prec, 300)
+    F = zetas._fraction_bits(prec)
+    assert F % 64 == 0 and F >= prec + zetas._GUARD_BITS + 32
+    roots = zetas._fixed_roots(q, F, 300)
     assert sorted(roots) == list(_prime_list(max(roots)))
     assert max(roots) >= 300
-    for p, raw in roots.items():
-        u = mp.make_mpf(raw)
-        assert u.man.bit_length() <= prec
-        with mp.workprec(2 * prec):
+    for p, r in roots.items():
+        assert r.bit_length() <= F
+        with mp.workprec(2 * F):
+            u = mp.ldexp(r, -F)
             exact = 1 / mp.root(p, q)
             assert abs(u - exact) <= u * mp.ldexp(1, 1 - prec), (p, q, prec)
+            # each entry is the floor of p^(-1/q) 2^F
+            assert r <= mp.ldexp(exact, F) < r + 1, (p, q, prec)
+
+
+def _zeta_table(s, prec, digits):
+    # zeta's N-doubling loop around the fixed-point kernel, at prec bits
+    with mp.workprec(prec):
+        N = 16
+        while True:
+            out = zetas._zeta_table(s.numerator, s.denominator, N, digits)
+            if out is not None:
+                return out
+            N *= 2
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 64])
+@pytest.mark.parametrize("prec", [64, 200, 650])
+def test_zeta_table_kernel_encloses_library(q, prec):
+    digits = int(prec * 0.30103) - 12
+    # from just past 1 up to the largest numerator the table serves
+    for a in (q + 1, 3 * q + 1, 7 * q + 3, 40 * q + 1, zetas._MAX_ROOT_NUMER):
+        s = Fraction(a, q)
+        if s.denominator != q:
+            continue
+        z = _zeta_table(s, prec, digits)
+        with mp.workprec(2 * prec):
+            assert z.contains(mpmath.zeta(mpf(a) / q)), (s, prec)
+        assert z.radius <= mpf(10) ** (-digits) * z.value, (s, prec)
+
+
+def test_fixed_tables_cold_equals_warm_for_a_shared_F():
+    # digits 40 and 45 run at different precisions that share one F, so one
+    # root table; whichever fills it first, every value is the same
+    p40, p45 = (mpmath.libmp.dps_to_prec(d + 12) for d in (40, 45))
+    assert p40 != p45 and zetas._fraction_bits(p40) == zetas._fraction_bits(p45)
+    s, x = Fraction(7, 3), Fraction(10, 3)
+    primes = zetas.primes_upto(100)
+
+    def values():
+        with mp.workprec(p40):
+            return (zeta(s, 40), zetas._euler_factor(10, 3, primes), zetas._prime_power(101, x),
+                    shapes._exact_product(3, 2, primes, mpf(0))[0])
+
+    _clear_every_cache()
+    cold = values()
+    _clear_every_cache()
+    zeta(s, 45)
+    with mp.workprec(p45):
+        zetas._euler_factor(10, 3, primes)
+        shapes._exact_product(3, 5, zetas.primes_upto(1000), mpf(0))
+    zeta.cache_clear()
+    warm = values()
+    for c, w in zip(cold, warm):
+        if isinstance(c, mpf):
+            assert c._mpf_ == w._mpf_
+        else:
+            assert (c.value._mpf_, c.radius._mpf_) == (w.value._mpf_, w.radius._mpf_)
 
 
 def test_euler_factor_encloses_product():
     primes = zetas.primes_upto(100)
-    for x in (Fraction(5, 4), Fraction(7, 3), Fraction(40, 1)):
+    for x in (Fraction(5, 4), Fraction(7, 3), Fraction(40, 1), Fraction(65, 64),
+              Fraction(4093, 3)):
         with mp.workdps(50):
             f = zetas._euler_factor(x.numerator, x.denominator, primes)
         with mp.workdps(120):
@@ -196,9 +256,9 @@ def test_euler_factor_encloses_product():
 
 
 def _clear_every_cache():
-    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._root_table, zetas._em_coeff,
-               zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
-               shapes.power_sum_euler, _prime_list):
+    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._fixed_root_table, zetas._em_coeff,
+               zetas._em_fraction, zetas._least_prime_factors, zetas._sieved_log_zeta,
+               zetas._bern, shapes.power_sum_euler, _prime_list):
         fn.cache_clear()
 
 
@@ -213,7 +273,7 @@ def test_zeta_cold_equals_warm_after_other_tables():
     zeta(Fraction(5, 2), 40)
     prime_zeta(Fraction(5, 4), 30)
     shapes.power_sum_euler(4, 3, 40)
-    zetas._prime_roots(4, 200, 1000)
+    zetas._fixed_roots(4, zetas._fraction_bits(200), 1000)
     zeta.cache_clear()
     warm = zeta(s, 40)
     assert warm.value._mpf_ == cold.value._mpf_
