@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import itemgetter
 
 MAX_N = 2**63 - 1
@@ -298,6 +298,16 @@ def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
     X caps the radicand (M <= X), box caps every coordinate (b_j <= box);
     at least one of them must be given.  This is the one walker over the
     tuples: the enumeration, the shape lists and the box sums all read it."""
+    return _shape_walk(k, X, box)
+
+
+def _shape_walk(k: int, X: int | None, box: int | None, cap: int | None = None) -> list:
+    """shape_tuples; given cap, a ValueError instead once there are more than
+    cap shapes besides the trivial one, so the walk never holds more than
+    cap + 1.  Each squarefree b <= r = introot(X, k+1) (and <= box) is the
+    shape b^(k+1), and at most sum_p r/p^2 < 0.4523 r of the n <= r are not
+    squarefree, so there are at least 0.54 r - 1 non-trivial shapes: a cap
+    that bound already passes is refused before the sieve is built."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if X is None and box is None:
@@ -305,23 +315,27 @@ def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
     if (X is not None and X < 1) or (box is not None and box < 1):
         return []
     # every b_j <= introot(X, k+1), since M >= b_j^(k+1)
-    cap = box if X is None else introot(X, k + 1)
+    top = box if X is None else introot(X, k + 1)
     if box is not None:
-        cap = min(cap, box)
-    sf = squarefree_sieve(cap)
-    coords = [b for b in range(2, cap + 1) if sf[b]]  # the squarefree b > 1
+        top = min(top, box)
+    most = inf if cap is None else cap + 1
+    if 54 * top // 100 - 1 >= most:
+        raise ValueError(f"more than {cap} shapes: the count exceeds cap {cap}")
+    sf = squarefree_sieve(top)
+    coords = [b for b in range(2, top + 1) if sf[b]]  # the squarefree b > 1
     out = []
 
     def rec(j, m_so_far, prod_so_far, prefix):
         exp = k + j
-        bmax = cap if X is None else min(cap, introot(X // m_so_far, exp))
+        bmax = top if X is None else min(top, introot(X // m_so_far, exp))
         last = j == k - 1
         if last:
             out.append((m_so_far, prefix + (1,)))
         else:
             rec(j + 1, m_so_far, prod_so_far, prefix + (1,))
         for bj in coords:
-            if bj > bmax:
+            # past most, every open loop stops before it appends again
+            if bj > bmax or len(out) > most:
                 break
             if prod_so_far > 1 and gcd(bj, prod_so_far) > 1:
                 continue
@@ -331,6 +345,8 @@ def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
                 rec(j + 1, m_so_far * bj**exp, prod_so_far * bj, prefix + (bj,))
 
     rec(1, 1, 1, ())
+    if len(out) > most:
+        raise ValueError(f"more than {cap} shapes: the count exceeds cap {cap}")
     out.sort(key=itemgetter(0))  # distinct tuples have distinct M
     return out
 
@@ -343,6 +359,12 @@ def enumerate_kfull(k: int, X: int, proper_only: bool = True):
     progression a = 1, 2, ... per shape tuple, lazily merged with a heap, so
     memory stays proportional to the number of shapes.
     """
+    return _kfull_stream(k, X, proper_only)
+
+
+def _kfull_stream(k: int, X: int, proper_only: bool, cap: int | None = None):
+    """enumerate_kfull; given cap, a ValueError up front when there are more
+    than cap non-trivial shapes, since each is a value M <= X of its own."""
     if k < 2:
         raise ValueError("enumerate_kfull requires k >= 2")
     if X < 1:
@@ -354,7 +376,7 @@ def enumerate_kfull(k: int, X: int, proper_only: bool = True):
 
     gens = [
         per_shape(M, b)
-        for M, b in shape_tuples(k, X)
+        for M, b in _shape_walk(k, X, None, cap)
         if not (proper_only and M == 1)
     ]
     # distinct shapes never collide in value (unique representation), so the

@@ -1,47 +1,39 @@
 """Real numbers carrying a guaranteed enclosure radius.
 
 An ErrorBoundedReal holds a working-precision value v and a radius r >= 0
-such that the mathematically exact quantity lies in [v - r, v + r].  Radii
-combine by first-order interval rules (sum of radii under addition, cross
-terms under multiplication) plus a small per-operation slop covering the
-floating-point rounding of the value itself; monotone unary maps (exp, log,
-kth root, reciprocal) propagate by evaluating at the enclosure endpoints.
-
-All arithmetic happens at the caller's current mpmath precision; values are
+such that the mathematically exact quantity lies in [v - r, v + r].  All
+arithmetic happens at the caller's current mpmath precision; values are
 mpf, so enclosures survive context changes once created.
 
-The public constructor, exact() and the coercion of plain numbers validate
-their input: they convert it to mpf and reject a negative radius.  The
-results of the operations below skip that check and are built directly by
-_make.  Each of their values and radii is already an mpf (a result of mpf
-arithmetic, or an operand's own field) and every radius is a sum of
-non-negative terms, so the check could never fail; it only cost a conversion
-and a comparison on every operation.  The conversion also rounded at the
-caller's precision without widening the radius to match, so negation and
-widened() now keep an operand's fields bit for bit: negation is exact.
++, - and * are one- or two-term dot()s.  dot reads every mpf as an exact
+integer mantissa and exponent, sums the midpoint products and the radius
+terms |x| r_w + |w| r_x + r_x r_w exactly as Python integers, rounds the
+midpoint S to nearest once (the value mpf arithmetic returns), adds the
+exact rounding error |S - v| to the exact radius sum and rounds that up
+once, as Arb does (F. Johansson, IEEE Trans. Computers 66(8), 2017), so
+[v - r, v + r] contains every product of points of the operands.  A plain
+operand (int, float, Fraction, mpf) enters as the nearest mpf, with the
+exact conversion error, rounded up, as its radius; exact() is that
+coercion, and contains() compares exactly.  A dot weight may be a Python
+int, taken exactly; any other plain weight is refused, since its rounding
+would go uncounted.
 
-Each operation above carries its own envelope: _slop for the rounding of
-its value and _pad for the rounding of its radius.  A fixed linear sum
-sum_i x_i * w_i built from them pays one multiply and one add per term, and
-so one _slop per partial sum.  dot() fuses the whole sum instead.  It reads
-every mpf as an exact integer mantissa and exponent, sums the midpoint
-products and the radius terms |x| r_w + |w| r_x + r_x r_w exactly as Python
-integers, rounds the midpoint S to nearest once, adds the exact rounding
-error |S - v| to the exact radius sum and rounds that sum up once.  The
-result is sound: [v - r, v + r] contains [S - R, S + R], and R bounds every
-product of points of the operand enclosures.  Its radius is never larger
-than the chain's: it is at most (R + eps |v| / 2)(1 + eps), while the chain
-pads its rounded R by 8 eps and its last _slop alone adds 4 eps |v|.
-A weight that is a plain Python int is exact; any other plain number
-(float, mpf, Fraction) is refused, because its rounding would go uncounted.
+The reciprocal and the monotone maps (exp, expm1, log, log1p, kth root)
+evaluate mpmath at the endpoints, rounded to nearest, and widened() adds
+bounds computed that way; they keep an envelope, _slop for the rounding of
+the value and _pad for that of the radius.  The public constructor
+converts its input to mpf and rejects a negative radius; the results of
+the operations are built by _make without that check, so negation and
+widened() keep an operand's fields bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling, round_nearest, to_rational
 
 
 def _slop(v) -> mpf:
@@ -87,7 +79,9 @@ class ErrorBoundedReal:
         return mp.fadd(self.value, self.radius, exact=True)
 
     def contains(self, x) -> bool:
-        return self.lo() <= mpf(x) <= self.hi()
+        """True when the exact value of x lies in the enclosure."""
+        x = _rational(x)
+        return _rational(self.lo()) <= x <= _rational(self.hi())
 
     def agrees_with(self, other: "ErrorBoundedReal") -> bool:
         """True when the two enclosures overlap."""
@@ -104,15 +98,15 @@ class ErrorBoundedReal:
 
     @staticmethod
     def exact(x) -> "ErrorBoundedReal":
-        return ErrorBoundedReal(mpf(x), mpf(0))
+        """x at the current precision: the nearest mpf, with the exact
+        conversion error, rounded up, as the radius (0 when x fits)."""
+        return _coerce(x)
 
     def widened(self, extra) -> "ErrorBoundedReal":
         return _make(self.value, _pad(self.radius + abs(mpf(extra))))
 
     def __add__(self, other):
-        o = _coerce(other)
-        v = self.value + o.value
-        return _make(v, _pad(self.radius + o.radius) + _slop(v))
+        return dot(((self, 1), (_coerce(other), 1)))
 
     __radd__ = __add__
 
@@ -120,20 +114,13 @@ class ErrorBoundedReal:
         return _make(mp.fneg(self.value, exact=True), self.radius)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return dot(((self, 1), (_coerce(other), -1)))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return dot(((_coerce(other), 1), (self, -1)))
 
     def __mul__(self, other):
-        o = _coerce(other)
-        v = self.value * o.value
-        r = (
-            abs(self.value) * o.radius
-            + abs(o.value) * self.radius
-            + self.radius * o.radius
-        )
-        return _make(v, _pad(r) + _slop(v))
+        return dot(((self, _coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -192,10 +179,28 @@ class ErrorBoundedReal:
         return self._monotone(lambda x: mp.root(x, k))
 
 
+def _rational(x) -> Fraction:
+    """x exactly: a Python number or decimal string by Fraction, an mpf by
+    its mantissa and exponent, anything else (an mpmath constant) as mpf(x)."""
+    if isinstance(x, (int, float, Fraction, str)):
+        return Fraction(x)
+    if not isinstance(x, mpf):
+        x = mpf(x)
+    if x._mpf_[3] < 0:  # inf or nan
+        raise ValueError(f"{x} has no exact rational value")
+    return Fraction(*to_rational(x._mpf_))
+
+
 def _coerce(x) -> ErrorBoundedReal:
+    """x as an enclosure at the current precision: the nearest mpf, with the
+    exact conversion error, rounded up, as its radius."""
     if isinstance(x, ErrorBoundedReal):
         return x
-    return ErrorBoundedReal(mpf(x), mpf(0))
+    q, prec = _rational(x), mp.prec
+    v = from_rational(q.numerator, q.denominator, prec, round_nearest)
+    err = abs(q - Fraction(*to_rational(v)))
+    r = from_rational(err.numerator, err.denominator, prec, round_ceiling)
+    return _make(mp.make_mpf(v), mp.make_mpf(r))
 
 
 def _exact_sum(terms):
@@ -241,6 +246,7 @@ def dot(pairs) -> ErrorBoundedReal:
     R, er = _exact_sum(rads)
     v = from_man_exp(S, se, prec, round_nearest)
     vs, vm, ve, _ = v
-    err = abs(S - ((-vm if vs else vm) << (ve - se)))
+    # an exact zero sum rounds to mpmath's zero, whose exponent is 0
+    err = abs(S - ((-vm if vs else vm) << (ve - se))) if vm else 0
     R, er = _exact_sum(((R, er), (err, se)))
     return _make(mp.make_mpf(v), mp.make_mpf(from_man_exp(R, er, prec, round_ceiling)))

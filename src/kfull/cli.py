@@ -32,7 +32,7 @@ from .shapes import (
     power_sum_direct,
     power_sum_euler,
 )
-from .arith import enumerate_kfull
+from .arith import _kfull_stream
 from .zetas import zeta
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -342,7 +342,7 @@ def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
         return 0
     if what == "kfull":
         rows = []
-        for count, (v, rep) in enumerate(enumerate_kfull(cfg.k, limit, proper)):
+        for count, (v, rep) in enumerate(_kfull_stream(cfg.k, limit, proper, cfg.cap)):
             if count >= cfg.cap:
                 raise ValueError(f"enumeration exceeds cap {cfg.cap}")
             rows.append((v, rep.a, " ".join(map(str, rep.b))))

@@ -64,6 +64,7 @@ a fresh one whatever precision the caller holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -193,7 +194,7 @@ def _newton(ps: PowerSums, r_max: int) -> _Grown:
     def step(r):
         if r == 0:
             return ErrorBoundedReal.exact(1)
-        return dot((xi[r - i], signed[i - 1]) for i in range(1, r + 1)) * (mpf(1) / r)
+        return dot((xi[r - i], signed[i - 1]) for i in range(1, r + 1)) * Fraction(1, r)
 
     xi = _Grown(r_max, step)
     return xi

@@ -67,7 +67,8 @@ from math import fsum, log
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
-from .arith import is_squarefree, mobius_sieve, next_prime, shape_tuples, squarefree_sieve
+from .arith import (_shape_walk, is_squarefree, mobius_sieve, next_prime, shape_tuples,
+                    squarefree_sieve)
 from .bounded import ErrorBoundedReal
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
                     prime_zeta_tail, primes_upto, zeta)
@@ -127,10 +128,7 @@ def enumerate_lambda(k: int, bound, cap: int = DEFAULT_ELEMENT_CAP) -> list:
     if limit < lambda_min_radicand(k):
         return []
     X = int(limit)  # floor; radicands are integers so the comparison is exact
-    shapes = [(M, b) for M, b in shape_tuples(k, X) if M >= 2]
-    if len(shapes) > cap:
-        raise ValueError(f"element count {len(shapes)} exceeds cap {cap}")
-    return [LambdaElement(k, b) for M, b in shapes]
+    return [LambdaElement(k, b) for M, b in _shape_walk(k, X, None, cap) if M >= 2]
 
 
 @dataclass(frozen=True)
@@ -377,7 +375,7 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
                 continue
             tail_digits = digits + next(e for e in count(6) if abs(c[t]) <= 10**e)
             pzt = prime_zeta_tail(Fraction(m * t, k), p0_eff, tail_digits)
-            L = L + pzt * (mpf(c[t].numerator) / c[t].denominator)
+            L = L + pzt * c[t]
         out = L.widened(tail).expm1()
         if out.radius > mpf(10) ** (-digits):
             raise ArithmeticError(f"{fail}: radius {mp.nstr(out.radius, 2)} > 1e-{digits}")

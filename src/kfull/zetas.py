@@ -1,7 +1,8 @@
 """Riemann zeta and prime zeta evaluation with rigorous remainders.
 
-zeta(s) uses Euler-Maclaurin summation: for real s > 1 the remainder after
-the Bernoulli term of order 2J is bounded in absolute value by the first
+zeta(s) takes every real s > 1 as its exact rational a/q (a float or an mpf
+is dyadic) and uses Euler-Maclaurin summation: the remainder after the
+Bernoulli term of order 2J is bounded in absolute value by the first
 omitted term, which becomes the reported radius.  N and J adapt until the
 radius meets the requested precision.
 
@@ -23,54 +24,57 @@ is a function of (s, p0, digits) alone, whatever the caller's precision;
 3 and Fraction(3) hash alike and share one entry.  prime_zeta(s) is the
 p0 = 1 case.
 
-Fixed-point powers from one table of prime roots.  Every exponent the
-engine reaches is a rational a/q with a small denominator: m(k+j)/k and the
-cascade's multiples n s.  For such s the inner loops run on Python ints at F
-fraction bits, F = prec + _GUARD_BITS + 32 rounded up to a multiple of 64
-(_fraction_bits), so F depends on the working precision alone and nearby
-precisions share one table.  _fixed_roots(q, F, n) holds
-r_p = floor(p^(-1/q) 2^F), exactly, for the primes up to a power-of-two limit
-past n.  There is one table per (q, F); it only grows, and each entry is a
-function of (p, q, F) alone, so no value depends on which tables or entries
-already exist.  It serves the zeta table route, _euler_factor, _prime_power
-and shapes._exact_product.
+Fixed-point powers.  The inner loops run on Python ints at F fraction bits,
+F = prec + _GUARD_BITS + 32 rounded up to a multiple of 64 (_fraction_bits),
+so nearby precisions share one F.  _prime_powers decides where each p^(-s)
+comes from.  Every exponent the engine reaches is a rational a/q with a
+small denominator (m(k+j)/k and the cascade's multiples n s); for those
+(_ratio) it raises r_p = floor(p^(-1/q) 2^F) from _fixed_roots(q, F, n), one
+exact table per (q, F) of the primes up to a power-of-two limit past n.  A
+table only grows, and each entry is a function of (p, q, F) alone, so no
+value depends on which tables or entries already exist; it also serves
+_prime_power and shapes._exact_product.  Any other s takes one mpf power per
+prime at F + 32 bits, floored to F bits, trusted to within 2^28 ulp.
 
-The envelope counts every floor in units of 2^-F.  Each fixed-point value
-here lies at or below its exact value.  A product of two values in [0, 1],
-taken as floor(x y / 2^F), errs by at most e(x) + e(y) + 1 units, so
-_fixed_pow(r_p, a) = p^(-a/q) errs by less than 2a: a from the root and
-fewer than a from the floors of its binary powering (a squaring doubles the
-error it carries).  A composite n takes n^(-s) = p^(-s) (n/p)^(-s), p its
-least prime factor, in one product, so it errs by less than Omega(n) (2a + 2),
-Omega(n) <= log2 N counting prime factors with multiplicity.  The zeta table
-route sums the partial sum over n < N, N^(-s)/2, N^(-s) N/(s - 1) and the
-corrections T_j = c_j N^(-s) on one integer and rounds it once to working
-precision.  Here
-c_j = B_2j/(2j)! s (s+1) ... (s+2j-2) N^(1-2j) is an exact rational, each
-T_j is computed once, as the next bound and then as the next term, and its
-floor errs by less than |c_j| e(N^(-s)) + 1.  The corrections are summed
-only while |c_j| falls, so |c_j| <= c_1 = s/(12N) < 2^6 (s < 2^12, N >= 8),
-and |c_(J+1)/c_J| = zeta(2J+2)/zeta(2J) (s+2J-1)(s+2J)/(2 pi N)^2 is below
-2^13, so the first omitted |c_(J+1)| < 2^19.  With a < 2^12 and N < 2^32,
-log2(N) (2a + 2) < 2^18 units, and N/(s - 1) <= 64N, so the whole count is
-below (65N + 2^19 (J + 2)) 2^18 < (2N + 8J + 16) 2^37 units.  Since
-F >= prec + 44 that is below 2^-8 of the slop |sum| eps (2N + 8J + 16) that
-the Euler-Maclaurin radius has always carried (eps = 2^(1-prec), sum >= 1),
-which also pays for the final rounding, so the slop formula is unchanged.
-Any other s (a float such as 1.1 is 2476979795053773/2^51) keeps an exp/log
-power per term on mpf, bit for bit as before.
+The envelope counts every floor in units of 2^-F.  A product of two values
+in [0, 1], taken as floor(x y / 2^F), errs by at most e(x) + e(y) + 1 units,
+so _fixed_pow(r_p, a) = p^(-a/q), a < 2^12, errs by less than 2a: a from the
+root and fewer than a from the floors of its binary powering (a squaring
+doubles the error it carries).  An mpf power errs by less than 2 units: 1
+from the floor, and far less from the power and from rounding s to F + 32
+bits, which moves p^(-s) by at most p^(-s) s log(p) 2^(-F-32) < 2^(-F-32).
+Write 2a for either bound (a = 1 for an mpf power).  A composite n takes
+n^(-s) = p^(-s) (n/p)^(-s), p its least prime factor, in one product, so it
+errs by less than Omega(n) (2a + 2) < 2^18 units (N < 2^32).
+
+The kernel _zeta_table sums the partial sum over n < N, N^(-s)/2,
+N^(-s) N/(s - 1) and the corrections T_j = c_j N^(-s) on one integer sigma
+and rounds it once to working precision.  The exact rational
+c_j = B_2j/(2j)! s (s+1) ... (s+2j-2) N^(1-2j) gives each T_j once, as the
+next bound and then as the next term, with a floor within |c_j| e(N^(-s)) + 1.
+sigma >= 1 and sigma > zeta(s)/2 > 1/(2(s - 1)), so the first three parts
+err by less than 2^18 N + 2^18 + 2^19 N sigma + 1 units.  Let X be the
+fixed-point N^(-s).  If X = 0, every correction and the bound are 0, and
+the whole tail sum_{n >= N} n^(-s) <= N^(-s) (1 + N/(s - 1)) is below
+2^18 (1 + 2N sigma) units.  If X >= 1, N^(-s) > 2^(-F-1), so s <= (F + 1)/3
+and c_1 = s/(12N) <= (F + 1)/288 < 2^19 (F < 2^27); the corrections are
+summed only while |c_j| falls, and the kernel returns only when the first
+omitted |c_(J+1)| < 2^19, so the J + 1 floors err by less than
+(J + 1)(2^37 + 1) units.  Either way the count
+is below (2N + 8J + 16) 2^37 sigma units, which is (F >= prec + 44) below
+2^-8 of the slop sigma eps (2N + 8J + 16) that the Euler-Maclaurin radius
+has always carried (eps = 2^(1-prec)); the slop also pays for the rounding.
 
 The sieved log-zeta product prod_{p <= p0} (1 - p^(-x)) is one fixed-point
 product too: n factors, each within 2a units, take it within n (2a + 2)
 units.  Its radius keeps the old count of n (a + 3) + 1 units of
 eps_W = 2^(1-W), W = prec + _GUARD_BITS, relative, plus eps/2 for the
-rounding to working precision.  One eps_W is 2^(F-W+1) >= 2^33 units of
-2^-F, and the product is at least 1/zeta(x) >= (x - 1)/x >= 1/65 for every
-x = a/q the table serves (q <= 64), so the fixed-point error sits inside
-that radius with room to spare.  _prime_power keeps relative precision for
-tiny values: _float_pow keeps F bits through the powering, so p^(-x) is
-within a (p^(1/q) + 2) 2^(1-F) relative (a p^(1/q) 2^-F from the root), far
-below eps.
+rounding to working precision.  One eps_W is 2^(F-W+1) >= 2^33 units, and
+the product is at least prod_{p <= p0} (1 - 1/p) >= 1/p0, so the fixed-point
+error sits inside that radius for any cutoff p0 < 2^32.  _prime_power keeps
+relative precision for tiny values: _float_pow keeps F bits through the
+powering, so p^(-x) is within a (p^(1/q) + 2) 2^(1-F) relative, far below
+eps; an x the table does not serve takes mpf's power at working precision.
 """
 
 from __future__ import annotations
@@ -81,10 +85,11 @@ from itertools import count
 from math import factorial, isqrt
 
 from mpmath import bernfrac, mp, mpf
-from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_neg, mpf_pow,
+                          round_ceiling, round_floor, round_nearest, to_fixed)
 
 from .arith import _prime_list, mobius_sieve, next_prime
-from .bounded import ErrorBoundedReal
+from .bounded import ErrorBoundedReal, _rational
 
 _MAX_EM_DOUBLINGS = 24
 _GUARD_BITS = 12
@@ -96,14 +101,6 @@ _MAX_ROOT_NUMER = (1 << _GUARD_BITS) - 3  # keeps the fixed-point counts small
 def _bern(n: int) -> Fraction:
     p, q = bernfrac(n)
     return Fraction(int(p), int(q))
-
-
-@lru_cache(maxsize=1024)
-def _em_coeff(j: int, prec: int) -> mpf:
-    """B_2j/(2j)! at prec bits."""
-    b = _bern(2 * j)
-    with mp.workprec(prec):
-        return mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
 
 
 @lru_cache(maxsize=None)
@@ -212,21 +209,35 @@ def _least_prime_factors(limit: int) -> list:
     return lpf
 
 
-def _fixed_powers(a: int, q: int, N: int, F: int) -> list:
-    """n^(-a/q) for n = 0..N at F fraction bits (index 0 unused): one power of
-    the root table per prime, one floored product per composite."""
-    roots = _fixed_roots(q, F, N)
+def _prime_powers(x: Fraction, F: int, n: int) -> tuple:
+    """(pw, a): pw(p) is p^(-x) at F fraction bits for the primes p <= n,
+    within 2a units of 2^-F (see the module docstring).  From the root table
+    when it serves x, a the numerator of x; otherwise one mpf power at
+    F + 32 bits, floored, and a = 1."""
+    ratio = _ratio(x)
+    if ratio is not None:
+        a, q = ratio
+        roots = _fixed_roots(q, F, n)
+        return (lambda p: _fixed_pow(roots[p], a, F)), a
+    neg = mpf_neg(from_rational(x.numerator, x.denominator, F + 32, round_nearest))
+    return (lambda p: to_fixed(mpf_pow(from_int(p), neg, F + 32, round_floor), F)), 1
+
+
+def _fixed_powers(x: Fraction, N: int, F: int) -> list:
+    """n^(-x) for n = 0..N at F fraction bits (index 0 unused): one power
+    from _prime_powers per prime, one floored product per composite."""
+    pw = _prime_powers(x, F, N)[0]
     lpf = _least_prime_factors(_span(N))
     out = [0, 1 << F]
     for n in range(2, N + 1):
         p = lpf[n]
-        out.append(_fixed_pow(roots[p], a, F) if p == n else out[p] * out[n // p] >> F)
+        out.append(pw(p) if p == n else out[p] * out[n // p] >> F)
     return out
 
 
 def _ratio(s):
     """(a, q) with s = a/q when the root table serves s, else None."""
-    x = _exact(s)
+    x = _rational(s)
     if x.denominator <= _MAX_ROOT_DENOM and x.numerator <= _MAX_ROOT_NUMER:
         return x.numerator, x.denominator
     return None
@@ -247,64 +258,27 @@ def zeta(s, digits: int = 15) -> ErrorBoundedReal:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    x = _rational(s)
+    if not x > 1:
+        raise ValueError(f"zeta requires s > 1, got {s}")
     with mp.workdps(digits + 12):
-        sm = _to_mpf(s)
-        if not sm > 1:
-            raise ValueError(f"zeta requires s > 1, got {s}")
-        target = mpf(10) ** (-digits)  # relative; value is > 1 so abs works too
-        ratio = _ratio(s)
         n_terms = max(8, int(mp.dps * 1.2))
         for _ in range(_MAX_EM_DOUBLINGS):
-            if ratio is None:
-                out = _zeta_em(sm, n_terms, target)
-            else:
-                out = _zeta_table(*ratio, n_terms, digits)
+            out = _zeta_table(x, n_terms, digits)
             if out is not None:
                 return out
             n_terms *= 2
     raise ArithmeticError("Euler-Maclaurin failed to converge")  # unreachable
 
 
-def _zeta_em(s: mpf, N: int, target: mpf):
-    """One Euler-Maclaurin attempt with an exp/log power per term; None when
-    the terms stall above target."""
-    acc = mpf(0)
-    for n in range(1, N):
-        acc += mpf(n) ** (-s)
-    Npow = mpf(N) ** (-s)
-    powers = ((mpf(N) ** (1 - s - 2 * j), mpf(N) ** (1 - s - 2 * j - 2)) for j in count(1))
-    acc += Npow / 2 + Npow * N / (s - 1)
-    # correction terms T_j = B_2j/(2j)! * N^(1-s-2j) * prod_{i=0}^{2j-2}(s+i)
-    rise = s  # running product (s)(s+1)...(s+2j-2)
-    prev = mp.inf
-    coeff = _em_coeff(1, mp.prec)
-    for j, (pw_j, pw_next) in enumerate(powers, start=1):
-        term = coeff * rise * pw_j
-        at = abs(term)
-        if at >= prev:
-            return None  # asymptotic series turned; need larger N
-        acc += term
-        # remainder after the 2j-term is bounded by the first omitted term
-        coeff_next = _em_coeff(j + 1, mp.prec)
-        rise_next = rise * (s + 2 * j - 1) * (s + 2 * j)
-        bound = abs(coeff_next) * rise_next * pw_next
-        if bound < target * acc:
-            # ~2 roundings per partial-sum term (power, add) plus the
-            # correction-term arithmetic
-            slop = abs(acc) * mp.eps * (2 * N + 8 * j + 16)
-            return ErrorBoundedReal(acc, bound + slop)
-        prev = at
-        rise = rise_next
-        coeff = coeff_next
-
-
-def _zeta_table(a: int, q: int, N: int, digits: int):
+def _zeta_table(s: Fraction, N: int, digits: int):
     """One Euler-Maclaurin attempt for s = a/q on F-bit fixed point (see the
     module docstring); None when the corrections stop falling before the
     first omitted one is below 10^(-digits) of the sum."""
+    a, q = s.numerator, s.denominator
     prec = mp.prec
     F = _fraction_bits(prec)
-    pw = _fixed_powers(a, q, N, F)
+    pw = _fixed_powers(s, N, F)
     X = pw[N]  # N^(-s)
     acc = sum(pw[1:N]) + (X >> 1) + X * N * q // (a - q)
     # T_j = c_j X, c_j = B_2j/(2j)! * rise_j / N^(2j-1) = cn / cd, with the
@@ -324,7 +298,9 @@ def _zeta_table(a: int, q: int, N: int, digits: int):
         nn, nd = bn * rn, bd * rd * Nodd
         nterm = nn * X // nd
         bound = abs(nterm)
-        if bound * scale < acc:
+        # with X = 0 the tail needs no corrections; else the count needs
+        # |c_(J+1)| < 2^19 (module docstring)
+        if bound * scale < acc and (not X or abs(nn) < nd << 19):
             v = mp.make_mpf(from_man_exp(acc, -F, prec, round_nearest))
             slop = abs(v) * mp.eps * (2 * N + 8 * j + 16)
             return ErrorBoundedReal(v, mp.make_mpf(from_man_exp(bound, -F, prec, round_ceiling))
@@ -332,14 +308,6 @@ def _zeta_table(a: int, q: int, N: int, digits: int):
         if abs(nn) * cd >= abs(cn) * nd:
             return None  # asymptotic series turned; need larger N
         cn, cd, term = nn, nd, nterm
-
-
-def _exact(s) -> Fraction:
-    """s as an exact rational; the cascade's cache is keyed on it."""
-    if isinstance(s, (int, float, Fraction)):
-        return Fraction(s)
-    man, exp = mpf(s).man_exp
-    return Fraction(man) * Fraction(2) ** exp
 
 
 def _sieved_bound(x: Fraction, q: int) -> mpf:
@@ -381,28 +349,22 @@ def _sieved_log_zeta(x: Fraction, p0: int, digits: int) -> ErrorBoundedReal:
         # one log of zeta(x) * prod_{p <= p0} (1 - p^(-x)), which is 1 + Lambda
         acc = zeta(x, digits + 2)
         primes = primes_upto(p0)
-        ratio = _ratio(x)
-        if ratio is None:
-            xm = _to_mpf(x)
-            for p in primes:
-                t = mpf(p) ** (-xm)
-                acc = acc * ErrorBoundedReal(mp.fsub(1, t, exact=True), t * mp.eps * 4)
-        elif primes:
-            acc = acc * _euler_factor(*ratio, primes)
+        if primes:
+            acc = acc * _euler_factor(x, primes)
         return acc.log()
 
 
-def _euler_factor(a: int, q: int, primes: tuple) -> ErrorBoundedReal:
-    """prod_p (1 - p^(-a/q)) over primes, one fixed-point product from the
-    root table, with the radius of the module docstring."""
+def _euler_factor(x: Fraction, primes: tuple) -> ErrorBoundedReal:
+    """prod_p (1 - p^(-x)) over primes, one fixed-point product of the
+    _prime_powers, with the radius of the module docstring."""
     prec = mp.prec
     W = prec + _GUARD_BITS
     F = _fraction_bits(prec)
-    roots = _fixed_roots(q, F, primes[-1])
+    pw, a = _prime_powers(x, F, primes[-1])
     one = 1 << F
     prod = one
     for p in primes:
-        prod = prod * (one - _fixed_pow(roots[p], a, F)) >> F
+        prod = prod * (one - pw(p)) >> F
     v = mp.make_mpf(from_man_exp(prod, -F, prec, round_nearest))
     units = len(primes) * (a + 3) + 1 + (1 << (_GUARD_BITS - 1))
     return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u"))
@@ -420,7 +382,7 @@ def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    s = _exact(s)
+    s = _rational(s)
     if not s > 1:
         raise ValueError(f"prime zeta requires s > 1, got {s}")
     q = next_prime(p0)
@@ -437,7 +399,7 @@ def prime_zeta_tail(s, p0: int, digits: int = 15) -> ErrorBoundedReal:
         acc = ErrorBoundedReal.exact(0)
         for n in range(1, n_max + 1):
             if mu[n]:
-                acc = acc + _sieved_log_zeta(n * s, p0, digits + 4) * (mpf(mu[n]) / n)
+                acc = acc + _sieved_log_zeta(n * s, p0, digits + 4) * Fraction(mu[n], n)
         return acc.widened(rest)
 
 

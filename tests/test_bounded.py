@@ -98,9 +98,19 @@ RADII = st.builds(lambda n, e: Fraction(n) * Fraction(10) ** e,
                   st.integers(0, 10**20), st.integers(-60, 0))
 
 
-@given(VALUES, RADII, VALUES, RADII, DPS, DPS)
+def wide_mpf(v: Fraction) -> mpf:
+    with mp.workdps(60):
+        return mpf(v.numerator) / v.denominator
+
+
+# plain operands: ints past the precision, non-dyadic Fractions, and mpfs
+# built at 60 digits
+PLAIN = st.one_of(st.integers(-2**200, 2**200), VALUES, VALUES.map(wide_mpf))
+
+
+@given(VALUES, RADII, VALUES, RADII, PLAIN, DPS, DPS)
 @settings(deadline=None, max_examples=300)
-def test_operations_enclose_every_endpoint_combination(va, ra, vb, rb, built, used):
+def test_operations_enclose_every_endpoint_combination(va, ra, vb, rb, plain, built, used):
     # operands may carry more bits than the precision the operation runs at
     with mp.workdps(built):
         a = ErrorBoundedReal(mpf(va.numerator) / va.denominator,
@@ -109,9 +119,12 @@ def test_operations_enclose_every_endpoint_combination(va, ra, vb, rb, built, us
                              mpf(rb.numerator) / rb.denominator)
     ends_a = (frac(a.lo()), frac(a.hi()))
     ends_b = (frac(b.lo()), frac(b.hi()))
+    p = frac(plain) if isinstance(plain, mpf) else Fraction(plain)
     with mp.workdps(used):
         results = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
-    for z in results.values():
+        with_plain = {"+": (a + plain, plain + a), "-": (a - plain, -(plain - a)),
+                      "*": (a * plain, plain * a)}
+    for z in [*results.values(), *(z for pair in with_plain.values() for z in pair)]:
         assert isinstance(z.value, mpf) and isinstance(z.radius, mpf)
         assert z.radius >= 0
     for x, y in product(ends_a, ends_b):
@@ -120,6 +133,12 @@ def test_operations_enclose_every_endpoint_combination(va, ra, vb, rb, built, us
         assert encloses(results["*"], x * y)
     for x in ends_a:
         assert encloses(results["neg"], -x)
+        for z in with_plain["+"]:
+            assert encloses(z, x + p)
+        for z in with_plain["-"]:
+            assert encloses(z, x - p)
+        for z in with_plain["*"]:
+            assert encloses(z, x * p)
 
 
 def test_negation_keeps_radius_at_lower_precision():
@@ -132,8 +151,9 @@ def test_negation_keeps_radius_at_lower_precision():
 
 
 def chain(pairs) -> ErrorBoundedReal:
-    """The per-operation interval chain dot() replaces: sum_n (-1)^n t_n,
-    accumulated left to right from an exact 0, over t_n = (-1)^n x_n w_n."""
+    """The operation-by-operation chain (each * and +/- its own rounded dot)
+    that one fused dot() replaces: sum_n (-1)^n t_n, accumulated left to
+    right from an exact 0, over t_n = (-1)^n x_n w_n."""
     acc = ErrorBoundedReal.exact(0)
     for n, (x, w) in enumerate(pairs):
         if isinstance(w, int):
@@ -191,6 +211,38 @@ def test_dot_rounds_once_and_exact_sums_stay_exact():
     assert encloses(z, Fraction(2**200 + 1))
     assert 0 < z.radius <= mp.eps * abs(z.value)
     assert dot([]).value == 0 and dot([]).radius == 0
+
+
+def test_dot_exact_zero_sum():
+    two = ErrorBoundedReal.exact(2)
+    z = dot([(two, 1), (two, -1)])
+    assert z.value == 0 and z.radius == 0
+    x = ebr(1.5, 0.25)
+    d = x - x
+    assert d.value == 0 and d.radius == mpf("0.5")
+
+
+def test_exact_counts_its_rounding():
+    with mp.workdps(15):
+        big = ErrorBoundedReal.exact(2**60 + 1)
+        assert big.value == 2**60 and big.radius == 1
+        assert big.contains(2**60 + 1)
+        assert ErrorBoundedReal.exact(2**60).radius == 0
+    with mp.workprec(30):
+        tenth = ErrorBoundedReal.exact(0.1)
+    err = abs(Fraction(0.1) - frac(tenth.value))  # 0.1 needs 55 bits
+    assert 0 < err <= frac(tenth.radius) <= err * (1 + Fraction(1, 2**28))
+    assert tenth.contains(0.1)
+
+
+def test_contains_compares_exactly():
+    with mp.workdps(15):
+        assert not ErrorBoundedReal.exact(2**60).contains(2**60 + 1)
+    with mp.workprec(30):
+        rounded = ErrorBoundedReal(mpf(0.1), 0)  # the constructor rounds, radius 0
+    assert not rounded.contains(0.1)
+    assert not rounded.contains(Fraction(1, 10))
+    assert ebr(0.5, 0.25).contains(Fraction(3, 4)) and not ebr(0.5, 0.25).contains(Fraction(4, 5))
 
 
 @pytest.mark.parametrize("weight", [1.0, mpf(2), Fraction(1, 3)])

@@ -140,6 +140,19 @@ def test_enumerate_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--bound", "1e12"),  # about 6e7 shapes
+    ("lambda", "--bound", "1e10"),
+    ("kfull", "--limit", str(10**24)),
+])
+def test_enumerate_refuses_a_walk_past_the_cap_up_front(capsys, argv):
+    # the squarefree b <= introot(X, 3) alone exceed the default cap, so the
+    # refusal comes before any sieve or shape list is built
+    code, out, err = run_cli(capsys, "enumerate", argv[0], "--k", "2", *argv[1:])
+    assert (code, out) == (2, "")
+    assert "exceeds cap 1000000" in err
+
+
 def test_empirical_csv(capsys):
     code, out, _ = run_cli(capsys, "empirical", "--k", "2", "--N", "100",
                            "--format", "csv")
@@ -706,14 +719,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_3,3",0.220239555929766750371172780953,1.3267418e-31\n'
         '"d_3,4",0.204704699050673834630145073229,1.2137253e-31\n'
         '"d_3,5",0.147035502233370916475887419161,8.8826879e-32\n'
-        'P_3(1),3.65926612250065694127743110891,1.8108513e-38\n'
-        'P_3(2),0.398105028048410820538154908534,4.5777907e-40\n'
-        'P_3(3),0.114576315025302288937661068255,4.1068091e-40\n'
-        'P_3(4),0.0385373195798538272135107784855,1.816517e-40\n'
-        'P_3(5),0.0137448928486802284206238123813,1.7632999e-40\n'
-        'P_3(6),0.00505585022863197085195559916529,2.6022534e-40\n'
-        'P_3(7),0.00189612534535890094915782893951,5.0633496e-42\n'
-        'P_3(8),0.000720702146129669997140834044113,1.4003407e-42\n'
+        'P_3(1),3.65926612250065694127743110891,1.8108233e-38\n'
+        'P_3(2),0.398105028048410820538154908534,4.5777167e-40\n'
+        'P_3(3),0.114576315025302288937661068255,4.1067978e-40\n'
+        'P_3(4),0.0385373195798538272135107784855,1.8165147e-40\n'
+        'P_3(5),0.0137448928486802284206238123813,1.7632994e-40\n'
+        'P_3(6),0.00505585022863197085195559916529,2.6022533e-40\n'
+        'P_3(7),0.00189612534535890094915782893951,5.0633456e-42\n'
+        'P_3(8),0.000720702146129669997140834044113,1.4003398e-42\n'
     ),
     "constants --k 2 --digits 50 --max-index 5": (
         'name,value,radius\n'
@@ -725,14 +738,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
         '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
         '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
-        'P_2(1),1.17325431251955413823708984044,2.193879e-60\n'
-        'P_2(2),0.18156494901025691256939973416,1.6027021e-60\n'
-        'P_2(3),0.0525934895482646848881100326415,3.7651211e-63\n'
-        'P_2(4),0.0170927691304992766432721330979,1.4437233e-60\n'
-        'P_2(5),0.00579596201196013885802241486261,2.6459564e-60\n'
-        'P_2(6),0.00200456788079374398903554270148,1.4821877e-63\n'
-        'P_2(7),0.000700365374722017404107574643848,3.5002744e-63\n'
-        'P_2(8),0.000246026930453777256968562684541,1.0938522e-63\n'
+        'P_2(1),1.17325431251955413823708984044,2.1935846e-60\n'
+        'P_2(2),0.18156494901025691256939973416,1.6026861e-60\n'
+        'P_2(3),0.0525934895482646848881100326415,3.7621537e-63\n'
+        'P_2(4),0.0170927691304992766432721330979,1.4437227e-60\n'
+        'P_2(5),0.00579596201196013885802241486261,2.6459562e-60\n'
+        'P_2(6),0.00200456788079374398903554270148,1.4821344e-63\n'
+        'P_2(7),0.000700365374722017404107574643848,3.500261e-63\n'
+        'P_2(8),0.000246026930453777256968562684541,1.0938478e-63\n'
     ),
 }
 

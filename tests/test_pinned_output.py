@@ -1,6 +1,7 @@
 """Byte pins: the stdout of four engine commands, stored as the engine printed
-it before its Euler layer moved onto fixed-point integers.  Any printed digit
-or radius that moves fails here."""
+it before its Euler layer moved onto fixed-point integers, except the P_2(m)
+radii of constants_k2_d50_L5.csv, which shrank when +, - and * moved onto
+bounded.dot.  Any printed digit or radius that moves fails here."""
 
 from pathlib import Path
 

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from kfull import shapes
-from kfull.arith import is_squarefree, moebius, next_prime, shape_tuples
+from kfull import arith, shapes
+from kfull.arith import introot, is_squarefree, moebius, next_prime, shape_tuples
 from kfull.shapes import (
     _T_CAP,
     LambdaElement,
@@ -89,6 +89,36 @@ def test_brute_force_filter_agreement():
 def test_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_lambda(2, 10**6, cap=10)
+
+
+def test_cap_is_exact_at_its_boundary():
+    # k = 3, lambda <= 20: the radicands up to 20^3 hold n non-trivial shapes
+    n = len(shape_tuples(3, 20**3)) - 1
+    assert len(enumerate_lambda(3, 20, cap=n)) == n
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_lambda(3, 20, cap=n - 1)
+
+
+def test_cap_refuses_before_the_sieve(monkeypatch):
+    # lambda <= 1e12 at k = 2 has about 6e7 shapes; the squarefree bound
+    # alone refuses them, so no sieve or tuple list is built
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built")
+
+    monkeypatch.setattr(arith, "squarefree_sieve", no_sieve)
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_lambda(2, 10**12, cap=10**6)
+
+
+def test_cap_stops_the_walk():
+    # k = 5 has few single-coordinate shapes but many others: the bound lets
+    # the walk start, and the walk itself refuses past cap + 1 shapes
+    X = 10**15
+    n = len(shape_tuples(5, X)) - 1
+    assert 54 * introot(X, 6) // 100 - 1 <= 200 < n
+    with pytest.raises(ValueError, match="cap 200"):
+        arith._shape_walk(5, X, None, 200)
+    assert arith._shape_walk(5, X, None, n) == shape_tuples(5, X)
 
 
 def test_lambda_value_radius_contract():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import bernfrac, mp, mpf
+from mpmath import mp, mpf
 
 from kfull import shapes, zetas
 from kfull.arith import _prime_list
@@ -114,59 +114,48 @@ def test_zeta_table_route_encloses_library(q, digits):
             assert z.radius <= mpf(10) ** (-digits) * z.value, (s, digits)
 
 
-def _reference_zeta(s, digits):
-    """zeta with an exp/log power per term: the code the table replaced."""
-    with mp.workdps(digits + 12):
-        sm = mpf(s)
-        target = mpf(10) ** (-digits)
-        n_terms = max(8, int(mp.dps * 1.2))
-        while True:
-            out = _reference_em(sm, n_terms, target)
-            if out is not None:
-                return out
-            n_terms *= 2
+# -- every other real s: one mpf power per prime -----------------------------
+
+with mp.workdps(40):
+    E40 = +mp.e  # e to 40 digits: a dyadic rational with a 136-bit numerator
+
+UNSERVED = [1.1, 2.3, 1.0001, 4100.5, E40]
 
 
-def _reference_em(s, N, target):
-    acc = mpf(0)
-    for n in range(1, N):
-        acc += mpf(n) ** (-s)
-    Npow = mpf(N) ** (-s)
-    acc += Npow / 2 + Npow * N / (s - 1)
-    rise = s
-    prev = mp.inf
-    j = 1
-    while True:
-        b = Fraction(*(int(x) for x in bernfrac(2 * j)))
-        coeff = mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-        term = coeff * rise * (mpf(N) ** (1 - s - 2 * j))
-        at = abs(term)
-        if at >= prev:
-            return None
-        acc += term
-        b2 = Fraction(*(int(x) for x in bernfrac(2 * j + 2)))
-        rise_next = rise * (s + 2 * j - 1) * (s + 2 * j)
-        bound = (
-            abs(mpf(b2.numerator)) / b2.denominator / mp.factorial(2 * j + 2)
-            * rise_next
-            * (mpf(N) ** (1 - s - 2 * j - 2))
-        )
-        if bound < target * acc:
-            slop = abs(acc) * mp.eps * (2 * N + 8 * j + 16)
-            return acc, bound + slop
-        prev = at
-        rise = rise_next
-        j += 1
-
-
-@pytest.mark.parametrize("s", [1.1, 2.3])
-def test_zeta_fallback_route_bit_identical(s):
-    # a float is a dyadic rational with a large denominator: no root table
+@pytest.mark.parametrize("digits", [15, 30, 60])
+@pytest.mark.parametrize("s", UNSERVED, ids=["1.1", "2.3", "1.0001", "4100.5", "e40"])
+def test_zeta_any_real_s_encloses_library(s, digits):
+    # a float or an mpf is a dyadic rational whose numerator or denominator
+    # is past the root table
     assert zetas._ratio(s) is None
-    value, radius = _reference_zeta(s, 30)
-    z = zeta(s, 30)
-    assert z.value._mpf_ == value._mpf_
-    assert z.radius._mpf_ == radius._mpf_
+    z = zeta(s, digits)
+    with mp.workdps(2 * digits):
+        assert z.contains(mpmath.zeta(s)), (s, digits)
+    assert z.radius <= mpf(10) ** (-digits) * z.value, (s, digits)
+
+
+def test_prime_zeta_tail_at_an_unserved_s():
+    t = prime_zeta_tail(1.1, 100, 20)
+    assert t.radius <= mpf(10) ** (-20)
+    with mp.workdps(40):
+        s = mpf(1.1)
+        ref = mpmath.primezeta(s) - mp.fsum(mpf(p) ** (-s) for p in _prime_list(100))
+        assert t.contains(ref)
+
+
+def test_zeta_unserved_s_cold_equals_warm():
+    s = 1.1
+    _clear_every_cache()
+    cold = zeta(s, 40)
+    _clear_every_cache()
+    zeta(s, 15)
+    zeta(2.3, 40)
+    prime_zeta_tail(s, 100, 20)
+    zetas._fixed_powers(Fraction(s), 3000, zetas._fraction_bits(200))
+    zeta.cache_clear()
+    warm = zeta(s, 40)
+    assert warm.value._mpf_ == cold.value._mpf_
+    assert warm.radius._mpf_ == cold.radius._mpf_
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 64])
@@ -192,7 +181,7 @@ def _zeta_table(s, prec, digits):
     with mp.workprec(prec):
         N = 16
         while True:
-            out = zetas._zeta_table(s.numerator, s.denominator, N, digits)
+            out = zetas._zeta_table(s, N, digits)
             if out is not None:
                 return out
             N *= 2
@@ -223,7 +212,7 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
 
     def values():
         with mp.workprec(p40):
-            return (zeta(s, 40), zetas._euler_factor(10, 3, primes), zetas._prime_power(101, x),
+            return (zeta(s, 40), zetas._euler_factor(Fraction(10, 3), primes), zetas._prime_power(101, x),
                     shapes._exact_product(3, 2, primes, mpf(0))[0])
 
     _clear_every_cache()
@@ -231,7 +220,7 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
     _clear_every_cache()
     zeta(s, 45)
     with mp.workprec(p45):
-        zetas._euler_factor(10, 3, primes)
+        zetas._euler_factor(Fraction(10, 3), primes)
         shapes._exact_product(3, 5, zetas.primes_upto(1000), mpf(0))
     zeta.cache_clear()
     warm = values()
@@ -244,10 +233,11 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
 
 def test_euler_factor_encloses_product():
     primes = zetas.primes_upto(100)
+    # the last three are past the root table: mpf prime powers
     for x in (Fraction(5, 4), Fraction(7, 3), Fraction(40, 1), Fraction(65, 64),
-              Fraction(4093, 3)):
+              Fraction(4093, 3), Fraction(1.1), Fraction(4097, 3), Fraction(101, 100)):
         with mp.workdps(50):
-            f = zetas._euler_factor(x.numerator, x.denominator, primes)
+            f = zetas._euler_factor(x, primes)
         with mp.workdps(120):
             xm = mpf(x.numerator) / x.denominator
             exact = mp.fprod(1 - mpf(p) ** (-xm) for p in primes)
@@ -256,9 +246,9 @@ def test_euler_factor_encloses_product():
 
 
 def _clear_every_cache():
-    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._fixed_root_table, zetas._em_coeff,
-               zetas._em_fraction, zetas._least_prime_factors, zetas._sieved_log_zeta,
-               zetas._bern, shapes.power_sum_euler, _prime_list):
+    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._fixed_root_table, zetas._em_fraction,
+               zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
+               shapes.power_sum_euler, _prime_list):
         fn.cache_clear()
 
 
