@@ -21,10 +21,13 @@ would go uncounted.
 The reciprocal and the monotone maps (exp, expm1, log, log1p, kth root)
 evaluate mpmath at the endpoints, rounded to nearest, and widened() adds
 bounds computed that way; they keep an envelope, _slop for the rounding of
-the value and _pad for that of the radius.  The public constructor
-converts its input to mpf and rejects a negative radius; the results of
-the operations are built by _make without that check, so negation and
-widened() keep an operand's fields bit for bit.
+the value and _pad for that of the radius.  The public constructor keeps
+an mpf that fits the current precision bit for bit; any other value enters
+as the nearest mpf with its conversion error added to the radius, which is
+rounded up, so the enclosure holds every point of the one it was given.
+It rejects a negative radius.  The results of the operations are built by
+_make without those steps, so negation and widened() keep an operand's
+fields bit for bit.
 """
 
 from __future__ import annotations
@@ -62,10 +65,24 @@ class ErrorBoundedReal:
     radius: mpf
 
     def __post_init__(self):
-        object.__setattr__(self, "value", mpf(self.value))
-        object.__setattr__(self, "radius", mpf(self.radius))
-        if self.radius < 0:
+        # an mpf that fits the current precision is kept bit for bit; any
+        # other value rounds to nearest, its conversion error joins the
+        # radius, and any other radius rounds up
+        prec = mp.prec
+        v, r = self.value, self.radius
+        if not (isinstance(r, mpf) and r._mpf_[3] <= prec):
+            r = _rational(r)
+        if r < 0:
             raise ValueError("radius must be nonnegative")
+        if not (isinstance(v, mpf) and v._mpf_[3] <= prec):
+            x = _coerce(v)
+            v = x.value
+            if x.radius:
+                r = _rational(r) + _rational(x.radius)
+        if not isinstance(r, mpf):
+            r = _round_up(r)
+        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "radius", r)
 
     # -- enclosure queries ------------------------------------------------
 
@@ -191,16 +208,19 @@ def _rational(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
+def _round_up(q: Fraction) -> mpf:
+    """The rational q rounded up to the current precision."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, round_ceiling))
+
+
 def _coerce(x) -> ErrorBoundedReal:
     """x as an enclosure at the current precision: the nearest mpf, with the
     exact conversion error, rounded up, as its radius."""
     if isinstance(x, ErrorBoundedReal):
         return x
-    q, prec = _rational(x), mp.prec
-    v = from_rational(q.numerator, q.denominator, prec, round_nearest)
-    err = abs(q - Fraction(*to_rational(v)))
-    r = from_rational(err.numerator, err.denominator, prec, round_ceiling)
-    return _make(mp.make_mpf(v), mp.make_mpf(r))
+    q = _rational(x)
+    v = from_rational(q.numerator, q.denominator, mp.prec, round_nearest)
+    return _make(mp.make_mpf(v), _round_up(abs(q - Fraction(*to_rational(v)))))
 
 
 def _exact_sum(terms):

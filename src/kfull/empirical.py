@@ -376,6 +376,18 @@ def lemma_check(n: int, e: LambdaElement, j: int) -> tuple:
     direct = hit_count(n, e, j) >= 1
     M = e.radicand()
     k = e.k
+    # float64 first, with the same envelope at eps = 2^-52: lam is the float
+    # of the 25-digit root, each of n / lam, 1 - j / lam and the difference
+    # errs by under 2 ulp, and t - floor(t) is exact
+    if n < 2**53:
+        lam = float(_lam(M, k, 25))
+        t = n / lam
+        frac = t - math.floor(t)
+        err = 2.0**-52 * (abs(t) + 4) * 16
+        if err < frac < 1 - err:
+            diff = frac - (1 - j / lam)
+            if abs(diff) > 2 * err:
+                return (diff > 0, direct)
     dps = 25
     while True:
         lam = _lam(M, k, dps)

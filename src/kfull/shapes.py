@@ -22,22 +22,51 @@ independent routes:
 * power_sum_euler: since each prime divides at most one b_j, the sum over
   all shape tuples factors over primes,
 
-      1 + P_k(m) = prod_p (1 + sum_{j=1..k-1} p^(-m(k+j)/k)),
+      1 + P_k(m) = prod_p (1 + g(y_p)),  y_p = p^(-m/k),
+      g(y) = y^(k+1) + ... + y^(2k-1),
 
   evaluated with small primes multiplied in exactly and the remaining
-  primes handled through the formal logarithm of the factor polynomial,
-  whose powers reduce to prime-zeta tails (zetas.prime_zeta_tail, the
-  sieved log-zeta cascade).  Every truncation depth comes from its proven
-  bound: the formal log stops at the smallest order whose tail bound is
-  below target, which for large m is order k, i.e. no prime-zeta tail at
-  all; and a small prime whose factor sum is below the working floor is
-  moved into the radius by 0 <= log1p(x) <= x.  This is the precision route.
-  One pass per P_k(m): the tail of order t gets digits + max(6, ceil(log10
-  |c_t|)) digits, so no formal-log coefficient c_t swamps the radius, and
-  the result has radius <= 10^(-digits) or raises ArithmeticError naming
-  the cause (the cut reached _T_CAP, or the radius it reached).  Below the
-  default cutoff p0 is raised until the cut is expected to fit under _T_CAP
-  (_cut_estimate), so a cutoff as small as 1 or 2 certifies as well.
+  primes through the integer (Witt) exponents of g (H. Cohen, "High
+  precision computation of Hardy-Littlewood constants", 1998; P. Moree,
+  "Approximation of singular series and automata", 2000):
+
+      log(1 + g(y)) = sum_n a_n (-log(1 - y^n)),  n a_n = sum_{d|n} mu(n/d) b_d,
+
+  b_t = t c_t the integers with log(1 + g) = sum_t c_t y^t (_witt_exponents).
+  Summed over the primes p >= q, the first past the cutoff, each term is
+  a_n Lambda(n m / k), Lambda = zetas._sieved_log_zeta, so P_k(m) is one
+  bounded.dot of log1p(S) and the pairs (Lambda(n m / k), a_n), n <= N,
+  widened by the bound on the rest and passed through expm1.  Lambda(j/k)
+  is read to digits + _LAMBDA_DIGITS + ceil(log10 max_{d|j} |a_d|) digits,
+  which depend on j alone, so every P_k(m) with n m = j shares one cached
+  value and no weight a_n swamps the radius.
+
+  The one cut N comes from a proven bound.  For n > N,
+  0 <= Lambda(n m / k) <= y^n f_N with y = q^(-m/k), f_N = 1 + q/(s' - 1),
+  s' = (N + 1) m / k.  |a_n| <= sum_{d|n} (d/n) h_d, h_d >= |c_d| the
+  coefficients of -log(1 - g) (_log_coeffs); the d = n terms and the
+  multiples n = d j, j >= 2, of each d <= M give
+
+      sum_{n>M} |a_n| y^n <= R_M = [sum_{d>M} h_d y^d + (y^(M+1)/2) sum_{d<=M} h_d] / (1 - y).
+
+  The first sum is bounded without cancellation: h_t <= sum h_(t-d) over the
+  orders k < d < 2k for t >= 2k, so with rho < x0 (g(rho) < 1) every h_t,
+  t > M, is at most K rho^(-t), K = max h_s rho^s over M - 2k + 2 <= s <= M,
+  and sum_{d>M} h_d y^d <= K (y/rho)^(M+1) / (1 - y/rho).  The terms
+  u_n = |a_n| y^n are summed exactly up to the first M with R_M f_M below
+  10^-15 of the target 10^-(digits + 13), and N is the smallest cut whose
+  bound (sum_{N<n<=M} u_n + R_M) f_N stays below the target; at _T_CAP it
+  may fall short of the target by up to the 10^3 that _cut_estimate allows.
+  When N = k no Lambda term survives (at the engine's digits, every m past
+  about 25): each omitted factor is at least 1, so
+  S <= P_k(m) <= (1 + S) e^x - 1, x = dropped + tail, bounded by
+  e^x - 1 <= x + x^2 with no log1p/expm1 round trip.  The result has radius
+  <= 10^(-digits) or raises ArithmeticError naming the cause (the cut
+  reached _T_CAP, or the radius it reached).  Below the default cutoff p0
+  is raised until the cut is expected to fit under _T_CAP (_cut_estimate),
+  so a cutoff as small as 1 or 2 certifies as well.  A prime whose factor
+  sum is below the working floor is moved into the radius by
+  0 <= log1p(x) <= x.
   The exact-product factors p^(-m(k+j)/k) are integer powers of the roots
   r_p = floor(p^(-1/k) 2^F) from zetas' fixed-point table, as is the first
   omitted prime's y = q^(-m/k), not exp/log pairs.  The exact primes
@@ -47,9 +76,7 @@ independent routes:
   relative precision when every factor is 1 + tiny; its floors are counted
   inside the old relative radius of n (a + 4) units of 2^(1-W) after n
   primes, a = m(2k-1), plus the rounding to working precision (see
-  _exact_product).  It enters the log through one interval log1p per m.
-  The exact formal-log coefficients are built only as deep as the cut reads
-  them (_log_coeffs).
+  _exact_product).
 
 numpy serves only the box sums of k >= 3 and is imported there, so the
 Euler route, and every command that uses only it, runs without loading
@@ -62,16 +89,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
-from math import fsum, log
+from math import exp, fsum, inf, isqrt, log
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
 from .arith import (_shape_walk, is_squarefree, mobius_sieve, next_prime, shape_tuples,
                     squarefree_sieve)
-from .bounded import ErrorBoundedReal
+from .bounded import ErrorBoundedReal, dot
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
-                    prime_zeta_tail, primes_upto, zeta)
+                    _sieved_log_zeta, primes_upto, zeta)
 
 DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -270,7 +297,11 @@ def _box_sum_generic(k: int, m: int, B: int) -> float:
 
 
 _T_CAP = 600
+_CUT_DIGITS = 13  # the Witt cut's target is 10^-(digits + _CUT_DIGITS)
+_LAMBDA_DIGITS = 12  # Lambda(j/k) is read to digits + this + _witt_digits(k, j)
+_REST_DIGITS = 15  # the bound past the summed terms is 10^-this of that target
 _LOG_TABLES = {}  # k -> (c, h), the coefficient lists _log_coeffs grows
+_WITT_TABLES = {}  # k -> [a_0, a_1, ...], the exponents _witt_exponents grows
 
 
 def _log_coeffs(k: int, T: int) -> tuple:
@@ -282,7 +313,8 @@ def _log_coeffs(k: int, T: int) -> tuple:
 
     c_t = [k < t < 2k] - sum (u/t) c_u and h_t = [k < t < 2k] + sum (u/t) h_u,
     both over u = t - d >= 1 for the k - 1 orders k < d < 2k where g has a
-    coefficient."""
+    coefficient.  The Witt cut reads h; c is the rational reference the
+    integer exponents of _witt_exponents are tested against."""
     c, h = _LOG_TABLES.setdefault(k, ([Fraction(0)], [Fraction(0)]))
     if len(c) <= T:
         for t in range(len(c), min(max(T, 2 * len(c) - 1), _T_CAP) + 1):
@@ -294,6 +326,41 @@ def _log_coeffs(k: int, T: int) -> tuple:
             c.append(sc)
             h.append(sh)
     return c, h
+
+
+def _witt_exponents(k: int, T: int) -> list:
+    """The integers a_n, n = 0..T at least (T <= _T_CAP), with
+    log(1 + g(y)) = sum_n a_n (-log(1 - y^n)), g as in _log_coeffs.
+
+    Matching the coefficients of y^t gives b_t = sum_{n | t} n a_n for the
+    integers b_t = t c_t, which follow from b_t = t [k < t < 2k] - sum b_(t-d)
+    over the orders k < d < 2k; Moebius inversion gives n a_n =
+    sum_{d | n} mu(n/d) b_d.  The per-k list is rebuilt on demand to about
+    twice its length (never past _T_CAP); its entries are exact, so the
+    ones already read never change."""
+    a = _WITT_TABLES.get(k, [0])
+    if len(a) <= T:
+        T = min(max(T, 2 * len(a) - 1), _T_CAP)
+        b = [0] * (T + 1)
+        for t in range(k + 1, T + 1):
+            b[t] = (t if t < 2 * k else 0) - sum(b[t - d] for d in range(k + 1, min(2 * k, t)))
+        mu = mobius_sieve(T)
+        na = [0] * (T + 1)
+        for d in range(k + 1, T + 1):
+            for n in range(d, T + 1, d):
+                na[n] += mu[n // d] * b[d]
+        a = _WITT_TABLES[k] = [0] + [na[n] // n for n in range(1, T + 1)]
+    return a
+
+
+def _witt_digits(k: int, j: int) -> int:
+    """ceil(log10 max |a_d|) over the divisors d <= _T_CAP of j: Lambda(j/k)
+    is read with weight a_n from every P_k(m) with n m = j, so digits that
+    depend on j alone let every such m share one cached Lambda."""
+    a = _witt_exponents(k, min(j, _T_CAP))
+    top = max(abs(a[e]) for d in range(1, isqrt(j) + 1) if not j % d
+              for e in (d, j // d) if e <= _T_CAP)
+    return next(e for e in count() if top <= 10**e)
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +396,8 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
     with mp.workdps(digits + 15):
         # raise the exact-product cutoff until the tail factor polynomial is
         # small at the first omitted prime (keeps the log series geometric)
-        # and, below the default cutoff, until the formal-log cut is
-        # expected to fit under _T_CAP
+        # and, below the default cutoff, until the Witt cut is expected to
+        # fit under _T_CAP
         p0_eff = max(p0, 2)
         while True:
             q = next_prime(p0_eff)
@@ -345,41 +412,86 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
         # alone, by 0 <= log1p(s_p) <= s_p; s_p falls as p grows
         floor = mpf(10) ** (-(digits + 12))
         S, dropped = _exact_product(k, m, primes_upto(p0_eff), floor)
-        L = S.log1p()
-        if dropped:
-            half = dropped * mpf("0.500001")
-            L = L + ErrorBoundedReal(half, half)
 
-        # formal-log tail over primes > p0_eff: sum_t c_t * PZT(t m / k), cut
-        # at the smallest t_max whose bound on everything past it is below
-        # target:  sum_{t>t_max} h_t q^{-tm/k} * (1 + q/(s'-1)),  s' = (t_max+1)m/k
-        # (the padding term repays the rounding of neg_log - partial_h).  The
-        # target is the floor the cascade's log-zeta terms are computed to
-        # (digits + 6, then 4 deeper), so the cut never dominates the radius.
-        target = mpf(10) ** (-(digits + 10))
-        neg_log = -mp.log1p(-gy)
-        partial_h = mpf(0)
-        for t_max in range(k, _T_CAP + 1):
-            c, h = _log_coeffs(k, t_max)
-            if h[t_max]:
-                partial_h += mpf(h[t_max].numerator) / h[t_max].denominator * y**t_max
-            s_prime = mpf(m * (t_max + 1)) / k
-            tail = ((neg_log - partial_h) * (1 + q / (s_prime - 1)) * mpf("1.000001")
-                    + neg_log * mp.eps * 4 * (t_max + 2))
-            if tail < target:
-                break
-        else:
+        # the primes past p0_eff give sum_n a_n Lambda(n m / k), cut after N
+        cut = _witt_cut(k, m, q, y, digits)
+        if cut is None:
             raise ArithmeticError(f"{fail}: formal-log cut reached t = {_T_CAP}")
-        for t in range(k + 1, t_max + 1):
-            if not c[t]:
-                continue
-            tail_digits = digits + next(e for e in count(6) if abs(c[t]) <= 10**e)
-            pzt = prime_zeta_tail(Fraction(m * t, k), p0_eff, tail_digits)
-            L = L + pzt * c[t]
-        out = L.widened(tail).expm1()
+        N, tail = cut
+        if N == k:
+            # no Lambda term: each omitted factor is at least 1, so
+            # S <= P <= (1 + S) e^x - 1, x = dropped + tail, e^x - 1 <= x + x^2
+            x = (dropped + tail) * mpf("1.000001")
+            lo = S.lo()
+            hi = mp.fadd(S.hi(), mp.fmul(mp.fadd(1, S.hi(), rounding="u"), x + x * x,
+                                         rounding="u"), rounding="u")
+            v = mp.fdiv(mp.fadd(lo, hi, exact=True), 2)
+            out = ErrorBoundedReal(v, max(mp.fsub(hi, v, rounding="u"),
+                                          mp.fsub(v, lo, rounding="u")))
+        else:
+            a = _witt_exponents(k, N)
+            pairs = [(S.log1p(), 1)]
+            if dropped:
+                half = dropped * mpf("0.500001")
+                pairs.append((ErrorBoundedReal(half, half), 1))
+            for n in range(k + 1, N + 1):
+                if a[n]:
+                    lam_digits = digits + _LAMBDA_DIGITS + _witt_digits(k, n * m)
+                    pairs.append((_sieved_log_zeta(Fraction(n * m, k), p0_eff, lam_digits), a[n]))
+            out = dot(pairs).widened(tail).expm1()
         if out.radius > mpf(10) ** (-digits):
             raise ArithmeticError(f"{fail}: radius {mp.nstr(out.radius, 2)} > 1e-{digits}")
     return out
+
+
+def _witt_cut(k: int, m: int, q: int, y: mpf, digits: int):
+    """(N, tail): the cut of sum_n a_n Lambda(n m / k) over the primes >= q,
+    y = q^(-m/k), and a bound tail >= |sum_{n>N} a_n Lambda(n m / k)|; None
+    when no cut up to _T_CAP reaches its bound (module docstring).
+
+    For n > N, 0 <= Lambda(n m / k) <= y^n f_N, f_N = 1 + q/(s' - 1),
+    s' = (N + 1) m / k.  u_n = |a_n| y^n is summed up to the first M whose
+    bound R_M on sum_{n>M} |a_n| y^n is 10^-_REST_DIGITS of the target, and
+    N is the smallest cut whose bound (sum_{N<n<=M} u_n + R_M) f_N is below
+    the target.  M and N are searched on float64 logarithms; the tail is
+    then bounded at the working precision, R_M as y^(M+1) times a float64
+    factor whose few roundings, each 2^-53 relative, the pad repays."""
+    pad = mpf("1.000001")
+
+    def f(n):  # 1 + q/(x - 1) at x = (n + 1) m / k
+        return 1 + q * k / (m * (n + 1) - k)
+
+    # rho < x0 by far more than x0's float error, so g(rho) < 1
+    rho, ly = _convergence_radius(k) * (1 - 2.0**-20), float(mp.log(y))
+    y_f, goal = exp(ly), -(digits + _CUT_DIGITS) * log(10)
+    w, h_sum, M = [], 0.0, k  # w holds h_s rho^s
+    B = lR = inf  # R_M = y^(M+1) B
+    while M < _T_CAP and not lR + log(f(M)) < goal - _REST_DIGITS * log(10):
+        M += 1
+        h_M = float(_log_coeffs(k, M)[1][M])
+        h_sum += h_M
+        w.append(h_M * rho**M)
+        if M >= 2 * k - 1:
+            B = (max(w[-(2 * k - 1):]) / rho ** (M + 1) / (1 - y_f / rho) + h_sum / 2) / (1 - y_f)
+            lR = (M + 1) * ly + log(B)
+    a = _witt_exponents(k, M)
+    N, scaled = M, exp(min(lR - goal, 0))  # sum_{N<n<=M} u_n + R_M over the target
+    while N > k:
+        u_N = exp(min(log(abs(a[N])) + N * ly - goal, 700)) if a[N] else 0.0
+        if (scaled + u_N) * f(N - 1) >= 1:
+            break
+        N, scaled = N - 1, scaled + u_N
+    y_n, tail = y ** (N + 1), mpf(0)
+    for n in range(N + 1, M + 1):
+        if a[n]:
+            tail += abs(a[n]) * y_n
+        y_n *= y
+    R = y_n * B
+    # at _T_CAP (small cutoffs) the cut may stop short of the target, by up
+    # to the 10^3 that _cut_estimate, which sizes p0_eff, allows for
+    if not R * f(M) < mpf(10) ** (3 - digits - _CUT_DIGITS):
+        return None
+    return N, (tail + R) * f(N) * pad
 
 
 def _exact_product(k, m, primes, floor):

@@ -16,13 +16,13 @@ Hardy-Littlewood constants", 1998):
 where 0 <= Lambda(x) <= q^(-x) * (1 + q/(x-1)) and q is the first prime
 past p0.  That bound truncates the cascade and replaces every Lambda value
 it already certifies, so zeta is only evaluated where its digits are used.
-Lambda is memoized on the exact rational x, which many (s, n) pairs share.
-prime_zeta_tail is memoized as well: the Euler route of shapes reaches the
-same s = m t / k from many (m, t) pairs.  That is pure, since it reads s as
-an exact rational and runs at its own mp.workdps(digits + 12), so its value
-is a function of (s, p0, digits) alone, whatever the caller's precision;
-3 and Fraction(3) hash alike and share one entry.  prime_zeta(s) is the
-p0 = 1 case.
+Lambda is memoized on the exact rational x, which many (s, n) pairs share,
+and which the Euler route of shapes reads directly, as Lambda(n m / k) for
+many (n, m).  prime_zeta_tail is memoized as well.  That is pure, since it
+reads s as an exact rational and runs at its own mp.workdps(digits + 12),
+so its value is a function of (s, p0, digits) alone, whatever the caller's
+precision; 3 and Fraction(3) hash alike and share one entry.
+prime_zeta(s) is the p0 = 1 case.
 
 Fixed-point powers.  The inner loops run on Python ints at F fraction bits,
 F = prec + _GUARD_BITS + 32 rounded up to a multiple of 64 (_fraction_bits),
@@ -34,7 +34,10 @@ exact table per (q, F) of the primes up to a power-of-two limit past n.  A
 table only grows, and each entry is a function of (p, q, F) alone, so no
 value depends on which tables or entries already exist; it also serves
 _prime_power and shapes._exact_product.  Any other s takes one mpf power per
-prime at F + 32 bits, floored to F bits, trusted to within 2^28 ulp.
+prime at F + 32 bits, floored to F bits, trusted to within 2^28 ulp.  Each
+p^(-s) is raised once per (s, F) and kept (_prime_power_memo), so the
+sieved Euler factor of Lambda(s) reads the powers zeta(s)'s sieve raised
+whenever the two run at one F.
 
 The envelope counts every floor in units of 2^-F.  A product of two values
 in [0, 1], taken as floor(x y / 2^F), errs by at most e(x) + e(y) + 1 units,
@@ -209,18 +212,38 @@ def _least_prime_factors(limit: int) -> list:
     return lpf
 
 
+@lru_cache(maxsize=8)
+def _prime_power_memo(x: Fraction, F: int) -> dict:
+    """{p: p^(-x) at F fraction bits}, filled by _prime_powers: zeta(x)'s
+    sieve and the Euler factor of Lambda(x) read the same primes, usually at
+    one F.  Each entry is a function of (p, x, F) alone."""
+    return {}
+
+
 def _prime_powers(x: Fraction, F: int, n: int) -> tuple:
     """(pw, a): pw(p) is p^(-x) at F fraction bits for the primes p <= n,
     within 2a units of 2^-F (see the module docstring).  From the root table
     when it serves x, a the numerator of x; otherwise one mpf power at
-    F + 32 bits, floored, and a = 1."""
+    F + 32 bits, floored, and a = 1.  Each power is raised once per (x, F)
+    and kept in _prime_power_memo."""
     ratio = _ratio(x)
     if ratio is not None:
         a, q = ratio
         roots = _fixed_roots(q, F, n)
-        return (lambda p: _fixed_pow(roots[p], a, F)), a
-    neg = mpf_neg(from_rational(x.numerator, x.denominator, F + 32, round_nearest))
-    return (lambda p: to_fixed(mpf_pow(from_int(p), neg, F + 32, round_floor), F)), 1
+        power = lambda p: _fixed_pow(roots[p], a, F)
+    else:
+        a = 1
+        neg = mpf_neg(from_rational(x.numerator, x.denominator, F + 32, round_nearest))
+        power = lambda p: to_fixed(mpf_pow(from_int(p), neg, F + 32, round_floor), F)
+    memo = _prime_power_memo(x, F)
+
+    def pw(p):
+        v = memo.get(p)
+        if v is None:
+            v = memo[p] = power(p)
+        return v
+
+    return pw, a
 
 
 def _fixed_powers(x: Fraction, N: int, F: int) -> list:
@@ -340,7 +363,7 @@ def _sieved_log_zeta(x: Fraction, p0: int, digits: int) -> ErrorBoundedReal:
     0 <= Lambda(x) <= _sieved_bound(x, q), q the first prime past p0; once
     that bound is below 10^(-digits) the interval [0, bound] is returned and
     no zeta value is computed.  Keyed on the exact x, which the cascade
-    reaches from many (s, n) pairs.
+    reaches from many (s, n) pairs and the Euler route from many (n, m).
     """
     with mp.workdps(digits + 12):
         bound = _sieved_bound(x, next_prime(p0))

@@ -245,6 +245,25 @@ def test_contains_compares_exactly():
     assert ebr(0.5, 0.25).contains(Fraction(3, 4)) and not ebr(0.5, 0.25).contains(Fraction(4, 5))
 
 
+def test_constructor_counts_the_rounding_of_a_wider_value():
+    # 1/3 built at 60 digits and wrapped at 15: the value rounds, and its
+    # conversion error joins the radius; a wide radius rounds up
+    with mp.workdps(60):
+        third = mpf(1) / 3
+        tiny = third * mpf(10) ** -40
+    with mp.workdps(15):
+        x = ErrorBoundedReal(third, 0)
+        assert x.contains(third)
+        assert 0 < x.radius <= abs(x.value) * mp.eps
+        w = ErrorBoundedReal(third, tiny)
+        assert w.contains(third + tiny) and w.contains(third - tiny)
+        assert frac(ErrorBoundedReal(1, tiny).radius) >= frac(tiny)
+        exact = ErrorBoundedReal(mpf(1) / 4, mpf(2) ** -60)  # fits: kept bit for bit
+        assert exact.value == mpf(1) / 4 and exact.radius == mpf(2) ** -60
+        with pytest.raises(ValueError):
+            ErrorBoundedReal(third, -tiny)
+
+
 @pytest.mark.parametrize("weight", [1.0, mpf(2), Fraction(1, 3)])
 def test_dot_refuses_rounded_weights(weight):
     with pytest.raises(TypeError):

@@ -660,7 +660,9 @@ def test_config_values_checked_like_flags(tmp_path, capsys, doc):
 # exact csv stdout of the engine's table and constants routes: a change in how
 # the series are summed may shrink a radius only below its printed 8 digits.
 # The k = 3 xi cells and d_3,l rows are as the engine's guard g = 45 prints
-# them; FIXED_GUARD_ROWS keeps their earlier enclosures
+# them; FIXED_GUARD_ROWS keeps their earlier enclosures.  The P rows are as
+# the Witt-exponent Euler route prints them; LOG1P_CHAIN_P_RADII keeps the
+# wider radii of earlier routes
 EXACT_SERIES_OUTPUT = {
     "table --k 2 --max-index 5 --method direct": (
         'k,l,m,value,radius,method\n'
@@ -719,14 +721,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_3,3",0.220239555929766750371172780953,1.3267418e-31\n'
         '"d_3,4",0.204704699050673834630145073229,1.2137253e-31\n'
         '"d_3,5",0.147035502233370916475887419161,8.8826879e-32\n'
-        'P_3(1),3.65926612250065694127743110891,1.8108233e-38\n'
-        'P_3(2),0.398105028048410820538154908534,4.5777167e-40\n'
-        'P_3(3),0.114576315025302288937661068255,4.1067978e-40\n'
-        'P_3(4),0.0385373195798538272135107784855,1.8165147e-40\n'
-        'P_3(5),0.0137448928486802284206238123813,1.7632994e-40\n'
-        'P_3(6),0.00505585022863197085195559916529,2.6022533e-40\n'
-        'P_3(7),0.00189612534535890094915782893951,5.0633456e-42\n'
-        'P_3(8),0.000720702146129669997140834044113,1.4003398e-42\n'
+        'P_3(1),3.65926612250065694127743110891,5.6868844e-43\n'
+        'P_3(2),0.398105028048410820538154908534,1.5626097e-43\n'
+        'P_3(3),0.114576315025302288937661068255,1.1204184e-43\n'
+        'P_3(4),0.0385373195798538272135107784855,4.0365759e-45\n'
+        'P_3(5),0.0137448928486802284206238123813,2.2614239e-45\n'
+        'P_3(6),0.00505585022863197085195559916529,3.7825323e-45\n'
+        'P_3(7),0.00189612534535890094915782893951,1.9368205e-46\n'
+        'P_3(8),0.000720702146129669997140834044113,1.7083491e-46\n'
     ),
     "constants --k 2 --digits 50 --max-index 5": (
         'name,value,radius\n'
@@ -738,14 +740,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
         '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
         '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
-        'P_2(1),1.17325431251955413823708984044,2.1935846e-60\n'
-        'P_2(2),0.18156494901025691256939973416,1.6026861e-60\n'
-        'P_2(3),0.0525934895482646848881100326415,3.7621537e-63\n'
-        'P_2(4),0.0170927691304992766432721330979,1.4437227e-60\n'
-        'P_2(5),0.00579596201196013885802241486261,2.6459562e-60\n'
-        'P_2(6),0.00200456788079374398903554270148,1.4821344e-63\n'
-        'P_2(7),0.000700365374722017404107574643848,3.500261e-63\n'
-        'P_2(8),0.000246026930453777256968562684541,1.0938478e-63\n'
+        'P_2(1),1.17325431251955413823708984044,1.9511734e-64\n'
+        'P_2(2),0.18156494901025691256939973416,3.1694448e-65\n'
+        'P_2(3),0.0525934895482646848881100326415,6.8822982e-65\n'
+        'P_2(4),0.0170927691304992766432721330979,7.8589083e-66\n'
+        'P_2(5),0.00579596201196013885802241486261,2.5365731e-65\n'
+        'P_2(6),0.00200456788079374398903554270148,6.4974189e-65\n'
+        'P_2(7),0.000700365374722017404107574643848,1.5216293e-66\n'
+        'P_2(8),0.000246026930453777256968562684541,6.4290123e-65\n'
     ),
 }
 

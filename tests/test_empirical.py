@@ -426,3 +426,63 @@ def test_compare_tables_real_run_small():
     comp = compare_tables(emp, ana)
     assert comp.max_abs_deviation < 0.05  # loose at this tiny N
     assert all(val is not None for _, val, _ in comp.cells.values())
+
+
+def _lemma_mpf(n, e, j):
+    # the criterion by the mpf rungs alone, as lemma_check decided it before
+    # its float64 rung
+    M, k, dps = e.radicand(), e.k, 25
+    while True:
+        lam = empirical._lam(M, k, dps)
+        with mp.workdps(dps):
+            t = n / lam
+            frac = t - mp.floor(t)
+            err = mp.eps * (abs(t) + 4) * 16
+            if err < frac < 1 - err and abs(frac - (1 - j / lam)) > 2 * err:
+                return frac - (1 - j / lam) > 0
+        dps *= 2
+
+
+def _convergents(e, count=40):
+    # the continued-fraction convergents p/q of lam = M^(1/k)
+    with mp.workdps(120):
+        x = mp.root(mpf(e.radicand()), e.k)
+        p0, q0, p1, q1 = 1, 0, int(mp.floor(x)), 1
+        out = []
+        for _ in range(count):
+            x = 1 / (x - mp.floor(x))
+            a = int(mp.floor(x))
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            out.append((p1, q1))
+    return out
+
+
+def test_lemma_float_rung_matches_mpf_path(monkeypatch):
+    from kfull.cli import enumerate_lambda_first
+
+    # verify's samples, drawn as cli.run_verify draws them
+    for k in (2, 3):
+        rng = random.Random(987654321 + k)
+        elements = enumerate_lambda_first(k, 50)
+        for _ in range(2_000):
+            n = rng.randrange(1, 100_001)
+            e = rng.choice(elements)
+            j = rng.choice((1, 2))
+            assert lemma_check(n, e, j)[0] == _lemma_mpf(n, e, j), (n, e, j)
+    # forced near-ties: for a convergent p/q of lam, n + j = p puts {n/lam}
+    # within about 1/(q lam) of 1 - j/lam, and n = p puts n/lam next to an
+    # integer; past p ~ 1e7 the float envelope must leave them to mpf
+    reads = []
+    lam = empirical._lam
+    monkeypatch.setattr(empirical, "_lam", lambda M, k, dps: reads.append(dps) or lam(M, k, dps))
+    deferred = 0
+    for e in enumerate_lambda_first(2, 4) + enumerate_lambda_first(3, 4):
+        for p, _ in _convergents(e):
+            if not 10**4 < p < 2**52:
+                continue
+            for n, j in ((p - 1, 1), (p - 2, 2), (p, 1), (p, 2), (p + 1, 1)):
+                reads.clear()
+                crit, direct = lemma_check(n, e, j)
+                deferred += len(reads) > 1  # the float rung reads lam once
+                assert crit == direct == _lemma_mpf(n, e, j), (n, e, j)
+    assert deferred >= 10

@@ -1,7 +1,10 @@
 """Byte pins: the stdout of four engine commands, stored as the engine printed
-it before its Euler layer moved onto fixed-point integers, except the P_2(m)
-radii of constants_k2_d50_L5.csv, which shrank when +, - and * moved onto
-bounded.dot.  Any printed digit or radius that moves fails here."""
+it before its Euler layer moved onto fixed-point integers, except radii that
+shrank since: the P_2(m) rows of constants_k2_d50_L5.csv, when +, - and *
+moved onto bounded.dot and again when the Euler route moved onto the Witt
+exponents, and then also the (1,3), (2,2), (2,3) and (3,3) cells of
+table_k2_inversion_L3.csv.  Any printed digit or radius that moves fails
+here."""
 
 from pathlib import Path
 

@@ -6,14 +6,16 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from kfull import arith, shapes
-from kfull.arith import introot, is_squarefree, moebius, next_prime, shape_tuples
+from kfull import arith, shapes, zetas
+from kfull.arith import introot, is_squarefree, mobius_sieve, moebius, next_prime, shape_tuples
+from kfull.bounded import ErrorBoundedReal
 from kfull.shapes import (
     _T_CAP,
     LambdaElement,
     _box_sum_k3,
     _exact_product,
     _log_coeffs,
+    _witt_exponents,
     enumerate_lambda,
     lambda_min_radicand,
     lambda_value,
@@ -230,14 +232,80 @@ def test_k2_closed_form():
 
 
 def test_euler_large_m_needs_no_zeta():
-    # for large m the proven formal-log tail bound is below target at once,
-    # so no prime-zeta tail, and hence no zeta value, is computed
+    # for large m the Witt cut's proven bound is below target at once, so
+    # no sieved log-zeta, and hence no zeta value, is computed
     before = zeta.cache_info().misses
     e = power_sum_euler.__wrapped__(2, 100, 60)
     assert zeta.cache_info().misses == before
     assert e.radius <= mpf(10) ** (-60)
     with mp.workdps(140):
         assert e.contains(mpmath.zeta(150) / mpmath.zeta(300) - 1)
+
+
+def test_euler_large_m_makes_no_log1p_or_expm1(monkeypatch):
+    # with no Lambda term the enclosure comes straight from the exact
+    # product, S <= P <= (1 + S) e^x - 1, with no log1p/expm1 round trip
+    def refuse(self):
+        raise AssertionError("log1p or expm1 called")
+
+    monkeypatch.setattr(ErrorBoundedReal, "log1p", refuse)
+    monkeypatch.setattr(ErrorBoundedReal, "expm1", refuse)
+    for k, m, digits in [(2, 30, 61), (2, 100, 61), (3, 40, 68), (3, 135, 68)]:
+        e = power_sum_euler.__wrapped__(k, m, digits)
+        assert e.radius <= mpf(10) ** (-digits)
+        assert e.agrees_with(power_sum_direct(k, m, 50)), (k, m)
+    with mp.workdps(140):
+        assert power_sum_euler.__wrapped__(2, 30, 61).contains(
+            mpmath.zeta(45) / mpmath.zeta(90) - 1)
+
+
+def test_euler_reads_no_prime_zeta_tail(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("prime_zeta_tail called")
+
+    monkeypatch.setattr(zetas, "prime_zeta_tail", refuse)
+    monkeypatch.setattr(shapes, "prime_zeta_tail", refuse, raising=False)
+    for k, m, digits, p0 in [(2, 1, 61, 100), (3, 1, 68, 100), (3, 2, 68, 3), (4, 1, 40, 100)]:
+        e = power_sum_euler.__wrapped__(k, m, digits, p0)
+        assert e.radius <= mpf(10) ** (-digits)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_witt_exponents_match_log_coeffs(k):
+    # log(1 + g) = sum_n a_n (-log(1 - y^n)) with integer a_n, where n a_n is
+    # the Moebius inversion of t c_t over the divisors of n
+    a = _witt_exponents(k, _T_CAP)
+    c = _log_coeffs(k, _T_CAP)[0]
+    mu = mobius_sieve(_T_CAP)
+    assert len(a) == _T_CAP + 1 and all(type(x) is int for x in a)
+    for n in range(1, _T_CAP + 1):
+        assert a[n] == sum(mu[n // d] * d * c[d] for d in range(1, n + 1) if n % d == 0) / n
+    if k == 2:
+        # log(1 + y^3) = -log(1 - y^3) + log(1 - y^6)
+        assert {n: x for n, x in enumerate(a) if x} == {3: 1, 6: -1}
+
+
+def test_power_sums_share_lambda_entries(monkeypatch):
+    # Lambda(j/k) is read to digits that depend on j alone, so P_3(2) finds
+    # in the cache every Lambda P_3(1) computed at the same x
+    reads = {1: set(), 2: set()}
+    lam = shapes._sieved_log_zeta
+    for m in (1, 2):
+        monkeypatch.setattr(shapes, "_sieved_log_zeta",
+                            lambda x, p0, d, m=m: reads[m].add((x, p0, d)) or lam(x, p0, d))
+        power_sum_euler.__wrapped__(3, m, 68)
+    shared = {x for x, _, _ in reads[1]} & {x for x, _, _ in reads[2]}
+    assert len(shared) >= 10
+    assert {r for r in reads[2] if r[0] in shared} <= reads[1]
+
+
+@pytest.mark.parametrize("p0", [1, 2, 3, 100])
+@pytest.mark.parametrize("k, digits", [(2, 61), (3, 68), (4, 40)])
+def test_euler_radius_contract_at_every_cutoff(k, digits, p0):
+    for m in (1, 2, 3, 8, 20, 40):
+        e = power_sum_euler(k, m, digits, p0)
+        assert e.radius <= mpf(10) ** (-digits), m
+        assert e.agrees_with(power_sum_euler(k, m, digits)), m
 
 
 def test_euler_radius_contract_and_reference(reference):
@@ -273,10 +341,10 @@ def test_euler_certifies_k4_in_one_pass(monkeypatch):
 
 
 def test_euler_radius_postcondition_names_its_cause(monkeypatch):
-    # P_2(1) reads prime-zeta tails; each one 1e-50 wide swamps 60 digits
-    tail = shapes.prime_zeta_tail
-    monkeypatch.setattr(shapes, "prime_zeta_tail",
-                        lambda s, p0, digits: tail(s, p0, digits).widened(mpf(10) ** -50))
+    # P_2(1) reads sieved log-zetas; each one 1e-50 wide swamps 60 digits
+    lam = shapes._sieved_log_zeta
+    monkeypatch.setattr(shapes, "_sieved_log_zeta",
+                        lambda x, p0, digits: lam(x, p0, digits).widened(mpf(10) ** -50))
     with pytest.raises(ArithmeticError, match=r"^could not certify P_2\(1\) to 60 digits: "
                                               r"radius [0-9.]+e-\d+ > 1e-60$"):
         power_sum_euler.__wrapped__(2, 1, 60)
@@ -309,19 +377,22 @@ def test_cut_estimate_keeps_every_certifying_cutoff(k, digits):
 
 
 def _cut_needed(k, m, q, y, digits):
-    # the cut loop of power_sum_euler, on its own
-    gy = sum(y ** (k + j) for j in range(1, k))
-    target = mpf(10) ** (-(digits + 10))
-    neg_log = -mp.log1p(-gy)
-    partial_h = mpf(0)
-    for t in range(k, _T_CAP + 1):
-        c, h = _log_coeffs(k, t)
-        partial_h += mpf(h[t].numerator) / h[t].denominator * y**t
-        s_prime = mpf(m * (t + 1)) / k
-        tail = ((neg_log - partial_h) * (1 + q / (s_prime - 1)) * mpf("1.000001")
-                + neg_log * mp.eps * 4 * (t + 2))
-        if tail < target:
-            return t
+    # the Witt cut of power_sum_euler, on its own: the first M whose bound on
+    # the terms past it meets the cut's limit, or _T_CAP + 1
+    limit = mpf(10) ** (-(digits + shapes._CUT_DIGITS - 3))
+    rho = shapes._convergence_radius(k) * (1 - 2.0**-20)
+    h_sum, w, y_M, rho_M = mpf(0), [], y**k, rho**k
+    for M in range(k + 1, _T_CAP + 1):
+        y_M, rho_M = y_M * y, rho_M * rho
+        h = _log_coeffs(k, M)[1]
+        h_M = mpf(h[M].numerator) / h[M].denominator
+        h_sum += h_M
+        w.append(h_M * rho_M)
+        if M >= 2 * k - 1:
+            R = (max(w[-(2 * k - 1):]) * y_M * y / (rho_M * rho) / (1 - y / rho)
+                 + y_M * y * h_sum / 2) / (1 - y)
+            if R * (1 + q / (mpf(m * (M + 1)) / k - 1)) * mpf("1.000001") < limit:
+                return M
     return _T_CAP + 1
 
 

@@ -248,7 +248,7 @@ def test_euler_factor_encloses_product():
 def _clear_every_cache():
     for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._fixed_root_table, zetas._em_fraction,
                zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
-               shapes.power_sum_euler, _prime_list):
+               zetas._prime_power_memo, shapes.power_sum_euler, _prime_list):
         fn.cache_clear()
 
 
@@ -298,3 +298,35 @@ def test_prime_zeta_tail_int_and_fraction_share_an_entry():
     assert b is a
     info = prime_zeta_tail.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_lambda_raises_each_prime_power_once(monkeypatch):
+    # Lambda(x) = log(zeta(x) prod_{p <= p0} (1 - p^(-x))): where zeta's sieve
+    # runs at the Euler factor's F and reaches p0, the factor reads the
+    # powers the sieve raised, so Lambda costs what zeta(x) alone does, one
+    # _fixed_pow per prime up to the sieve's N
+    x, p0, digits = Fraction(4, 3), 100, 80
+    with mp.workdps(digits + 12):
+        F = zetas._fraction_bits(mp.prec)
+    with mp.workdps(digits + 14):  # zeta(x, digits + 2) runs here
+        assert zetas._fraction_bits(mp.prec) == F
+    calls, sieves = [], []
+    fixed_pow, fixed_powers = zetas._fixed_pow, zetas._fixed_powers
+    monkeypatch.setattr(zetas, "_fixed_pow", lambda r, a, F: calls.append(r) or fixed_pow(r, a, F))
+    monkeypatch.setattr(zetas, "_fixed_powers",
+                        lambda s, N, F: sieves.append(N) or fixed_powers(s, N, F))
+    _clear_every_cache()
+    lam = zetas._sieved_log_zeta(x, p0, digits)
+    in_lambda = len(calls)
+    N = max(sieves)
+    assert N >= p0
+    assert in_lambda == len(_prime_list(N))
+    calls.clear()
+    _clear_every_cache()
+    zeta(x, digits + 2)
+    assert len(calls) == in_lambda
+    # the shared integers change no bit of the result
+    _clear_every_cache()
+    monkeypatch.setattr(zetas, "_prime_power_memo", lambda x, F: {})
+    fresh = zetas._sieved_log_zeta(x, p0, digits)
+    assert (fresh.value._mpf_, fresh.radius._mpf_) == (lam.value._mpf_, lam.radius._mpf_)
