@@ -47,17 +47,18 @@ def introot(n: int, k: int = 2) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # upper start for Newton iteration
+    # integer Newton: one step from any y > 0 lands at or above the root and
+    # the iterates then fall to it.  A float start saves the slow first
+    # steps; the shift, a multiple of k rounded up, leaves at most 900 bits
+    # for float()
+    sh = -(-max(0, n.bit_length() - 900) // k) * k
+    y = int(float(n >> sh) ** (1 / k)) + 1 << sh // k
+    y = ((k - 1) * y + n // y ** (k - 1)) // k
     while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+        z = ((k - 1) * y + n // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
 
 
 def is_prime(n: int) -> bool:

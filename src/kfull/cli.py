@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
+from math import inf
 
 from mpmath import mp
 
@@ -30,7 +31,7 @@ from .shapes import (
     enumerate_lambda,
     lambda_value,
     power_sum_direct,
-    power_sum_euler,
+    power_sums,
 )
 from .arith import _kfull_stream
 from .zetas import zeta
@@ -68,6 +69,9 @@ class RunConfig:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.N is not None and self.N < 1:
             raise ValueError("--N must be positive")
+        # not (x >= 0) also holds for nan; json.load accepts NaN and Infinity
+        if not (0 <= self.tolerance_scale < inf):
+            raise ValueError("--tolerance-scale must be finite and >= 0")
 
 
 def _fmt6(x) -> str:
@@ -153,9 +157,8 @@ def _constants(cfg: RunConfig) -> list:
     for l in range(cfg.max_index + 1):
         out.append((f"d_{cfg.k},{l}", density.density_shiu(cfg.k, l, "xi_alternating",
                                                            cfg.digits, cfg.prime_cutoff)))
-    for m in range(1, 9):
-        out.append((f"P_{cfg.k}({m})", power_sum_euler(cfg.k, m, cfg.digits,
-                                                       cfg.prime_cutoff)))
+    ps = power_sums(cfg.k, 8, cfg.digits, cfg.prime_cutoff)
+    out.extend((f"P_{cfg.k}({m})", ps.p(m)) for m in range(1, 9))
     return out
 
 
@@ -200,7 +203,9 @@ def run_verify(cfg: RunConfig) -> dict:
             "note": note,
         })
 
-    # three independent summation routes for every cell up to (5,5)
+    # the direct, inversion and xi cells up to (5,5) all shift the one xi
+    # series, so this checks weights, envelopes and the inversion formula, not
+    # xi itself; the head/tail split of F_k would be an independent route
     worst = 0.0
     for l in range(6):
         for m in range(l, 6):
@@ -264,7 +269,7 @@ def run_verify(cfg: RunConfig) -> dict:
         f"{catches:.3e} (tolerance + observed)")
 
     # the Euler-route sums the densities above were built from
-    euler = density._engine(k, cfg.digits, cfg.prime_cutoff)[0]
+    euler = density._engine(k, cfg.digits, cfg.prime_cutoff).ps
     worst = 0.0
     for m in range(1, 9):
         worst = max(worst, _excess(power_sum_direct(k, m, cfg.trunc_B), euler.p(m)))

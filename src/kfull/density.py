@@ -1,28 +1,42 @@
 """Asymptotic densities with tracked error bounds.
 
-Everything reduces to three layers on top of the power sums P_k(m):
+Every density is a coefficient of one entire function,
 
-* xi_r, the elementary symmetric functions of the shape reciprocals 1/lam,
-  recovered from the power sums by Newton's identities
-  (r e_r = sum_{i=1..r} (-1)^(i-1) e_(r-i) p_i);
+    F_k(z) = prod (1 + (z-2)/lam) = sum_r xi_r (z-2)^r = sum_n a_n z^n,
 
-* the coefficient sequence a_n of the entire function
-  F_k(z) = prod (1 + (z-2)/lam) = sum_r xi_r (z-2)^r = sum_n a_n z^n,
-  via a_n = sum_{r>=n} C(r,n) (-2)^(r-n) xi_r;
+where xi_r, the elementary symmetric functions of the shape reciprocals
+1/lam, come from the power sums P_k(m) by Newton's identities
+(r e_r = sum_{i=1..r} (-1)^(i-1) e_(r-i) p_i).
 
-* the densities themselves:
-  - cells:      d(A[l,m]) = C(l+m, l) * a_(l+m)                (direct)
-                          = sum_n (-1)^n trinom * d_(l+m+n)    (inversion)
-                          = sum_n (-2)^n trinom * xi_(l+m+n)   (xi)
-  - one-sided:  d_l = sum_n (-1)^n C(l+n, l) xi_(l+n)  (xi_alternating)
-                    = sum_m d(A[l,m])                  (row_sum)
+Every other fixed linear sum is a Taylor shift: the n-th coefficient of a
+series sum_i s_i x^i moved to x + t is sum_j C(n+j, n) t^j s_(n+j).  One
+primitive, _shift, computes c times that sum, cut after j = T, as one exact
+bounded.dot, widened by the envelope its caller passes for the terms past
+T:
+
+  - coefficients:  a_n = shift of xi by t = -2;
+  - cells:         d(A[l,m]) = C(l+m, l) a_(l+m)               (direct)
+                             = C(l+m, l) * (xi shifted by -2)  (xi)
+                             = C(l+m, l) * (d shifted by -1)   (inversion);
+  - one-sided:     d_l = xi shifted by -1                      (xi_alternating)
+                       = a shifted by +1                       (row_sum);
+  - total mass:    sum_n a_n 2^n = a shifted by +2, which must enclose 1;
   - exclusion sets:  d(B[I,J]) = prod_(U) 1/lam * prod_(not U) (1 - 2/lam)
     with U = I union J, evaluated as C_k rescaled by the finitely many
     excluded factors; C_k = a_0.
 
+So the direct and xi cells are the same series with C(l+m, l) folded into
+the weights, and the inversion cells shift one-sided densities of the same
+xi: the three routes check the weights, the envelopes and the published
+inversion formula, not the xi values.  The weights are exact Python ints,
+signs and powers of two included; a rounded weight such as Newton's 1/r
+stays outside the dot as an ErrorBoundedReal multiply.  eval_F's log series
+goes through dot as well, once its depth is chosen, with its rounded
+weights (-w)^j / j as ErrorBoundedReals.
+
 All infinite sums are truncated with proven bounds folded into the radius:
 xi_r <= P_k(1)^r / r! gives super-exponential decay, and every weighted
-tail reduces to a ratio-bounded exponential remainder.  Every series keeps
+tail reduces to a ratio-bounded exponential remainder.  Every shift keeps
 the terms n..n + g past its leading index n, with one guard g per
 (k, digits, p0): _engine picks it from that envelope and every route reads
 it, so no caller can ask for another depth.  The depth matters for accuracy
@@ -31,34 +45,23 @@ and past the point where xi_r reaches the working-precision noise floor the
 binomial weights amplify that noise, so deeper sums would be worse, not
 better.  The tracked radii account for both effects honestly.
 
-The engine's depths are ceilings, not work done up front: P_k(m), xi_r and
-a_n are each computed the first time they are read, and never past what is
-read.  Reading a_n grows xi up to n + g; reading xi_r grows the power sums
-and Newton's identities up to r.  Each step is the one the eager
-xi_from_power_sums and coeffs_a take, and every step runs at the engine's
-one fixed precision, whatever the reader holds.  Each value depends only on
-the values below it, which are themselves fixed, so it is bit-identical to
-the eager sums whatever was read before it: a table up to L builds the
-series to 2L + g of the ceiling r_max = n_max + 2g.
+The engine is the public builders composed: shapes.power_sums,
+xi_from_power_sums and coeffs_a.  Each returns a sequence that computes a
+value the first time it is read (shapes._Grown), so the engine's depths are
+ceilings, not work done up front.  Reading a_n grows xi up to n + g; reading
+xi_r grows the power sums and Newton's identities up to r.  Every step runs
+at the precision its sequence was made at, whatever the reader holds, and
+each value depends only on the values below it, which are themselves
+fixed, so it is bit-identical to an eager read whatever was read before it:
+a table up to L builds the series to 2L + g of the ceiling
+r_max = n_max + 2g.
 
-Every fixed linear sum above (Newton's identities, a_n, the xi and
-inversion cells, the one-sided d_l, the row sums and the total mass) goes
-through bounded.dot, which sums exactly and rounds once.  Its weights must
-be exact Python ints, signs and powers of two included, such as
-C(r,n) * (-2)^(r-n); a rounded weight such as 1/r stays outside the sum as
-an ErrorBoundedReal multiply.  eval_F's log series goes through dot as well,
-once its depth is chosen, with its rounded weights (-w)^j / j as
-ErrorBoundedReals.
-
-The inversion route consumes one-sided densities that are themselves
-produced by the xi route, so it is a consistency check of the published
-inversion formula rather than an independent source.  Each one-sided density
-is a memoised value of the engine (_one_sided): a table of cells reads each
-d_j once instead of once per cell that needs it.  The memo is keyed by
-(k, l, digits, p0) and not by the caller's precision; that is sound
-because the sum runs at its own fixed precision digits + 20 over an engine
-that is itself cached by the same key, so a cached value is bit-identical to
-a fresh one whatever precision the caller holds.
+Each one-sided density is a memoised value of the engine (_one_sided): a
+table of cells reads each d_j once instead of once per cell that needs it.
+The memo is keyed by (k, l, digits, p0) and not by the caller's precision;
+that is sound because the sum runs at its own fixed precision digits + 20
+over an engine that is itself cached by the same key, so a cached value is
+bit-identical to a fresh one whatever precision the caller holds.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -75,9 +79,11 @@ from .shapes import (
     DEFAULT_PRIME_CUTOFF,
     LambdaElement,
     PowerSums,
+    _Grown,
     enumerate_lambda,
     lambda_value,
     power_sum_euler,
+    power_sums,
 )
 
 DEFAULT_DIGITS = 30
@@ -92,7 +98,7 @@ _HEAD_CAP = 20_000
 @dataclass(frozen=True)
 class XiSequence:
     """Elementary symmetric functions xi_0..xi_r_max of the 1/lam; xi is a
-    tuple, or the engine's sequence that grows on read."""
+    sequence that grows on read (shapes._Grown), or a tuple."""
 
     k: int
     xi: tuple
@@ -105,7 +111,7 @@ class XiSequence:
 @dataclass(frozen=True)
 class SeriesCoeffs:
     """Power-series coefficients a_0..a_n_max of F_k around 0; a_0 = C_k.
-    a is a tuple, or the engine's sequence that grows on read."""
+    a is a sequence that grows on read (shapes._Grown), or a tuple."""
 
     k: int
     a: tuple
@@ -159,35 +165,21 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
-class _Grown:
-    """The sequence v_0..v_top, each value computed by step(i) on its first
-    read, in ascending order (step(i) may read v_0..v_(i-1)) and at the
-    precision that was current when the sequence was made.  A value never
-    depends on what was read before it or on the precision its reader holds."""
-
-    def __init__(self, top: int, step):
-        self._top = top
-        self._step = step
-        self._prec = mp.prec
-        self._vals = []
-
-    def __len__(self) -> int:
-        return self._top + 1
-
-    def __getitem__(self, i: int):
-        if not 0 <= i <= self._top:
-            raise IndexError(f"index {i} beyond 0..{self._top}")
-        vals = self._vals
-        if i >= len(vals):
-            with mp.workprec(self._prec):
-                while len(vals) <= i:
-                    vals.append(self._step(len(vals)))
-        return vals[i]
+def _shift(s, n: int, T: int, t: int, envelope, c: int = 1) -> ErrorBoundedReal:
+    """c * sum_{j<=T} C(n+j, n) t^j s(n+j) as one exact dot, widened by the
+    envelope on the terms past T: the n-th coefficient of sum_i s(i) x^i
+    shifted to x + t, times c.  The weights are exact Python ints."""
+    return dot((s(n + j), c * comb(n + j, n) * t**j) for j in range(T + 1)).widened(envelope)
 
 
-def _newton(ps: PowerSums, r_max: int) -> _Grown:
-    """xi_0..xi_r_max by Newton's identities, each xi_r one exact dot over
-    xi_0..xi_(r-1) and the signed power sums (-1)^(i-1) p_i; xi_0 = 1."""
+def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
+    """xi_0..xi_r_max by Newton's identities, each xi_r computed on its first
+    read as one exact dot over xi_0..xi_(r-1) and the signed power sums
+    (-1)^(i-1) p_i; xi_0 = 1 exactly, radii propagated."""
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    if ps.m_max < r_max:
+        raise ValueError(f"need P_k(1..{r_max}), have 1..{ps.m_max}")
     # signed[i - 1] = (-1)^(i-1) p_i, negated once rather than once per r
     signed = _Grown(r_max - 1, lambda i: -ps.p(i + 1) if i % 2 else ps.p(i + 1))
 
@@ -197,27 +189,7 @@ def _newton(ps: PowerSums, r_max: int) -> _Grown:
         return dot((xi[r - i], signed[i - 1]) for i in range(1, r + 1)) * Fraction(1, r)
 
     xi = _Grown(r_max, step)
-    return xi
-
-
-def _coefficients(xi, n_max: int, guard: int) -> _Grown:
-    """a_0..a_n_max from the xi sequence, each a_n one exact dot over
-    xi_n..xi_(n+guard) widened by its envelope tail."""
-    def step(n):
-        P = xi[1].hi()
-        acc = dot((xi[r], comb(r, n) * (-2) ** (r - n)) for r in range(n, n + guard + 1))
-        return acc.widened(P**n / mp.factorial(n) * _exp_tail(2 * P, guard))
-
-    return _Grown(n_max, step)
-
-
-def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
-    """Newton's identities; xi_0 = 1 exactly, radii propagated."""
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    if ps.m_max < r_max:
-        raise ValueError(f"need P_k(1..{r_max}), have 1..{ps.m_max}")
-    return XiSequence(ps.k, tuple(_newton(ps, r_max)))
+    return XiSequence(ps.k, xi)
 
 
 def xi_direct(elements, r_max: int, digits: int = 30) -> list:
@@ -245,20 +217,37 @@ def _exp_tail(x, T: int):
 
 
 def coeffs_a(xi: XiSequence, n_max: int, guard: int) -> SeriesCoeffs:
-    """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, truncation bounded by
-    the xi_r <= P_k(1)^r / r! envelope with P_k(1) taken as xi_1's upper
+    """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, the xi series shifted
+    by -2 and computed on its first read; the truncation is bounded by the
+    xi_r <= P_k(1)^r / r! envelope with P_k(1) taken as xi_1's upper
     endpoint."""
     if n_max < 0 or guard < 1:
         raise ValueError("need n_max >= 0, guard >= 1")
     if xi.r_max < n_max + guard:
         raise ValueError(f"xi computed to {xi.r_max}, need {n_max + guard}")
-    return SeriesCoeffs(xi.k, tuple(_coefficients(xi.xi, n_max, guard)))
+
+    def step(n):
+        P = xi.xi[1].hi()
+        return _shift(xi.xi.__getitem__, n, guard, -2,
+                      P**n / mp.factorial(n) * _exp_tail(2 * P, guard))
+
+    return SeriesCoeffs(xi.k, _Grown(n_max, step))
+
+
+class Engine(NamedTuple):
+    """The series engine for one (k, digits, p0): its power sums, xi and
+    coefficients, each growing on read, and the guard g every series reads."""
+
+    ps: PowerSums
+    xi: XiSequence
+    coeffs: SeriesCoeffs
+    g: int
 
 
 @lru_cache(maxsize=8)
-def _engine(k: int, digits: int, p0: int):
-    """Shared computation bundle (power sums, xi, coefficients, guard g) and
-    the only place that picks a series depth.
+def _engine(k: int, digits: int, p0: int) -> Engine:
+    """The series engine built from power_sums, xi_from_power_sums and
+    coeffs_a, and the only place that picks a series depth.
 
     g is the number of terms every series keeps past its leading index: at
     least 40, deepened in steps of 5 until the envelope tail
@@ -273,7 +262,7 @@ def _engine(k: int, digits: int, p0: int):
     to pay for the larger binomial weights the deeper sums incur.
 
     n_max and r_max are ceilings: the range checks read them, while P_k(m),
-    xi_r and a_n grow on read (see _Grown) up to what the caller reads.  The
+    xi_r and a_n grow on read (shapes._Grown) up to what the caller reads.  The
     working precision comes from the ceilings and (k, digits, p0) alone, never
     from what was read, so a grown value is bit-identical to the eager one.
     """
@@ -294,26 +283,20 @@ def _engine(k: int, digits: int, p0: int):
     extra = max(0, int(0.65 * (r_max + n_max - 168)) + 1)
     ps_digits = digits + 30 + extra
     with mp.workdps(digits + 40 + extra):
-        ps = PowerSums(k, _Grown(r_max - 1,
-                                 lambda i: power_sum_euler(k, i + 1, ps_digits, p0)))
-        xi = _newton(ps, r_max)
-        coeffs = _coefficients(xi, n_max, g)
-    return ps, XiSequence(k, xi), SeriesCoeffs(k, coeffs), g
+        ps = power_sums(k, r_max, ps_digits, p0)
+        xi = xi_from_power_sums(ps, r_max)
+        return Engine(ps, xi, coeffs_a(xi, n_max, g), g)
 
 
 def series_coefficients(k: int, digits: int = DEFAULT_DIGITS,
                         p0: int = DEFAULT_PRIME_CUTOFF) -> SeriesCoeffs:
-    return _engine(k, digits, p0)[2]
+    return _engine(k, digits, p0).coeffs
 
 
 def constant_C(k: int, digits: int = DEFAULT_DIGITS,
                p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """C_k = prod (1 - 2/lam) = F_k(0) = a_0: the no-hit density."""
     return series_coefficients(k, digits, p0).a[0]
-
-
-def _trinom(l: int, m: int, n: int) -> int:
-    return comb(l + m + n, l) * comb(m + n, m)
 
 
 def density_A(k: int, l: int, m: int, method: str = "direct",
@@ -325,28 +308,23 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
         raise ValueError("k must be >= 2")
     if l < 0 or m < 0:
         raise ValueError("l and m must be >= 0")
-    ps, xi, coeffs, g = _engine(k, digits, p0)
-    if l + m > coeffs.n_max:
-        raise ValueError(f"l + m = {l + m} beyond computed range {coeffs.n_max}")
+    e = _engine(k, digits, p0)
+    n = l + m
+    if n > e.coeffs.n_max:
+        raise ValueError(f"l + m = {n} beyond computed range {e.coeffs.n_max}")
     with mp.workdps(digits + 20):
         if method == "direct":
-            return coeffs.a[l + m] * mpf(comb(l + m, l))
-        P = ps.p(1).hi()
+            return e.coeffs.a[n] * mpf(comb(n, l))
+        P = e.ps.p(1).hi()
         if method == "xi":
-            acc = dot((xi.xi[l + m + n], _trinom(l, m, n) * (-2) ** n)
-                      for n in range(g + 1))
-            tail = P ** (l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, g)
-            return acc.widened(tail)
+            tail = P**n / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, e.g)
+            return _shift(e.xi.xi.__getitem__, n, e.g, -2, tail, comb(n, l))
         if method == "inversion":
-            acc = dot((_one_sided(k, l + m + n, digits, p0),
-                       (-1) ** n * _trinom(l, m, n)) for n in range(g + 1))
             # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
-            tail = (
-                mp.exp(P) * P ** (l + m)
-                / (mp.factorial(l) * mp.factorial(m))
-                * _exp_tail(P, g)
-            )
-            return acc.widened(tail)
+            tail = (mp.exp(P) * P**n / (mp.factorial(l) * mp.factorial(m))
+                    * _exp_tail(P, e.g))
+            return _shift(lambda j: _one_sided(k, j, digits, p0), n, e.g, -1, tail,
+                          comb(n, l))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -354,11 +332,10 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
 def _one_sided(k: int, l: int, digits: int, p0: int) -> ErrorBoundedReal:
     """d_l = sum_n (-1)^n C(l+n, l) xi_(l+n), truncated after g + 1 terms;
     the caller checks that l + g stays inside the engine's xi range."""
-    ps, xi, _, g = _engine(k, digits, p0)
+    e = _engine(k, digits, p0)
     with mp.workdps(digits + 20):
-        acc = dot((xi.xi[l + n], (-1) ** n * comb(l + n, l)) for n in range(g + 1))
-        P = ps.p(1).hi()
-        return acc.widened(P**l / mp.factorial(l) * _exp_tail(P, g))
+        P = e.ps.p(1).hi()
+        return _shift(e.xi.xi.__getitem__, l, e.g, -1, P**l / mp.factorial(l) * _exp_tail(P, e.g))
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
@@ -368,20 +345,18 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
     consecutive kth powers (the one-sided law)."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    ps, xi, coeffs, g = _engine(k, digits, p0)
-    if l > xi.r_max - g:
-        raise ValueError(f"l = {l} beyond computed range {xi.r_max - g}")
+    e = _engine(k, digits, p0)
+    if l > e.xi.r_max - e.g:
+        raise ValueError(f"l = {l} beyond computed range {e.xi.r_max - e.g}")
     if method == "xi_alternating":
         return _one_sided(k, l, digits, p0)
     with mp.workdps(digits + 20):
-        P = ps.p(1).hi()
+        P = e.ps.p(1).hi()
         if method == "row_sum":
-            if l > coeffs.n_max:
+            if l > e.coeffs.n_max:
                 raise ValueError("row_sum needs l within the coefficient range")
-            M = coeffs.n_max - l
-            acc = dot((coeffs.a[l + m], comb(l + m, l)) for m in range(M + 1))
-            tail = P**l / mp.factorial(l) * _exp_tail(P, M)
-            return acc.widened(tail)
+            M = e.coeffs.n_max - l
+            return _shift(e.coeffs.a.__getitem__, l, M, 1, P**l / mp.factorial(l) * _exp_tail(P, M))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -405,11 +380,11 @@ def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS
 def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
                         p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """sum over n of a_n 2^n, which must enclose 1 (total cell mass)."""
-    ps, _, coeffs, _ = _engine(k, digits, p0)
+    e = _engine(k, digits, p0)
     with mp.workdps(digits + 20):
-        acc = dot((coeffs.a[n], 1 << n) for n in range(coeffs.n_max + 1))
-        P = ps.p(1).hi()
-        return acc.widened(_exp_tail(2 * P, coeffs.n_max))
+        P = e.ps.p(1).hi()
+        return _shift(e.coeffs.a.__getitem__, 0, e.coeffs.n_max, 2,
+                      _exp_tail(2 * P, e.coeffs.n_max))
 
 
 def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
@@ -435,7 +410,7 @@ def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> Error
     if k < 2:
         raise ValueError("k must be >= 2")
     digits = max(digits, DEFAULT_DIGITS)
-    ps = _engine(k, digits, p0)[0]
+    ps = _engine(k, digits, p0).ps
     w = mp.fsub(z, 2, exact=True)
     if not w:
         return ErrorBoundedReal.exact(1)

@@ -148,20 +148,51 @@ def lambda_value(e: LambdaElement, digits: int = 15) -> ErrorBoundedReal:
 
 def enumerate_lambda(k: int, bound, cap: int = DEFAULT_ELEMENT_CAP) -> list:
     """All shapes with lam <= bound, ascending.  Exact boundary comparison:
-    lam <= bound iff radicand <= bound^k, taken over the rationals."""
+    lam <= bound iff radicand <= bound^k, taken over the rationals; a bound
+    below the smallest shape gives none, and a non-finite one raises."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    limit = Fraction(bound) ** k
+    try:
+        bound = Fraction(bound)
+    except (ValueError, OverflowError):
+        raise ValueError(f"bound must be finite, got {bound}") from None
+    limit = max(bound, 0) ** k
     if limit < lambda_min_radicand(k):
         return []
     X = int(limit)  # floor; radicands are integers so the comparison is exact
     return [LambdaElement(k, b) for M, b in _shape_walk(k, X, None, cap) if M >= 2]
 
 
+class _Grown:
+    """The sequence v_0..v_top, each value computed by step(i) on its first
+    read, in ascending order (step(i) may read v_0..v_(i-1)) and at the
+    precision that was current when the sequence was made.  A value never
+    depends on what was read before it or on the precision its reader holds."""
+
+    def __init__(self, top: int, step):
+        self._top = top
+        self._step = step
+        self._prec = mp.prec
+        self._vals = []
+
+    def __len__(self) -> int:
+        return self._top + 1
+
+    def __getitem__(self, i: int):
+        if not 0 <= i <= self._top:
+            raise IndexError(f"index {i} beyond 0..{self._top}")
+        vals = self._vals
+        if i >= len(vals):
+            with mp.workprec(self._prec):
+                while len(vals) <= i:
+                    vals.append(self._step(len(vals)))
+        return vals[i]
+
+
 @dataclass(frozen=True)
 class PowerSums:
-    """P_k(1), ..., P_k(m_max) as enclosures; values is a tuple, or the
-    series engine's sequence that computes each P_k(m) on its first read."""
+    """P_k(1), ..., P_k(m_max) as enclosures; values is a tuple, or a
+    sequence that computes each P_k(m) on its first read (_Grown)."""
 
     k: int
     values: tuple
@@ -374,12 +405,13 @@ def _convergence_radius(k: int) -> float:
 
 
 def _cut_estimate(k: int, m: int, q: int, digits: int) -> float:
-    """About where the formal-log cut of P_k(m) falls when q is the first
-    omitted prime, erring low.  The coefficients of -log(1 - g) grow like
-    x0^(-t)/t, so the tail past t is about rho^t/t with rho = q^(-m/k)/x0.
-    This is the t where rho^t/_T_CAP reaches the cut's target
-    10^-(digits+10), less 3 orders: the cut stops one order before that
-    term, and at k = 2 (g = x^3) only every third order has one."""
+    """About where the Witt cut of P_k(m) (_witt_cut) falls when q is the
+    first omitted prime, erring low.  Its bound sums h_t y^t, and the
+    coefficients h_t of -log(1 - g) grow like x0^(-t)/t, so the tail past t
+    is about rho^t/t with rho = q^(-m/k)/x0.  This is the t where
+    rho^t/_T_CAP reaches 10^-(digits+10), the bound the cut accepts at
+    _T_CAP, less 3 orders: the cut stops one order before that term, and at
+    k = 2 (g = x^3) only every third order has one."""
     return ((digits + 10) * log(10) - log(_T_CAP)) / (log(_convergence_radius(k))
                                                       + m / k * log(q)) - 3
 
@@ -416,7 +448,7 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
         # the primes past p0_eff give sum_n a_n Lambda(n m / k), cut after N
         cut = _witt_cut(k, m, q, y, digits)
         if cut is None:
-            raise ArithmeticError(f"{fail}: formal-log cut reached t = {_T_CAP}")
+            raise ArithmeticError(f"{fail}: Witt cut reached t = {_T_CAP}")
         N, tail = cut
         if N == k:
             # no Lambda term: each omitted factor is at least 1, so
@@ -550,5 +582,6 @@ def _exact_product(k, m, primes, floor):
 
 def power_sums(k: int, m_max: int, digits: int = 30,
                p0: int = DEFAULT_PRIME_CUTOFF) -> PowerSums:
-    """P_k(1..m_max) through the Euler-product route."""
-    return PowerSums(k, tuple(power_sum_euler(k, m, digits, p0) for m in range(1, m_max + 1)))
+    """P_k(1..m_max) through the Euler-product route, each computed on its
+    first read."""
+    return PowerSums(k, _Grown(m_max - 1, lambda i: power_sum_euler(k, i + 1, digits, p0)))

@@ -91,7 +91,7 @@ from mpmath import bernfrac, mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_neg, mpf_pow,
                           round_ceiling, round_floor, round_nearest, to_fixed)
 
-from .arith import _prime_list, mobius_sieve, next_prime
+from .arith import _prime_list, introot, mobius_sieve, next_prime
 from .bounded import ErrorBoundedReal, _rational
 
 _MAX_EM_DOUBLINGS = 24
@@ -123,24 +123,6 @@ def _span(n: int) -> int:
     return max(256, 1 << (n - 1).bit_length())
 
 
-def _iroot(x: int, q: int) -> int:
-    """floor(x^(1/q)) for an integer x >= 1."""
-    if q == 1:
-        return x
-    if q == 2:
-        return isqrt(x)
-    # integer Newton: one step from any y > 0 lands at or above the root and
-    # the iterates then fall to it; a float start saves the slow first steps
-    sh = max(0, x.bit_length() - 900) // q * q
-    y = int(float(x >> sh) ** (1 / q)) + 1 << sh // q
-    y = ((q - 1) * y + x // y ** (q - 1)) // q
-    while True:
-        z = ((q - 1) * y + x // y ** (q - 1)) // q
-        if z >= y:
-            return y
-        y = z
-
-
 class _Roots(dict):
     """{p: floor(p^(-1/q) 2^F)} for the primes p <= limit."""
 
@@ -158,7 +140,7 @@ def _fixed_roots(q: int, F: int, n: int) -> _Roots:
     table = _fixed_root_table(q, F)
     if table.limit < n:
         limit = _span(n)
-        table.update((p, _iroot((1 << (q * F)) // p, q))
+        table.update((p, introot((1 << (q * F)) // p, q))
                      for p in _prime_list(limit) if p > table.limit)
         table.limit = limit
     return table

@@ -185,6 +185,17 @@ def test_introot_floor_property(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
+@pytest.mark.parametrize("q", [2, 3, 64, 129, 300, 1000])
+def test_introot_past_the_float_range(q):
+    # floor(2^(192 q) / p) is the radicand of the fixed-point root tables;
+    # for q >= 129 it once left more than 1024 bits for float()
+    xs = [(1 << 192 * q) // p for p in (2, 3, 101)]
+    xs += [2**1100 - 1, 3**700, 10**400 + 7, 12345, 1]
+    for x in xs:
+        r = introot(x, q)
+        assert r**q <= x < (r + 1) ** q, (q, x)
+
+
 @given(
     st.integers(min_value=2, max_value=4),
     st.integers(min_value=1, max_value=40),

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from kfull import cli, density, empirical
+from kfull import cli, density, empirical, shapes
 from kfull.cli import build_parser, main
 
 from conftest import GOLDEN_TABLE_2, MEMBERS_EMPTY_2_40
@@ -411,7 +411,9 @@ def test_table_grows_power_sums_only_as_deep_as_it_reads(capsys, monkeypatch):
         computed.append((k, m, digits))
         return euler(k, m, digits, p0)
 
+    # the guard reads P_2(1) through density, the engine's power sums through shapes
     monkeypatch.setattr(density, "power_sum_euler", recorded)
+    monkeypatch.setattr(shapes, "power_sum_euler", recorded)
     density._engine.cache_clear()
     code, _, _ = run_cli(capsys, "table", "--k", "2", "--max-index", "5", "--digits", "30")
     assert code == 0
@@ -440,7 +442,7 @@ def test_constants_k3_certifies_at_prime_cutoff_3(capsys):
 
 @pytest.mark.parametrize("cutoff", ["1", "2"])
 def test_small_prime_cutoff_certifies(capsys, cutoff):
-    # the cutoff is raised until the formal-log cut is expected to fit
+    # the cutoff is raised until the Witt cut is expected to fit
     code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", cutoff,
                              "--format", "csv")
     assert code == 0 and err == ""
@@ -927,3 +929,43 @@ def test_engine_beyond_float_guard_exits_2(capsys, argv, k):
     assert err.startswith(f"error: k = {k} ")
     assert "guard" in err
     assert "34" not in err and "out of range" not in err
+
+
+def test_constants_past_the_float_root_exits_2_naming_p1(capsys):
+    # P_300(1) takes 300th roots of 192 q-bit integers: a failure to certify,
+    # not a float overflow in the root's start
+    code, out, err = run_cli(capsys, "constants", "--k", "300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: could not certify P_300(1)")
+
+
+@pytest.mark.parametrize("bound", ["-5", "0", "2.8"])
+def test_enumerate_lambda_below_the_smallest_shape_is_empty(capsys, bound):
+    code, out, err = run_cli(capsys, "enumerate", "lambda", "--k", "2", "--bound", bound,
+                             "--format", "csv")
+    assert (code, out, err) == (0, "index,b,radicand,lambda\n", "")
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+def test_enumerate_lambda_non_finite_bound_exits_2(capsys, bound):
+    code, out, err = run_cli(capsys, "enumerate", "lambda", "--k", "2", f"--bound={bound}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bound must be finite") and bound in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "-1", "inf"])
+def test_verify_rejects_a_bad_tolerance_scale(capsys, scale):
+    code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "2000",
+                             f"--tolerance-scale={scale}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tolerance-scale")
+
+
+@pytest.mark.parametrize("text", ['{"tolerance_scale": NaN}', '{"tolerance_scale": -0.5}'])
+def test_config_rejects_a_bad_tolerance_scale(tmp_path, capsys, text):
+    # json.load accepts NaN, so the file's value meets the flag's own check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tolerance-scale")

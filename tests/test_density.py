@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from mpmath import mp, mpf
 
-from kfull import density
+from kfull import density, shapes
 from kfull.bounded import ErrorBoundedReal
 from kfull.density import (
     SubsetSpec,
@@ -398,9 +398,9 @@ def test_every_reader_shares_one_engine(k, g):
     density_shiu(k, 3, "row_sum")
     eval_F(k, 3, 30)
     assert density._engine.cache_info().misses == 1
-    _, xi, coeffs, guard = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
-    assert guard == g and coeffs.n_max == max(44, g)
-    assert xi.r_max == coeffs.n_max + 2 * g
+    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    assert e.g == g and e.coeffs.n_max == max(44, g)
+    assert e.xi.r_max == e.coeffs.n_max + 2 * g
 
 
 # the engine at its default 30 digits: its ceilings r_max and n_max, its
@@ -420,12 +420,13 @@ def test_engine_reads_match_the_eager_sums(k, order, caller_dps):
     # of the reads nor the caller's precision can move a bit of it
     r_max, n_max, g, ps_digits, work_digits = ENGINE[k]
     with mp.workdps(work_digits):
+        # the reference is materialised at once, read ascending
         xi = xi_from_power_sums(power_sums(k, r_max, ps_digits), r_max)
-        eager = {"xi": xi.xi, "a": coeffs_a(xi, n_max, g).a}
+        eager = {"xi": tuple(xi.xi), "a": tuple(coeffs_a(xi, n_max, g).a)}
     density._engine.cache_clear()
-    _, lazy_xi, lazy_co, guard = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
-    assert (lazy_xi.r_max, lazy_co.n_max, guard) == (r_max, n_max, g)
-    lazy = {"xi": lazy_xi.xi, "a": lazy_co.a}
+    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    assert (e.xi.r_max, e.coeffs.n_max, e.g) == (r_max, n_max, g)
+    lazy = {"xi": e.xi.xi, "a": e.coeffs.a}
     reads = [("xi", r) for r in range(r_max + 1)] + [("a", n) for n in range(n_max + 1)]
     if order == "descending":
         reads.reverse()
@@ -434,6 +435,28 @@ def test_engine_reads_match_the_eager_sums(k, order, caller_dps):
     with mp.workdps(caller_dps):
         for name, i in reads:
             assert _bits(lazy[name][i]) == _bits(eager[name][i]), (name, i)
+
+
+def test_engine_is_built_from_the_public_builders(monkeypatch):
+    # one build calls each builder once, and reading xi_5 computes only the
+    # power sums Newton's identities read, P_k(1..5)
+    built, read = [], []
+    for name in ("power_sums", "xi_from_power_sums", "coeffs_a"):
+        builder = getattr(density, name)
+        monkeypatch.setattr(density, name,
+                            lambda *a, _b=builder, _n=name: built.append(_n) or _b(*a))
+    euler = shapes.power_sum_euler
+    monkeypatch.setattr(shapes, "power_sum_euler",
+                        lambda k, m, *a: read.append(m) or euler(k, m, *a))
+    density._engine.cache_clear()
+    try:
+        e = density._engine(2, 30, DEFAULT_PRIME_CUTOFF)
+        assert sorted(built) == ["coeffs_a", "power_sums", "xi_from_power_sums"]
+        assert read == []
+        e.xi.xi[5]
+        assert sorted(read) == [1, 2, 3, 4, 5]
+    finally:
+        density._engine.cache_clear()
 
 
 def test_k4_engine_scales_depth():

@@ -123,6 +123,16 @@ def test_cap_stops_the_walk():
     assert arith._shape_walk(5, X, None, n) == shape_tuples(5, X)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_enumerate_lambda_bound_below_the_smallest_shape(k):
+    # a negative bound must not square into a positive limit for even k
+    for bound in (-5, -2.83, 0, Fraction(-10**9)):
+        assert enumerate_lambda(k, bound) == []
+    for bound in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"bound must be finite, got {bound}"):
+            enumerate_lambda(k, bound)
+
+
 def test_lambda_value_radius_contract():
     e = LambdaElement(2, (2,))
     for digits in (15, 25, 40):
@@ -318,8 +328,8 @@ def test_euler_radius_contract_and_reference(reference):
 
 
 def test_euler_certifies_at_a_small_prime_cutoff():
-    # past p0 = 3 the formal-log coefficients of P_3(1) reach |c_t| ~ 3e25;
-    # each prime-zeta tail is asked for as many more digits as |c_t| has
+    # past p0 = 3 the Witt exponents a_n of P_3(1) grow large; each sieved
+    # log-zeta is read with as many more digits as its largest |a_d| has
     e = power_sum_euler(3, 1, 68, 3)
     assert e.radius <= mpf(10) ** (-68)
     assert e.agrees_with(power_sum_euler(3, 1, 68))
@@ -350,13 +360,13 @@ def test_euler_radius_postcondition_names_its_cause(monkeypatch):
         power_sum_euler.__wrapped__(2, 1, 60)
 
 
-def test_formal_log_cut_cap_names_its_cause(monkeypatch):
+def test_witt_cut_cap_names_its_cause(monkeypatch):
     # at the default cutoff p0 is never raised for the cut, so a cap below
-    # the cut P_3(1) needs (about t = 180 at 68 digits) stops it
+    # the cut P_3(1) needs (N = 130 at 68 digits) stops it
     monkeypatch.setattr(shapes, "_T_CAP", 20)
     monkeypatch.setattr(shapes, "_LOG_TABLES", {})
     with pytest.raises(ArithmeticError, match=r"^could not certify P_3\(1\) to 68 digits: "
-                                              r"formal-log cut reached t = 20$"):
+                                              r"Witt cut reached t = 20$"):
         power_sum_euler.__wrapped__(3, 1, 68)
 
 
