@@ -12,6 +12,9 @@ of factoring every integer in the range.  shape_tuples is the one walker
 over those tuples, capped by the radicand (M <= X), by a coordinate box
 (every b_j <= B), or by both; the k-full enumeration, the sweep's shape
 lists, the shape box sums and the head of eval_F all read it.
+LambdaElement names one shape by its tuple b and SubsetSpec a finite set of
+them; both live here, with the integers they are made of, so that the exact
+sweep and the CLI can name shapes without loading the series engine.
 
 Supported factorization range is 1 <= n <= 2^63 - 1, enforced; the method
 is deterministic trial division (primes up to 10^6, early exit at p*p > n),
@@ -30,6 +33,11 @@ from math import gcd, inf, isqrt
 from operator import itemgetter
 
 MAX_N = 2**63 - 1
+
+# the default cutoff below which the Euler route (shapes.power_sum_euler)
+# multiplies primes in exactly; kept here so the CLI reads it without loading
+# the engine
+DEFAULT_PRIME_CUTOFF = 100
 
 _TRIAL_LIMIT = 10**6
 
@@ -267,6 +275,57 @@ class KFullRepr:
             raise ValueError("invalid representation fields")
         if not is_squarefree(self.b_product()):
             raise ValueError("b-product must be squarefree")
+
+
+@dataclass(frozen=True)
+class LambdaElement:
+    """One shape, identified by its exact integer tuple b."""
+
+    k: int
+    b: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+        if len(self.b) != self.k - 1 or any(x < 1 for x in self.b):
+            raise ValueError("b must be a tuple of k-1 positive integers")
+        prod = 1
+        for x in self.b:
+            prod *= x
+        if prod < 2 or not is_squarefree(prod):
+            raise ValueError("b-product must be squarefree and >= 2")
+
+    def radicand(self) -> int:
+        """The exact integer lam^k."""
+        m = 1
+        for j, bj in enumerate(self.b, start=1):
+            m *= bj ** (self.k + j)
+        return m
+
+
+@dataclass(frozen=True)
+class SubsetSpec:
+    """A finite set of shapes, given by exact tuples."""
+
+    k: int
+    elements: tuple
+
+    def __post_init__(self):
+        elems = tuple(
+            e if isinstance(e, LambdaElement) else LambdaElement(self.k, tuple(e))
+            for e in self.elements
+        )
+        object.__setattr__(self, "elements", elems)
+        for e in elems:
+            if e.k != self.k:
+                raise ValueError("mixed k in subset")
+        keys = [e.b for e in elems]
+        if len(set(keys)) != len(keys):
+            raise ValueError("subset elements must be distinct")
+
+    def key_set(self) -> frozenset:
+        return frozenset(e.b for e in self.elements)
 
 
 def canonical_repr(n: int, k: int) -> KFullRepr:

@@ -8,6 +8,8 @@ Every command hands its result to one writer, _write.  Machine formats
 (csv, json) are byte-deterministic for a fixed configuration: rows are
 sorted, enclosures print as 30-digit decimal strings (a float64 round trip
 would exceed the smaller radii), and no timings or timestamps are embedded.
+The engine layers (density, shapes, zetas) and mpmath are read only when a
+command calls into them, so the exact sweep commands never load them.
 """
 
 from __future__ import annotations
@@ -22,19 +24,8 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from math import inf
 
-from mpmath import mp
-
-from . import density, empirical
-from .density import SubsetSpec
-from .shapes import (
-    DEFAULT_PRIME_CUTOFF,
-    enumerate_lambda,
-    lambda_value,
-    power_sum_direct,
-    power_sums,
-)
-from .arith import _kfull_stream
-from .zetas import zeta
+from . import density, empirical, shapes, zetas
+from .arith import DEFAULT_PRIME_CUTOFF, SubsetSpec, _kfull_stream
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -81,10 +72,14 @@ def _fmt6(x) -> str:
 def _num(x, digits: int = 30) -> str:
     # machine formats carry the working precision; float64 repr would quietly
     # add conversion error beyond the tracked radii
+    from mpmath import mp
+
     return mp.nstr(x, digits)
 
 
 def _rad(x) -> str:
+    from mpmath import mp
+
     return mp.nstr(x, 8)
 
 
@@ -147,17 +142,19 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def _constants(cfg: RunConfig) -> list:
+    from mpmath import mp
+
     out = []
     C = density.constant_C(cfg.k, cfg.digits, cfg.prime_cutoff)
     out.append((f"C_{cfg.k}", C))
     if cfg.k == 2:
         with mp.workdps(cfg.digits + 10):
-            c2 = zeta(1.5, cfg.digits) / zeta(3, cfg.digits)
+            c2 = zetas.zeta(1.5, cfg.digits) / zetas.zeta(3, cfg.digits)
         out.append(("c_2", c2))
     for l in range(cfg.max_index + 1):
         out.append((f"d_{cfg.k},{l}", density.density_shiu(cfg.k, l, "xi_alternating",
                                                            cfg.digits, cfg.prime_cutoff)))
-    ps = power_sums(cfg.k, 8, cfg.digits, cfg.prime_cutoff)
+    ps = shapes.power_sums(cfg.k, 8, cfg.digits, cfg.prime_cutoff)
     out.extend((f"P_{cfg.k}({m})", ps.p(m)) for m in range(1, 9))
     return out
 
@@ -272,14 +269,14 @@ def run_verify(cfg: RunConfig) -> dict:
     euler = density._engine(k, cfg.digits, cfg.prime_cutoff).ps
     worst = 0.0
     for m in range(1, 9):
-        worst = max(worst, _excess(power_sum_direct(k, m, cfg.trunc_B), euler.p(m)))
+        worst = max(worst, _excess(shapes.power_sum_direct(k, m, cfg.trunc_B), euler.p(m)))
     add("power_sum_routes", max(worst, 0.0), 0.0,
         f"direct (box {cfg.trunc_B}) vs Euler route beyond combined radii, m=1..8")
 
     if k == 2:
         worst = 0.0
         for m in range(1, 9):
-            cf = zeta(1.5 * m, cfg.digits) / zeta(3 * m, cfg.digits) - 1
+            cf = zetas.zeta(1.5 * m, cfg.digits) / zetas.zeta(3 * m, cfg.digits) - 1
             worst = max(worst, _excess(euler.p(m), cf))
         add("closed_form_power_sums", max(worst, 0.0), 0.0,
             "zeta(3m/2)/zeta(3m) - 1 vs Euler route beyond combined radii")
@@ -290,7 +287,7 @@ def run_verify(cfg: RunConfig) -> dict:
 def enumerate_lambda_first(k: int, count: int) -> list:
     bound = 4.0
     while True:
-        elems = enumerate_lambda(k, bound)
+        elems = shapes.enumerate_lambda(k, bound)
         if len(elems) >= count:
             return elems[:count]
         bound *= 2
@@ -333,10 +330,10 @@ def _parse_subset(k: int, specs) -> SubsetSpec:
 def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
                   proper: bool, I_specs, J_specs) -> int:
     if what == "lambda":
-        elems = enumerate_lambda(cfg.k, bound, cfg.cap)
+        elems = shapes.enumerate_lambda(cfg.k, bound, cfg.cap)
         rows = []
         for i, e in enumerate(elems, start=1):
-            lam = lambda_value(e, 20)
+            lam = shapes.lambda_value(e, 20)
             rows.append((i, " ".join(map(str, e.b)), e.radicand(),
                          repr(float(lam.value))))
         _write(cfg, ("index", "b", "radicand", "lambda"), rows,
@@ -346,8 +343,11 @@ def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
                                for i, b, M, lam in rows))
         return 0
     if what == "kfull":
+        # a limit below 1 holds no k-full value: empty output, as for a bound
+        # below the smallest shape
+        stream = _kfull_stream(cfg.k, limit, proper, cfg.cap) if limit >= 1 else ()
         rows = []
-        for count, (v, rep) in enumerate(_kfull_stream(cfg.k, limit, proper, cfg.cap)):
+        for count, (v, rep) in enumerate(stream):
             if count >= cfg.cap:
                 raise ValueError(f"enumeration exceeds cap {cfg.cap}")
             rows.append((v, rep.a, " ".join(map(str, rep.b))))

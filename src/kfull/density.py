@@ -74,10 +74,9 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
+from .arith import DEFAULT_PRIME_CUTOFF, LambdaElement, SubsetSpec  # noqa: F401  (re-exported)
 from .bounded import ErrorBoundedReal, dot
 from .shapes import (
-    DEFAULT_PRIME_CUTOFF,
-    LambdaElement,
     PowerSums,
     _Grown,
     enumerate_lambda,
@@ -119,30 +118,6 @@ class SeriesCoeffs:
     @property
     def n_max(self) -> int:
         return len(self.a) - 1
-
-
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A finite set of shapes, given by exact tuples."""
-
-    k: int
-    elements: tuple
-
-    def __post_init__(self):
-        elems = tuple(
-            e if isinstance(e, LambdaElement) else LambdaElement(self.k, tuple(e))
-            for e in self.elements
-        )
-        object.__setattr__(self, "elements", elems)
-        for e in elems:
-            if e.k != self.k:
-                raise ValueError("mixed k in subset")
-        keys = [e.b for e in elems]
-        if len(set(keys)) != len(keys):
-            raise ValueError("subset elements must be distinct")
-
-    def key_set(self) -> frozenset:
-        return frozenset(e.b for e in self.elements)
 
 
 @dataclass(frozen=True)

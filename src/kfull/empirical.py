@@ -39,10 +39,15 @@ evaluated numerically with doubling precision until the strict inequality
 is decided (lam is irrational, so ties cannot occur); the direct side is
 exact integer arithmetic on kth powers.  The two routes stay independent.
 
-numpy and the process pool are imported inside the functions that use them,
-so a command that never sweeps (table, constants) loads neither.  Before
-empirical_table starts its pool, the parent imports numpy once: the forked
-workers inherit it instead of each importing it again.
+The sweep never loads the series engine or mpmath: shapes are named by
+arith's LambdaElement and SubsetSpec, and only lemma_check and its _lam
+import mpmath, so empirical (without --compare) and enumerate members_B run
+on integers and numpy alone.  numpy and the process pool are imported inside
+the functions that use them, so a command that never sweeps (table,
+constants) loads neither.  empirical_table starts its
+pool only from N = _POOL_MIN_N, where the second window saves more than the
+workers' start-up costs; before it does, the parent imports numpy once, and
+the forked workers inherit it instead of each importing it again.
 """
 
 from __future__ import annotations
@@ -52,15 +57,20 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from mpmath import mp, mpf
+from .arith import KFullRepr, LambdaElement, SubsetSpec, introot, shape_tuples
 
-from .arith import KFullRepr, introot, shape_tuples
-from .density import DensityTable, SubsetSpec
-from .shapes import LambdaElement
+if TYPE_CHECKING:
+    from .density import DensityTable
 
 _BLOCK = 1 << 14  # (shape, a) pairs per root block, about
 _W = 2.0**-48  # relative half-width of the interval proven around each seed
+# the smallest N at which empirical_table starts a process pool.  Timed at
+# k = 2 on a 2-vCPU host (median of 7 fresh processes each): one worker
+# takes 0.05 s at N = 1e6 and 0.10 s at 2.5e6, two take 0.08 s and 0.11 s;
+# at 4e6 two win, 0.14 s against 0.18 s
+_POOL_MIN_N = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -284,14 +294,17 @@ def _window_counts(k: int, lo: int, hi: int) -> dict:
 
 
 def empirical_table(k: int, N: int, threads: int = 1) -> EmpiricalCounts:
-    """Exact cell counts for 1 <= n <= N via a single enumeration sweep
-    (optionally over disjoint n-windows merged deterministically).  The
-    worker count, one per window, is clamped to the CPUs present."""
+    """Exact cell counts for 1 <= n <= N via a single enumeration sweep,
+    over disjoint n-windows merged deterministically.  threads is an upper
+    bound on the worker count, one per window: it is clamped to the CPUs
+    present, and below N = _POOL_MIN_N the run is one serial window in this
+    process, since there the pool's start-up costs more than the second
+    window saves.  The counts do not depend on the windows."""
     if k < 2 or N < 1:
         raise ValueError("need k >= 2, N >= 1")
     bound = (N + 2) ** k - 1
     workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or N < 4 * workers:
+    if workers <= 1 or N < max(4 * workers, _POOL_MIN_N):
         counts = _window_counts(k, 1, N + 1)
     else:
         edges = [1 + (N * i) // workers for i in range(workers)] + [N + 1]
@@ -363,8 +376,11 @@ def hit_count(n: int, e: LambdaElement, j: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _lam(M: int, k: int, dps: int) -> mpf:
-    """M^(1/k) at dps digits; verify's samples reach few (M, k), each often."""
+def _lam(M: int, k: int, dps: int):
+    """M^(1/k) at dps digits, an mpf; verify's samples reach few (M, k), each
+    often."""
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         return mp.root(mpf(M), k)
 
@@ -388,6 +404,8 @@ def lemma_check(n: int, e: LambdaElement, j: int) -> tuple:
             diff = frac - (1 - j / lam)
             if abs(diff) > 2 * err:
                 return (diff > 0, direct)
+    from mpmath import mp
+
     dps = 25
     while True:
         lam = _lam(M, k, dps)

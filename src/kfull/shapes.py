@@ -94,42 +94,14 @@ from math import exp, fsum, inf, isqrt, log
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
-from .arith import (_shape_walk, is_squarefree, mobius_sieve, next_prime, shape_tuples,
-                    squarefree_sieve)
+from .arith import (DEFAULT_PRIME_CUTOFF, LambdaElement, _shape_walk, mobius_sieve,
+                    next_prime, shape_tuples, squarefree_sieve)
 from .bounded import ErrorBoundedReal, dot
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
                     _sieved_log_zeta, primes_upto, zeta)
 
-DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ELEMENT_CAP = 2_000_000
 _DIRECT_WORK_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class LambdaElement:
-    """One shape, identified by its exact integer tuple b."""
-
-    k: int
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if len(self.b) != self.k - 1 or any(x < 1 for x in self.b):
-            raise ValueError("b must be a tuple of k-1 positive integers")
-        prod = 1
-        for x in self.b:
-            prod *= x
-        if prod < 2 or not is_squarefree(prod):
-            raise ValueError("b-product must be squarefree and >= 2")
-
-    def radicand(self) -> int:
-        """The exact integer lam^k."""
-        m = 1
-        for j, bj in enumerate(self.b, start=1):
-            m *= bj ** (self.k + j)
-        return m
 
 
 def lambda_min_radicand(k: int) -> int:

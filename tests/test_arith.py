@@ -113,6 +113,9 @@ def test_enumerate_examples():
     assert [v for v, _ in enumerate_kfull(2, 7, True)] == []
     assert [v for v, _ in enumerate_kfull(2, 100, False)] == [
         1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
+    # the library refuses a bound below 1; the CLI prints no values for it
+    with pytest.raises(ValueError, match="X >= 1"):
+        enumerate_kfull(2, 0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

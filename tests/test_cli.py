@@ -286,13 +286,13 @@ def test_verify_three_routes_see_a_cell_off_by_1e_10(capsys, monkeypatch):
 
 
 def test_verify_power_sum_routes_see_a_direct_sum_moved_by_10_radii(capsys, monkeypatch):
-    direct = cli.power_sum_direct
+    direct = shapes.power_sum_direct
 
     def moved(k, m, B):
         d = direct(k, m, B)
         return d + 10 * d.radius if m == 3 else d
 
-    monkeypatch.setattr(cli, "power_sum_direct", moved)
+    monkeypatch.setattr(shapes, "power_sum_direct", moved)
     code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000",
                            "--format", "json")
     assert code == 1
@@ -338,7 +338,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "bogus" in err
 
 
-def test_empirical_threads_byte_identical(capsys):
+def test_empirical_threads_byte_identical(capsys, monkeypatch):
+    monkeypatch.setattr(empirical, "_POOL_MIN_N", 0)  # a real pool at a small N
     code1, out1, _ = run_cli(capsys, "empirical", "--k", "2", "--N", "2000",
                              "--format", "csv")
     try:
@@ -944,6 +945,15 @@ def test_enumerate_lambda_below_the_smallest_shape_is_empty(capsys, bound):
     code, out, err = run_cli(capsys, "enumerate", "lambda", "--k", "2", "--bound", bound,
                              "--format", "csv")
     assert (code, out, err) == (0, "index,b,radicand,lambda\n", "")
+
+
+@pytest.mark.parametrize("limit", ["-5", "0", "1"])
+@pytest.mark.parametrize("fmt,empty", [("csv", "value,a,b\n"), ("json", "[]\n"),
+                                       ("text", "")])
+def test_enumerate_kfull_below_the_first_value_is_empty(capsys, limit, fmt, empty):
+    code, out, err = run_cli(capsys, "enumerate", "kfull", "--k", "2", "--limit", limit,
+                             "--format", fmt)
+    assert (code, out, err) == (0, empty, "")
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])

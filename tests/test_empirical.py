@@ -87,7 +87,8 @@ def test_empirical_table_known_members_in_cell00():
     assert emp.counts.get((0, 0), 0) >= 2  # n = 3 and n = 6 at least
 
 
-def test_empirical_threads_deterministic():
+def test_empirical_threads_deterministic(monkeypatch):
+    monkeypatch.setattr(empirical, "_POOL_MIN_N", 0)  # a real pool at a small N
     base = empirical_table(2, 3000, threads=1)
     try:
         multi = empirical_table(2, 3000, threads=2)
@@ -149,8 +150,24 @@ def test_empirical_window_edges_match_oracle(monkeypatch, k, N):
     seen = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(empirical, "_POOL_MIN_N", 0)
     assert empirical_table(k, N, threads=3).counts == oracle_counts(k, N)
     assert seen == [3, 3]
+
+
+def test_pool_starts_only_from_its_threshold(monkeypatch):
+    # below _POOL_MIN_N, --threads 2 is one in-process window; from it on, a
+    # pool of two; both give the heap-merge oracle's counts
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: 2)
+    assert empirical_table(2, 3000, threads=2).counts == oracle_counts(2, 3000)
+    assert 3000 < empirical._POOL_MIN_N and seen == []
+    monkeypatch.setattr(empirical, "_POOL_MIN_N", 3000)
+    assert empirical_table(2, 2999, threads=2).counts == oracle_counts(2, 2999)
+    assert seen == []
+    assert empirical_table(2, 3000, threads=2).counts == oracle_counts(2, 3000)
+    assert seen == [2, 2]
 
 
 @pytest.mark.parametrize("k,M,a0,a1", [
@@ -255,6 +272,7 @@ def test_members_B_and_classify_pair_past_int64_match_interval_hits(k, N):
 
 def test_empirical_workers_clamped(monkeypatch):
     seen = []
+    monkeypatch.setattr(empirical, "_POOL_MIN_N", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
     base = empirical_table(2, 3000, threads=1)
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)

@@ -1,11 +1,14 @@
-"""What a fresh process loads: numpy and the process pool only where used.
+"""What a fresh process loads: mpmath only where the series engine runs,
+numpy and the process pool only where used.
 
 Each test runs its script in a new interpreter, because this test process
-has long since imported numpy and the pool."""
+has long since imported mpmath, numpy and the pool."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import kfull
 
@@ -40,13 +43,54 @@ print([m for m in {HEAVY!r} if m in sys.modules])
 
 
 def test_importing_the_cli_loads_every_layer():
-    # perfbench/tracer.py reads all seven layers from sys.modules after this
+    # perfbench/tracer.py reads all seven layers from sys.modules after this;
+    # they are registered there, but no layer's body has run yet
     out = run_fresh(f"""
 import sys
 import kfull.cli
 print([m for m in {LAYERS!r} if "kfull." + m not in sys.modules])
+print([m for m in ("mpmath", "numpy") if m in sys.modules])
 """)
-    assert out == ["[]"]
+    assert out == ["[]", "[]"]
+
+
+ENGINE = ("bounded", "zetas", "shapes", "density")
+
+
+@pytest.mark.parametrize("argv,engine", [
+    (["empirical", "--k", "2", "--N", "3000"], False),
+    (["enumerate", "kfull", "--k", "2", "--limit", "500"], False),
+    (["enumerate", "members_B", "--k", "2", "--N", "3000", "--I", "2"], False),
+    (["empirical", "--k", "2", "--N", "3000", "--compare"], True),
+    (["table", "--k", "2", "--max-index", "3"], True),
+])
+def test_only_the_series_engine_loads_mpmath(argv, engine):
+    # a registered layer whose body has not run is still a lazy module, not
+    # a plain types.ModuleType; type() reads it without loading it
+    out = run_fresh(f"""
+import contextlib, io, sys, types
+from kfull.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+print("mpmath" in sys.modules)
+print([m for m in {ENGINE!r} if type(sys.modules["kfull." + m]) is types.ModuleType])
+""")
+    assert out == [str(engine), str(list(ENGINE) if engine else [])]
+
+
+def test_package_names_resolve_to_their_home_layers():
+    out = run_fresh("""
+import importlib
+import kfull
+from kfull import *
+from kfull import arith, density, shapes
+homes = {n: importlib.import_module(getattr(kfull, n).__module__) for n in kfull.__all__}
+print([n for n in kfull.__all__ if getattr(homes[n], n) is not getattr(kfull, n)
+       or globals()[n] is not getattr(kfull, n)])
+print(shapes.LambdaElement is arith.LambdaElement, density.SubsetSpec is arith.SubsetSpec)
+print(set(kfull.__all__) <= set(dir(kfull)))
+""")
+    assert out == ["[]", "True True", "True"]
 
 
 def test_pool_starts_after_numpy_is_loaded():
@@ -70,6 +114,7 @@ class RecordingPool:
 assert "numpy" not in sys.modules
 concurrent.futures.ProcessPoolExecutor = RecordingPool
 empirical.os.cpu_count = lambda: 2
+empirical._POOL_MIN_N = 0  # a pool at N = 3000
 counts = empirical.empirical_table(2, 3000, threads=2).counts
 print(seen)
 print(sorted(counts.items()))
