@@ -55,7 +55,9 @@ class RunConfig:
             raise ValueError("--digits must be >= 6")
         if self.max_index < 0:
             raise ValueError("--max-index must be >= 0")
-        for name in ("trunc_B", "prime_cutoff", "threads", "cap"):
+        if self.trunc_B < 2:
+            raise ValueError("--trunc-B must be >= 2")
+        for name in ("prime_cutoff", "threads", "cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.N is not None and self.N < 1:

@@ -3,33 +3,47 @@
 Each n is classified by the pair (l, m) counting proper k-full integers in
 the open intervals (n^k, (n+1)^k) and ((n+1)^k, (n+2)^k).
 
-The sweep rests on one window primitive, _root_blocks(k, lo, hi): for every
-lo <= r < hi, the number of proper k-full v with floor(v^(1/k)) = r.  Then
-left(n) = hits at n and right(n) = hits at n + 1.  A proper k-full v is
-a^k * M for one shape M > 1 (see arith), and M^(1/k) is irrational, so
-r = floor(a * M^(1/k)), and the a of one shape that land in roots
-[s0, s1) are exactly A(s0) < a <= A(s1) with A(R) = floor(R / M^(1/k)).
+The sweep rests on one window primitive: for every lo <= r < hi, the
+number of proper k-full v with floor(v^(1/k)) = r.  Then left(n) = hits at
+n and right(n) = hits at n + 1.  A proper k-full v is a^k * M for one
+shape M > 1 (see arith), and M^(1/k) is irrational, so r = floor(a M^(1/k)),
+and the a of one shape that land in roots [s0, s1) are exactly
+A(s0) < a <= A(s1) with A(R) = floor(R / M^(1/k)).  Both routes take the
+shapes from one walk (_window_shapes) and compute A(R) exactly.
 
-The window is value-major: it takes every shape at once, as arrays, and
-walks the roots in blocks.  Per block it finds A(s1) for all shapes in one
-numpy pass, lays the block's (shape, a) pairs end to end, decides every r
-and tallies the block with bincount.  Every floor is decided exactly: each
-shape's float64 seed of M^(1/k) is proven to a relative 2^-48 with
-correctly rounded float products (_Shapes), which bounds the error of
-a * seed and R / seed; a floor is taken from the float only when that
-error interval holds no integer, and otherwise (a near-tie, a seed that
-failed its proof, or values past 2^46) from introot in Python integers.
-Nothing wraps and nothing rests on an unproven float.  A block holds about
-max(_BLOCK, shapes) pairs and its hits; consecutive blocks share one
-boundary root, which right(n) of the block's last n needs.  Memory is
-O(shapes + block), never O(N), and the cost of a window is its share of the
-k-full values plus a few numpy calls per block.
+A window takes one of two routes, chosen by its estimated work, counted in
+(shape, a) pairs: about (hi - lo) M^(-1/k) pairs per shape plus the
+shape's own introots, read from the radicands the window already holds
+(_integer_route).
+
+* The integer route (_int_window), below _INT_PAIRS, where importing numpy
+  costs more than the count: each shape's fixed-point root
+  L = floor(M^(1/k) 2^_F) is taken once with introot.  a L lies below
+  a M^(1/k) 2^_F by less than a, so r = (a L) >> _F unless the low _F bits
+  of a L are within a of a carry past bit _F; such a pair, rare, is decided
+  by introot.  No float is involved, so nothing needs a
+  proof.  The hits are a list, tallied into cells with a Counter.
+
+* The numpy route (_root_blocks) is value-major: it takes every shape at
+  once, as arrays, and walks the roots in blocks.  Per block it finds A(s1)
+  for all shapes in one numpy pass, lays the block's (shape, a) pairs end to
+  end, decides every r and tallies the block with bincount.  Every floor is
+  decided exactly: each shape's float64 seed of M^(1/k) is proven to a
+  relative 2^-48 with correctly rounded float products (_Shapes), which
+  bounds the error of a * seed and R / seed; a floor is taken from the float
+  only when that error interval holds no integer, and otherwise (a near-tie,
+  a seed that failed its proof, or values past 2^46) from introot in Python
+  integers.  Nothing wraps and nothing rests on an unproven float.  A block
+  holds about max(_BLOCK, shapes) pairs and its hits; consecutive blocks
+  share one boundary root, which right(n) of the block's last n needs.
+  Memory is O(shapes + block), never O(N), and the cost of a window is its
+  share of the k-full values plus a few numpy calls per block.
 
 empirical_table tallies (left, right) over disjoint n-windows (one per
 worker, _window_counts per window), members_B reads one window that also
 keeps the roots of the shapes it names, and classify_pair is the one-n
-window.  interval_hits, hit_count
-and enumerate_kfull's heap merge stay separate routes to check it against.
+window.  interval_hits, hit_count and enumerate_kfull's heap merge stay
+separate routes to check it against.
 
 A single shape lam can hit (n^k, (n+2)^k) at most once (consecutive
 multiples of lam are more than 2 apart), which is what makes per-shape hit
@@ -44,10 +58,11 @@ arith's LambdaElement and SubsetSpec, and only lemma_check and its _lam
 import mpmath, so empirical (without --compare) and enumerate members_B run
 on integers and numpy alone.  numpy and the process pool are imported inside
 the functions that use them, so a command that never sweeps (table,
-constants) loads neither.  empirical_table starts its
-pool only from N = _POOL_MIN_N, where the second window saves more than the
-workers' start-up costs; before it does, the parent imports numpy once, and
-the forked workers inherit it instead of each importing it again.
+constants), and a sweep on the integer route, loads neither.
+empirical_table starts its pool only from N = _POOL_MIN_N, where the second
+window saves more than the workers' start-up costs; before it does, the
+parent imports numpy once, and the forked workers inherit it instead of each
+importing it again.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -65,6 +81,17 @@ if TYPE_CHECKING:
     from .density import DensityTable
 
 _BLOCK = 1 << 14  # (shape, a) pairs per root block, about
+_F = 64  # fraction bits of the integer route's fixed-point roots
+# the integer route's limit, in (shape, a) pairs of work (_integer_route),
+# where its time meets a numpy import plus the numpy count.  Timed on a
+# 2-vCPU host, medians of 11 to 21 fresh `empirical` processes with each
+# route forced: at k = 2, 564k took 0.20 s on either route and 625k 0.27 s
+# against 0.24 s; at k = 4, 627k took 0.18 s against 0.23 s and 772k 0.36 s
+# against 0.34 s; k = 3 still met numpy at 771k (0.22 s each)
+_INT_PAIRS = 600_000
+# a shape's own introots, in pairs per unit of k: 3-7 us per shape at
+# k = 3..8, against 0.15-0.25 us per pair
+_SHAPE_PAIRS = 6
 _W = 2.0**-48  # relative half-width of the interval proven around each seed
 # the smallest N at which empirical_table starts a process pool.  Timed at
 # k = 2 on a 2-vCPU host (median of 7 fresh processes each): one worker
@@ -223,11 +250,78 @@ def _floors(x, ok, exact):
     return out
 
 
-def _root_blocks(k: int, lo: int, hi: int, keep=frozenset()):
-    """The window primitive: yield (n0, h, kept) for consecutive blocks of
-    roots between lo and hi, where h[i] = number of proper k-full v with
-    floor(v^(1/k)) = n0 + i, and kept[b] = the int64 array of roots
-    n0 <= r < n0 + len(h) of shape b, for each tuple b in keep.
+def _window_shapes(k: int, hi: int, keep=frozenset()):
+    """The radicands M > 1 of the shapes with M^(1/k) < hi, ascending, and
+    the index among them of each tuple b in keep (len(Ms), past the end,
+    for a b that is not there)."""
+    shapes = [(M, b) for M, b in shape_tuples(k, hi**k - 1) if M > 1]
+    at = {b: len(shapes) for b in keep}
+    at.update((b, i) for i, (_, b) in enumerate(shapes) if b in at)
+    return [M for M, _ in shapes], at
+
+
+def _integer_route(k: int, width: int, Ms: list) -> bool:
+    """True when the integer route's work for a window of width roots stays
+    below _INT_PAIRS, counted in (shape, a) pairs: about width M^(-1/k)
+    pairs per shape, plus _SHAPE_PAIRS k for the shape's own introots, whose
+    numbers grow with k.  The sum runs in ascending M and stops once it
+    passes; a radicand past the float range counts its introots alone."""
+    budget = _INT_PAIRS / width
+    shape = _SHAPE_PAIRS * k / width
+    total = 0.0
+    for M in Ms:
+        total += shape + (M ** (-1.0 / k) if M.bit_length() < 1024 else 0.0)
+        if total >= budget:
+            return False
+    return True
+
+
+def _int_roots(k: int, M: int, lo: int, hi: int) -> list:
+    """The integer route for one shape: floor(a M^(1/k)) - lo for
+    A(lo) < a <= A(hi), ascending, as a list.
+
+    With L = floor(M^(1/k) 2^_F) < M^(1/k) 2^_F < L + 1 (M^(1/k) is
+    irrational) and acc = a L - lo 2^_F, the value (a M^(1/k) - lo) 2^_F lies
+    in (acc, acc + a).  Where acc mod 2^_F <= 2^_F - a that interval holds
+    no multiple of 2^_F, so the floor is acc >> _F; otherwise (a carry may
+    cross bit _F) the floor is taken by introot.
+    """
+    a0 = introot((lo**k - 1) // M, k)  # A(lo), as in hit_count
+    a1 = introot((hi**k - 1) // M, k)  # A(hi)
+    if a0 == a1:
+        return []
+    L = introot(M << k * _F, k)
+    acc = a0 * L - (lo << _F)
+    mask = (1 << _F) - 1
+    lim = mask + 1 - a1  # at most 2^_F - a for every a of the run
+    roots = []
+    for a in range(a0 + 1, a1 + 1):
+        acc += L
+        roots.append(acc >> _F if acc & mask <= lim else introot(a**k * M, k) - lo)
+    return roots
+
+
+def _int_window(k: int, lo: int, hi: int, Ms: list, keep=()):
+    """The integer route of the window: the list h with h[i] = number of
+    proper k-full v with floor(v^(1/k)) = lo + i, lo <= lo + i < hi, and
+    kept[i] = the roots of shape Ms[i], less lo, for each index i in keep."""
+    h = [0] * (hi - lo)
+    kept = {}
+    for i, M in enumerate(Ms):
+        roots = _int_roots(k, M, lo, hi)
+        for r in roots:
+            h[r] += 1
+        if i in keep:
+            kept[i] = roots
+    return h, kept
+
+
+def _root_blocks(k: int, lo: int, hi: int, Ms: list, keep_at: dict):
+    """The numpy route of the window: yield (n0, h, kept) for consecutive
+    blocks of roots between lo and hi, where h[i] = number of proper k-full v
+    with floor(v^(1/k)) = n0 + i, and kept[b] = the int64 array of roots
+    n0 <= r < n0 + len(h) of shape b, for each tuple b in keep_at, which
+    maps b to its index in Ms (see _window_shapes).
 
     Each block after the first starts at the last root of the one before,
     carried over, so the n with n and n + 1 in one block,
@@ -243,11 +337,6 @@ def _root_blocks(k: int, lo: int, hi: int, keep=frozenset()):
     """
     import numpy as np
 
-    shapes = [(M, b) for M, b in shape_tuples(k, hi**k - 1) if M > 1]
-    keep_at = {b: len(shapes) for b in keep}
-    keep_at.update((b, i) for i, (_, b) in enumerate(shapes) if b in keep_at)
-    Ms = [M for M, _ in shapes]
-    del shapes
     sh = _Shapes(k, Ms)
     density = float(np.sum(1.0 / sh.lam))  # pairs per root, about
     width = max(1, int(max(_BLOCK, len(Ms)) / max(density, 1.0)))
@@ -280,11 +369,16 @@ def _root_blocks(k: int, lo: int, hi: int, keep=frozenset()):
 
 def _window_counts(k: int, lo: int, hi: int) -> dict:
     """Cell counts for n in [lo, hi): left(n) = hits at n and right(n) =
-    hits at n + 1, tallied per root block with bincount."""
+    hits at n + 1, tallied with a Counter on the integer route and per
+    root block with bincount on the numpy route."""
+    Ms, at = _window_shapes(k, hi + 1)
+    if _integer_route(k, hi + 1 - lo, Ms):
+        h, _ = _int_window(k, lo, hi + 1, Ms)
+        return dict(Counter(zip(h, h[1:])))
     import numpy as np
 
     counts = {}
-    for _, h, _ in _root_blocks(k, lo, hi + 1):
+    for _, h, _ in _root_blocks(k, lo, hi + 1, Ms, at):
         W = int(h.max()) + 1
         tally = np.bincount(h[:-1] * W + h[1:])
         for code in np.flatnonzero(tally).tolist():
@@ -335,14 +429,23 @@ def members_B(k: int, I: SubsetSpec, J: SubsetSpec, N: int) -> list:
         raise ValueError("I and J must be disjoint")
     if N < 1:
         return []
+    # n is a member iff its hit counts are |I| and |J| and every shape of I
+    # (of J) lands left (right) of n; one shape hits (n^k, (n+2)^k) at most
+    # once, so the counts then leave room for no other shape
+    want_left, want_right = I.key_set(), J.key_set()
+    Ms, at = _window_shapes(k, N + 2, want_left | want_right)
+    if _integer_route(k, N + 1, Ms):
+        h, kept = _int_window(k, 1, N + 2, Ms, set(at.values()))
+        # root n sits at h[n - 1]: left of n is root n, right of n is n + 1
+        left = [set(kept.get(at[b], ())) for b in want_left]
+        right = [set(kept.get(at[b], ())) for b in want_right]
+        return [i + 1 for i in range(N)
+                if h[i] == len(want_left) and h[i + 1] == len(want_right)
+                and all(i in s for s in left) and all(i + 1 in s for s in right)]
     import numpy as np
 
-    want_left, want_right = I.key_set(), J.key_set()
     out = []
-    for n0, h, kept in _root_blocks(k, 1, N + 2, want_left | want_right):
-        # n is a member iff its hit counts are |I| and |J| and every shape of
-        # I (of J) lands left (right) of n; one shape hits (n^k, (n+2)^k) at
-        # most once, so the counts then leave room for no other shape
+    for n0, h, kept in _root_blocks(k, 1, N + 2, Ms, at):
         m = len(h) - 1
         member = (h[:-1] == len(want_left)) & (h[1:] == len(want_right))
         for b in want_left:

@@ -13,11 +13,12 @@ independent routes:
   with the omitted mass bounded by integral comparison (tail_bound).
   k = 2 sums a squarefree sieve, k = 3 uses the gcd-Moebius identity, and
   k >= 4 sums over the box tuples of arith.shape_tuples (the one tuple
-  walker).  For k >= 3 the box is walked once per (k, B) and cached
-  (_box), and each m reads it in numpy passes: at k = 3 the multiples of
-  every squarefree d, summed per d with one np.add.reduceat; at k >= 4 the
-  tuples as index columns, each term a product of per-(m, j) power tables.
-  Converges like B^(-m/k) at best, so it serves as the oracle route.
+  walker).  For k >= 3 the box is walked once per (k, B) and cached, and
+  each m reads it: at k = 3 the Moebius list (_mobius), each squarefree d
+  summing its multiples as list slices of the per-m power tables; at
+  k >= 4 the tuples as numpy index columns (_box), each term a product of
+  per-(m, j) power tables.  Converges like B^(-m/k) at best, so it serves
+  as the oracle route.
 
 * power_sum_euler: since each prime divides at most one b_j, the sum over
   all shape tuples factors over primes,
@@ -78,9 +79,9 @@ independent routes:
   primes, a = m(2k-1), plus the rounding to working precision (see
   _exact_product).
 
-numpy serves only the box sums of k >= 3 and is imported there, so the
-Euler route, and every command that uses only it, runs without loading
-numpy.
+numpy serves only the box sums of k >= 4 and is imported there, so the
+Euler route, the box sums of k = 2 and 3, and every command that uses only
+them, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -218,10 +219,8 @@ def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
     elif k == 3:
         if B * 15 > _DIRECT_WORK_CAP:
             raise ValueError("box too large")
-        import numpy as np
-
         total = _box_sum_k3(m, B)
-        work = int(B * (np.log(B) + 1))
+        work = int(B * (log(B) + 1))
     else:
         if B ** (k - 1) > 10**7:
             raise ValueError("box too large for exhaustive tuple enumeration")
@@ -232,33 +231,15 @@ def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
         return ErrorBoundedReal(mpf(total), tail_bound(k, m, B) + slop)
 
 
-_GATHER = 1 << 14  # box indices gathered per numpy pass
+_mobius = lru_cache(maxsize=4)(mobius_sieve)  # the k = 3 box, once per B for every m
 
 
 @lru_cache(maxsize=4)
 def _box(k: int, B: int):
-    """The coordinate box b_j <= B, walked once per (k, B) for every m.
-
-    k = 3: the Moebius signs mu of the squarefree d <= B, ascending; the
-    multiples of each d laid end to end in idx (int32), the run of the j-th
-    d starting at starts[j]; spans (j0, j1) of consecutive runs, about
-    _GATHER indices each; and the squarefree mask sf over 0..B.
-    k >= 4: the proper box tuples of shape_tuples as k - 1 index columns.
-    """
+    """The coordinate box b_j <= B for k >= 4, walked once per (k, B) for
+    every m: the proper box tuples of shape_tuples as k - 1 index columns."""
     import numpy as np
 
-    if k == 3:
-        mu = np.array(mobius_sieve(B), dtype=np.int8)
-        ds = np.flatnonzero(mu).astype(np.int32)
-        runs = B // ds
-        starts = np.cumsum(runs, dtype=np.int64) - runs
-        # the run of d is d, 2d, ..., (B // d) d
-        idx = np.arange(1, runs.sum() + 1, dtype=np.int32)
-        idx -= np.repeat(starts.astype(np.int32), runs)
-        idx *= np.repeat(ds, runs)
-        cuts = sorted(set(np.searchsorted(starts, np.arange(0, len(idx), _GATHER)).tolist()))
-        spans = list(zip(cuts, cuts[1:] + [len(ds)]))
-        return mu[ds].astype(np.float64), idx, starts, spans, mu != 0
     tuples = shape_tuples(k, box=B)  # the all-ones tuple, M = 1, is one of them
     cols = np.fromiter(chain.from_iterable(b for M, b in tuples if M > 1), dtype=np.int32,
                        count=(len(tuples) - 1) * (k - 1))
@@ -266,24 +247,31 @@ def _box(k: int, B: int):
 
 
 def _box_sum_k3(m: int, B: int) -> float:
-    # pairwise coprimality resolved by the gcd-Moebius identity:
-    # sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g),
-    # each inner sum one segment of np.add.reduceat over the box's multiples
-    import numpy as np
+    """The k = 3 box sum over coprime squarefree (b1, b2) != (1, 1), with
+    pairwise coprimality resolved by the gcd-Moebius identity
 
-    mu, idx, starts, spans, sf = _box(3, B)
-    b = np.arange(B + 1, dtype=np.float64)
-    b[0] = 1.0
-    w1 = np.where(sf, b ** (-4.0 * m / 3.0), 0.0)
-    w2 = np.where(sf, b ** (-5.0 * m / 3.0), 0.0)
-    s1, s2 = [], []
-    for j0, j1 in spans:
-        i0, i1 = starts[j0], (starts[j1] if j1 < len(starts) else len(idx))
-        seg = idx[i0:i1]
-        s1.append(np.add.reduceat(w1[seg], starts[j0:j1] - i0))
-        s2.append(np.add.reduceat(w2[seg], starts[j0:j1] - i0))
-    parts = mu * np.concatenate(s1) * np.concatenate(s2)
-    return fsum(parts.tolist()) - 1.0  # remove the (1,1) tuple
+        sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g),
+
+    f = w1(b) = b^(-4m/3) and g = w2(b) = b^(-5m/3) on squarefree b, each
+    inner sum the list slice of the multiples of d (one term for d > B/2).
+
+    Rounding, u = 2^-53: each w is within 2u of its value (pow errs by under
+    an ulp), the n_d = B // d terms of a slice summed in order err by at
+    most (n_d - 1) u of their sum, and the product one u more, so part d
+    errs by at most (2 n_d + 3) u s1_d s2_d.  The multiples of d give
+    s1_d s2_d <= d^(-3m) S, S = s1_1 s2_1 <= zeta(4/3) zeta(5/3) < 8, so
+    the parts err by under 8 u sum_d (2B/d + 3) d^(-3) < 8 u (2.2 B + 3.7),
+    and fsum and the final - 1 add at most 8 u each: far inside
+    power_sum_direct's slop (work + 16) 2.3e-16 8, work = B (ln B + 1).
+    """
+    mu = _mobius(B)
+    e1, e2 = -4.0 * m / 3.0, -5.0 * m / 3.0
+    w1 = [b**e1 if mu[b] else 0.0 for b in range(B + 1)]
+    w2 = [b**e2 if mu[b] else 0.0 for b in range(B + 1)]
+    half = B // 2
+    parts = [mu[d] * sum(w1[d::d]) * sum(w2[d::d]) for d in range(1, half + 1) if mu[d]]
+    parts += [mu[d] * w1[d] * w2[d] for d in range(half + 1, B + 1) if mu[d]]
+    return fsum(parts) - 1.0  # remove the (1,1) tuple
 
 
 def _box_sum_generic(k: int, m: int, B: int) -> float:

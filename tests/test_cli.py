@@ -979,3 +979,11 @@ def test_config_rejects_a_bad_tolerance_scale(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith("error: --tolerance-scale")
+
+
+@pytest.mark.parametrize("B", ["1", "0", "-3"])
+def test_verify_rejects_a_box_below_2(capsys, B):
+    # the smallest box that holds a shape is B = 2; the check runs before any work
+    code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", f"--trunc-B={B}")
+    assert code == 2 and out == ""
+    assert err == "error: --trunc-B must be >= 2\n"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import random
 
 import pytest
@@ -132,6 +133,22 @@ def oracle_counts(k, N):
     return counts
 
 
+def each_route(monkeypatch):
+    """Yield once per route of the window, after forcing every window onto it
+    through the pair threshold; on the next step, check that the body ran
+    that route and no other."""
+    ran = []
+    for name in ("_int_window", "_root_blocks"):
+        fn = getattr(empirical, name)
+        monkeypatch.setattr(empirical, name,
+                            lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
+    for route, pairs in (("_int_window", math.inf), ("_root_blocks", 0)):
+        monkeypatch.setattr(empirical, "_INT_PAIRS", pairs)
+        yield route
+        assert ran and set(ran) == {route}
+        ran.clear()
+
+
 @pytest.mark.parametrize("k,N", [(k, N) for k in (2, 3, 4) for N in (1, 2, 3, 997)]
                          + [(6, 1500), (12, 40), (80, 6)])
 def test_empirical_table_matches_heap_merge_oracle(k, N):
@@ -140,9 +157,12 @@ def test_empirical_table_matches_heap_merge_oracle(k, N):
     assert empirical_table(k, N).counts == oracle_counts(k, N)
 
 
-def test_empirical_window_straddling_int64():
-    # 55201^4 > 2^63 > 55100^4: one window holds chunks on both routes
-    assert empirical_table(4, 55_200).counts == oracle_counts(4, 55_200)
+def test_empirical_window_straddling_int64(monkeypatch):
+    # 55201^4 > 2^63 > 55100^4: on the numpy route one window holds chunks
+    # on both sides of int64
+    want = oracle_counts(4, 55_200)
+    for _ in each_route(monkeypatch):
+        assert empirical_table(4, 55_200).counts == want
 
 
 @pytest.mark.parametrize("k,N", [(2, 997), (3, 997), (4, 300), (2, 3000)])
@@ -151,8 +171,10 @@ def test_empirical_window_edges_match_oracle(monkeypatch, k, N):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(seen))
     monkeypatch.setattr(empirical.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(empirical, "_POOL_MIN_N", 0)
-    assert empirical_table(k, N, threads=3).counts == oracle_counts(k, N)
-    assert seen == [3, 3]
+    want = oracle_counts(k, N)
+    for _ in each_route(monkeypatch):
+        assert empirical_table(k, N, threads=3).counts == want
+    assert seen == [3, 3] * 2
 
 
 def test_pool_starts_only_from_its_threshold(monkeypatch):
@@ -230,6 +252,51 @@ def test_floor_roots_decides_a_forced_near_tie():
     assert shapes.floor_div(2 * x, 1).tolist() == [y - 1] == [introot((4 * x * x - 1) // 8, 2)]
 
 
+@pytest.mark.parametrize("F", [64, 3])
+def test_int_roots_decide_the_pell_near_ties(monkeypatch, F):
+    # the pairs that defeat a float floor, through the integer kernel, at
+    # its own fraction bits and at 3 bits, where the carry check sends them
+    # to introot
+    monkeypatch.setattr(empirical, "_F", F)
+    x, y = PELL
+    lo = 2 * x - 3
+    roots = empirical._int_roots(2, 8, lo, 2 * x + 3)
+    # a = y - 1, y, y + 1: y sqrt(8) lies just below 2x
+    assert [lo + r for r in roots] == [introot(8 * a * a, 2) for a in (y - 1, y, y + 1)]
+    assert lo + roots[1] == 2 * x - 1
+    # A(2x) = y - 1, as 2x / sqrt(8) lies just below y: the window from 2x
+    # starts at a = y, whose root, just above 2x, is 2x itself
+    x, y = PELL_MINUS
+    roots = empirical._int_roots(2, 8, 2 * x, 2 * x + 3)
+    assert roots == [introot(8 * a * a, 2) - 2 * x for a in (y, y + 1)] and roots[0] == 0
+
+
+@pytest.mark.parametrize("k,N", [(2, 2000), (3, 400), (5, 120)])
+def test_forced_carries_match_heap_merge(monkeypatch, k, N):
+    # with 3 fraction bits nearly every pair may carry, so most roots come
+    # from the introot fall-back and the rest from the shift; both must agree
+    # with the heap merge
+    monkeypatch.setattr(empirical, "_INT_PAIRS", math.inf)
+    empty = SubsetSpec(k, ())
+    two = SubsetSpec(k, ((2,) + (1,) * (k - 2),))
+    subsets = ((empty, empty), (two, empty), (empty, two))
+    want = [members_by_interval_hits(k, I, J, N) for I, J in subsets]
+    counts = oracle_counts(k, N)
+    Ms, _ = empirical._window_shapes(k, N + 2)
+    calls = {}
+    for F in (64, 3):
+        monkeypatch.setattr(empirical, "_F", F)
+        seen = []
+        monkeypatch.setattr(empirical, "introot", lambda n, k: seen.append(1) or introot(n, k))
+        h, _ = empirical._int_window(k, 1, N + 2, Ms)
+        calls[F] = len(seen)
+        monkeypatch.setattr(empirical, "introot", introot)
+        assert empirical_table(k, N).counts == counts
+        assert [members_B(k, I, J, N) for I, J in subsets] == want
+    # the fall-backs are the calls past the three per shape at 64 bits
+    assert sum(h) / 2 < calls[3] - calls[64] < sum(h)
+
+
 @pytest.mark.parametrize("k,lo,hi", [
     (2, 1, 5000), (2, 777, 3001), (3, 5, 2500), (4, 1, 400),
     (5, 1, 1200), (6, 1, 500),  # a^k M past 2^63 for most pairs
@@ -247,8 +314,9 @@ def test_root_blocks_match_heap_merge(monkeypatch, k, lo, hi, block):
             hits[r] = hits.get(r, 0) + 1
             roots.setdefault(rep.b, []).append(r)
     keep = {b for b in list(roots)[:5]} | {(10**6,) + (1,) * (k - 2)}
+    Ms, at = empirical._window_shapes(k, hi, keep)
     seen = []
-    for n0, h, kept in empirical._root_blocks(k, lo, hi, keep):
+    for n0, h, kept in empirical._root_blocks(k, lo, hi, Ms, at):
         assert n0 == (seen[-1] if seen else lo)
         assert h.tolist() == [hits.get(r, 0) for r in range(n0, n0 + len(h))]
         for b in keep:
@@ -256,18 +324,26 @@ def test_root_blocks_match_heap_merge(monkeypatch, k, lo, hi, block):
         seen.append(n0 + len(h) - 1)
     assert seen[-1] == hi - 1
     assert len(seen) > 1 or block == 100
+    # the integer route's twin: one window, the kept roots less lo
+    h, kept = empirical._int_window(k, lo, hi, Ms, set(at.values()))
+    assert h == [hits.get(r, 0) for r in range(lo, hi)]
+    for b in keep:
+        assert [lo + r for r in kept.get(at[b], [])] == roots.get(b, [])
 
 
 @pytest.mark.parametrize("k,N", [(5, 60), (6, 40)])
-def test_members_B_and_classify_pair_past_int64_match_interval_hits(k, N):
+def test_members_B_and_classify_pair_past_int64_match_interval_hits(monkeypatch, k, N):
     empty = SubsetSpec(k, ())
     one = SubsetSpec(k, ((2,) + (1,) * (k - 2),))
-    for I, J in ((empty, empty), (one, empty), (empty, one)):
-        assert members_B(k, I, J, N) == members_by_interval_hits(k, I, J, N)
+    cells = []
     for n in range(1, N + 1):
         hits = interval_hits(n, k)
-        cell = (sum(h.side == "left" for h in hits), sum(h.side == "right" for h in hits))
-        assert classify_pair(n, k) == cell, n
+        cells.append((sum(h.side == "left" for h in hits),
+                      sum(h.side == "right" for h in hits)))
+    for _ in each_route(monkeypatch):
+        for I, J in ((empty, empty), (one, empty), (empty, one)):
+            assert members_B(k, I, J, N) == members_by_interval_hits(k, I, J, N)
+        assert [classify_pair(n, k) for n in range(1, N + 1)] == cells
 
 
 def test_empirical_workers_clamped(monkeypatch):
@@ -285,10 +361,11 @@ def test_empirical_workers_clamped(monkeypatch):
     assert seen == [3, 3, 2, 2]  # one CPU: a single in-process window
 
 
-def test_members_B_example_list():
+def test_members_B_example_list(monkeypatch):
     empty = SubsetSpec(2, ())
-    assert members_B(2, empty, empty, 40) == MEMBERS_EMPTY_2_40
-    assert members_B(2, empty, empty, 2) == []
+    for _ in each_route(monkeypatch):
+        assert members_B(2, empty, empty, 40) == MEMBERS_EMPTY_2_40
+        assert members_B(2, empty, empty, 2) == []
 
 
 def test_members_B_prefix_stability():
@@ -329,26 +406,28 @@ def members_by_interval_hits(k, I, J, N):
     ((), ()), (((2,),), ()), ((), ((2,),)), (((2,),), ((3,),)), (((3,),), ((2,),)),
     (((5,),), ()),
 ])
-def test_members_B_matches_interval_hits(I, J):
+def test_members_B_matches_interval_hits(monkeypatch, I, J):
     I, J = SubsetSpec(2, I), SubsetSpec(2, J)
-    members = members_B(2, I, J, 400)
-    assert members == members_by_interval_hits(2, I, J, 400)
-    assert members  # every pair has members below 400
+    want = members_by_interval_hits(2, I, J, 400)
+    assert want  # every pair has members below 400
+    for _ in each_route(monkeypatch):
+        assert members_B(2, I, J, 400) == want
 
 
-def test_members_B_edges():
+def test_members_B_edges(monkeypatch):
     empty = SubsetSpec(2, ())
     two = SubsetSpec(2, ((2,),))
-    for N in (-1, 0, 1, 2):
-        for I, J in ((empty, empty), (two, empty), (empty, two)):
-            assert members_B(2, I, J, N) == members_by_interval_hits(2, I, J, N)
-    assert members_B(2, empty, two, 1) == [1]  # 8 lies in (4, 9)
-    # a shape too large to enter the window has no members
     big = SubsetSpec(2, ((97,),))
-    assert members_B(2, big, empty, 50) == []
     k3 = SubsetSpec(3, ((2, 1),))
-    assert members_B(3, k3, SubsetSpec(3, ()), 60) == members_by_interval_hits(
-        3, k3, SubsetSpec(3, ()), 60)
+    for _ in each_route(monkeypatch):
+        for N in (-1, 0, 1, 2):
+            for I, J in ((empty, empty), (two, empty), (empty, two)):
+                assert members_B(2, I, J, N) == members_by_interval_hits(2, I, J, N)
+        assert members_B(2, empty, two, 1) == [1]  # 8 lies in (4, 9)
+        # a shape too large to enter the window has no members
+        assert members_B(2, big, empty, 50) == []
+        assert members_B(3, k3, SubsetSpec(3, ()), 60) == members_by_interval_hits(
+            3, k3, SubsetSpec(3, ()), 60)
 
 
 def test_lemma_check_examples():

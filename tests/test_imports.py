@@ -1,5 +1,6 @@
 """What a fresh process loads: mpmath only where the series engine runs,
-numpy and the process pool only where used.
+numpy and the process pool only where used: a sweep window past the
+integer route's pair threshold, the box sums of k >= 4, and the pool.
 
 Each test runs its script in a new interpreter, because this test process
 has long since imported mpmath, numpy and the pool."""
@@ -76,6 +77,26 @@ print("mpmath" in sys.modules)
 print([m for m in {ENGINE!r} if type(sys.modules["kfull." + m]) is types.ModuleType])
 """)
     assert out == [str(engine), str(list(ENGINE) if engine else [])]
+
+
+@pytest.mark.parametrize("argv,numpy", [
+    (["verify", "--k", "2", "--quick", "--N", "3000"], False),
+    (["verify", "--k", "3", "--quick", "--N", "3000"], False),
+    (["enumerate", "members_B", "--k", "2", "--N", "3000", "--I", "2"], False),
+    (["empirical", "--k", "2", "--N", "3000"], False),
+    (["empirical", "--k", "2", "--N", "1000000"], True),
+])
+def test_only_large_sweeps_load_numpy(argv, numpy):
+    # a window below the pair threshold and the k = 3 box sum run on Python
+    # integers and floats; the numpy route keeps the large windows
+    out = run_fresh(f"""
+import contextlib, io, sys
+from kfull.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+print("numpy" in sys.modules)
+""")
+    assert out == [str(numpy)]
 
 
 def test_package_names_resolve_to_their_home_layers():
