@@ -17,11 +17,11 @@ them; both live here, with the integers they are made of, so that the exact
 sweep and the CLI can name shapes without loading the series engine.
 
 Supported factorization range is 1 <= n <= 2^63 - 1, enforced; the method
-is deterministic trial division (primes up to 10^6, early exit at p*p > n),
+is deterministic trial division (primes up to 1000, early exit at p*p > n),
 a deterministic Miller-Rabin test valid far beyond 64 bits, and Pollard's
-rho with Brent's cycle finding for the remaining cofactors.  n = 1 counts
-as k-full by the vacuous prime condition; it is a perfect kth power, so it
-never appears in a proper (non-kth-power) enumeration.
+rho with Brent's cycle finding for every composite cofactor left.  n = 1
+counts as k-full by the vacuous prime condition; it is a perfect kth power,
+so it never appears in a proper (non-kth-power) enumeration.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ MAX_N = 2**63 - 1
 # multiplies primes in exactly; kept here so the CLI reads it without loading
 # the engine
 DEFAULT_PRIME_CUTOFF = 100
-
-_TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin bases for all n < 3.3 * 10^24 (covers 2^63).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -170,24 +168,7 @@ def factorize(n: int) -> tuple:
                 e += 1
                 n //= p
             out[p] = e
-    if n > 1:
-        # after trial division to 1000, any composite cofactor is > 10^6
-        if n >= 1000**2 and not is_prime(n):
-            for p in _prime_list(_TRIAL_LIMIT):
-                if p <= 1000:
-                    continue
-                if p * p > n:
-                    break
-                if n % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        e += 1
-                        n //= p
-                    out[p] = e
-                    if n == 1 or is_prime(n):
-                        break
-        if n > 1:
-            _factor_into(n, out)
+    _factor_into(n, out)
     return tuple(sorted(out.items()))
 
 

@@ -37,7 +37,7 @@ class RunConfig:
     k: int = 2
     max_index: int = 5
     digits: int = 30
-    trunc_B: int = 10_000
+    trunc_B: int | None = None  # None: shapes.default_box(k)
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF
     N: int | None = None
     fmt: str = "text"
@@ -55,7 +55,7 @@ class RunConfig:
             raise ValueError("--digits must be >= 6")
         if self.max_index < 0:
             raise ValueError("--max-index must be >= 0")
-        if self.trunc_B < 2:
+        if self.trunc_B is not None and self.trunc_B < 2:
             raise ValueError("--trunc-B must be >= 2")
         for name in ("prime_cutoff", "threads", "cap"):
             if getattr(self, name) < 1:
@@ -203,8 +203,9 @@ def run_verify(cfg: RunConfig) -> dict:
         })
 
     # the direct, inversion and xi cells up to (5,5) all shift the one xi
-    # series, so this checks weights, envelopes and the inversion formula, not
-    # xi itself; the head/tail split of F_k would be an independent route
+    # series, so this checks weights, the truncation bound and the inversion
+    # formula, not xi itself; the head/tail split of F_k would be an
+    # independent route
     worst = 0.0
     for l in range(6):
         for m in range(l, 6):
@@ -269,11 +270,12 @@ def run_verify(cfg: RunConfig) -> dict:
 
     # the Euler-route sums the densities above were built from
     euler = density._engine(k, cfg.digits, cfg.prime_cutoff).ps
+    B = shapes.default_box(k) if cfg.trunc_B is None else cfg.trunc_B
     worst = 0.0
     for m in range(1, 9):
-        worst = max(worst, _excess(shapes.power_sum_direct(k, m, cfg.trunc_B), euler.p(m)))
+        worst = max(worst, _excess(shapes.power_sum_direct(k, m, B), euler.p(m)))
     add("power_sum_routes", max(worst, 0.0), 0.0,
-        f"direct (box {cfg.trunc_B}) vs Euler route beyond combined radii, m=1..8")
+        f"direct (box {B}) vs Euler route beyond combined radii, m=1..8")
 
     if k == 2:
         worst = 0.0

@@ -10,9 +10,9 @@ where xi_r, the elementary symmetric functions of the shape reciprocals
 
 Every other fixed linear sum is a Taylor shift: the n-th coefficient of a
 series sum_i s_i x^i moved to x + t is sum_j C(n+j, n) t^j s_(n+j).  One
-primitive, _shift, computes c times that sum, cut after j = T, as one exact
-bounded.dot, widened by the envelope its caller passes for the terms past
-T:
+primitive, _shift(s, l, m, T, t, P, B), computes C(l+m, l) times that sum
+for n = l + m, cut after j = T, as one exact bounded.dot, widened by the
+one truncation bound _tail for a series with |s_i| <= B P^i / i!:
 
   - coefficients:  a_n = shift of xi by t = -2;
   - cells:         d(A[l,m]) = C(l+m, l) a_(l+m)               (direct)
@@ -27,41 +27,40 @@ T:
 
 So the direct and xi cells are the same series with C(l+m, l) folded into
 the weights, and the inversion cells shift one-sided densities of the same
-xi: the three routes check the weights, the envelopes and the published
-inversion formula, not the xi values.  The weights are exact Python ints,
-signs and powers of two included; a rounded weight such as Newton's 1/r
-stays outside the dot as an ErrorBoundedReal multiply.  eval_F's log series
-goes through dot as well, once its depth is chosen, with its rounded
-weights (-w)^j / j as ErrorBoundedReals.
+xi: the three routes check the weights, the truncation bound and the
+published inversion formula, not the xi values.  The weights are exact
+Python ints, signs and powers of two included; a rounded weight such as
+Newton's 1/r stays outside the dot as an ErrorBoundedReal multiply.
+eval_F's log series goes through dot as well, once its depth is chosen,
+with its rounded weights (-w)^j / j as ErrorBoundedReals.
 
-All infinite sums are truncated with proven bounds folded into the radius:
-xi_r <= P_k(1)^r / r! gives super-exponential decay, and every weighted
-tail reduces to a ratio-bounded exponential remainder.  Every shift keeps
-the terms n..n + g past its leading index n, with one guard g per
-(k, digits, p0): _engine picks it from that envelope and every route reads
-it, so no caller can ask for another depth.  The depth matters for accuracy
-as well as cost: too shallow leaves a tail the envelope cannot bound tightly,
-and past the point where xi_r reaches the working-precision noise floor the
-binomial weights amplify that noise, so deeper sums would be worse, not
-better.  The tracked radii account for both effects honestly.
+All infinite sums are truncated with proven bounds folded into the radius.
+Every shifted series has a majorant |s_i| <= B P^i / i!, P = P_k(1): B = 1
+for xi_r and a_n (a_n sums the products xi_n sums, each times factors
+1 - 2/lam < 1), and B = e^P for the one-sided d_j, the shifts of xi by -1.
+So every tail is B P^n / (l! m!) times sum_{j>T} (|t| P)^j / j!, which
+_exp_tail bounds by its ratio.  Every shift keeps the terms n..n + g past
+its leading index n, with one guard g per (k, digits, p0): _engine picks it
+from the same bound and every route reads it, so no caller can ask for
+another depth.  The depth matters for accuracy as well as cost: too
+shallow leaves a tail the bound cannot hold tightly, and past the point
+where xi_r reaches the working-precision noise floor the binomial weights
+amplify that noise, so deeper sums would be worse, not better.  The
+tracked radii account for both effects honestly.
 
 The engine is the public builders composed: shapes.power_sums,
-xi_from_power_sums and coeffs_a.  Each returns a sequence that computes a
-value the first time it is read (shapes._Grown), so the engine's depths are
+xi_from_power_sums and coeffs_a, plus the one-sided densities d (xi
+shifted by -1 at digits + 20).  Each is a sequence that computes a value
+the first time it is read (shapes._Grown), so the engine's depths are
 ceilings, not work done up front.  Reading a_n grows xi up to n + g; reading
 xi_r grows the power sums and Newton's identities up to r.  Every step runs
 at the precision its sequence was made at, whatever the reader holds, and
 each value depends only on the values below it, which are themselves
 fixed, so it is bit-identical to an eager read whatever was read before it:
 a table up to L builds the series to 2L + g of the ceiling
-r_max = n_max + 2g.
-
-Each one-sided density is a memoised value of the engine (_one_sided): a
-table of cells reads each d_j once instead of once per cell that needs it.
-The memo is keyed by (k, l, digits, p0) and not by the caller's precision;
-that is sound because the sum runs at its own fixed precision digits + 20
-over an engine that is itself cached by the same key, so a cached value is
-bit-identical to a fresh one whatever precision the caller holds.
+r_max = n_max + 2g.  The inversion cells read d_j from the engine, so each
+is summed once per engine, not once per cell: a table up to (5,5) takes 51
+one-sided sums, not 861.
 """
 
 from __future__ import annotations
@@ -140,11 +139,32 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
-def _shift(s, n: int, T: int, t: int, envelope, c: int = 1) -> ErrorBoundedReal:
-    """c * sum_{j<=T} C(n+j, n) t^j s(n+j) as one exact dot, widened by the
-    envelope on the terms past T: the n-th coefficient of sum_i s(i) x^i
-    shifted to x + t, times c.  The weights are exact Python ints."""
-    return dot((s(n + j), c * comb(n + j, n) * t**j) for j in range(T + 1)).widened(envelope)
+def _shift(s, l: int, m: int, T: int, t: int, P, B=1) -> ErrorBoundedReal:
+    """C(n, l) sum_{j<=T} C(n+j, n) t^j s(n+j), n = l + m, as one exact dot
+    of int weights (C(n, l) times the n-th coefficient of sum_i s(i) x^i moved
+    to x + t), widened by _tail for the majorant |s(i)| <= B P^i / i!."""
+    n, c = l + m, comb(l + m, l)
+    terms = ((s(n + j), c * comb(n + j, n) * t**j) for j in range(T + 1))
+    return dot(terms).widened(_tail(l, m, T, t, P, B))
+
+
+def _tail(l: int, m: int, T: int, t: int, P, B=1):
+    """The one truncation bound (mpf): if |s(i)| <= B P^i / i!, the terms
+    of _shift past T sum to at most
+
+        C(n, l) sum_{j>T} C(n+j, n) |t|^j B P^(n+j) / (n+j)!
+            = B P^n / (l! m!) * sum_{j>T} (|t| P)^j / j!."""
+    return (B * P**(l + m) / (mp.factorial(l) * mp.factorial(m))
+            * _exp_tail(abs(t) * P, T))
+
+
+def _exp_tail(x, T: int):
+    """Upper bound (mpf) on sum_{t > T} x^t / t!, for x < T + 2."""
+    x = mpf(x)
+    if not x < T + 2:
+        raise ValueError("guard too small for ratio bound")
+    first = x ** (T + 1) / mp.factorial(T + 1)
+    return first / (1 - x / (T + 2))
 
 
 def xi_from_power_sums(ps: PowerSums, r_max: int) -> XiSequence:
@@ -182,69 +202,62 @@ def xi_direct(elements, r_max: int, digits: int = 30) -> list:
         return e
 
 
-def _exp_tail(x, T: int):
-    """Upper bound (mpf) on sum_{t > T} x^t / t!, for x < T + 2."""
-    x = mpf(x)
-    if not x < T + 2:
-        raise ValueError("guard too small for ratio bound")
-    first = x ** (T + 1) / mp.factorial(T + 1)
-    return first / (1 - x / (T + 2))
-
-
 def coeffs_a(xi: XiSequence, n_max: int, guard: int) -> SeriesCoeffs:
     """a_n = sum_{r=n}^{n+guard} C(r,n) (-2)^(r-n) xi_r, the xi series shifted
-    by -2 and computed on its first read; the truncation is bounded by the
-    xi_r <= P_k(1)^r / r! envelope with P_k(1) taken as xi_1's upper
-    endpoint."""
+    by -2 and computed on its first read; the truncation is bounded through
+    xi_r <= P_k(1)^r / r!, with P_k(1) taken as xi_1's upper endpoint."""
     if n_max < 0 or guard < 1:
         raise ValueError("need n_max >= 0, guard >= 1")
     if xi.r_max < n_max + guard:
         raise ValueError(f"xi computed to {xi.r_max}, need {n_max + guard}")
 
     def step(n):
-        P = xi.xi[1].hi()
-        return _shift(xi.xi.__getitem__, n, guard, -2,
-                      P**n / mp.factorial(n) * _exp_tail(2 * P, guard))
+        return _shift(xi.xi.__getitem__, n, 0, guard, -2, xi.xi[1].hi())
 
     return SeriesCoeffs(xi.k, _Grown(n_max, step))
 
 
 class Engine(NamedTuple):
     """The series engine for one (k, digits, p0): its power sums, xi and
-    coefficients, each growing on read, and the guard g every series reads."""
+    coefficients, the guard g every series reads, and the one-sided
+    densities d_0..d_(r_max - g); each sequence grows on read."""
 
     ps: PowerSums
     xi: XiSequence
     coeffs: SeriesCoeffs
     g: int
+    d: _Grown
 
 
 @lru_cache(maxsize=8)
 def _engine(k: int, digits: int, p0: int) -> Engine:
-    """The series engine built from power_sums, xi_from_power_sums and
-    coeffs_a, and the only place that picks a series depth.
+    """The series engine built from power_sums, xi_from_power_sums, coeffs_a
+    and the one-sided d (xi shifted by -1), and the only place that picks a
+    series depth.
 
     g is the number of terms every series keeps past its leading index: at
-    least 40, deepened in steps of 5 until the envelope tail
-    sum_{t > g} (2 P_k(1))^t / t! (_exp_tail) falls below 1e-16.  The xi
-    envelope P_k(1)^r / r! only starts decaying past r ~ P_k(1), so for larger
-    k (where P grows) g scales up on its own: 40, 45, 75 and 130 for
+    least 40, deepened in steps of 5 until _tail's bound on a_0's dropped
+    terms, sum_{t > g} (2 P_k(1))^t / t!, falls below 1e-16.  The xi
+    majorant P_k(1)^r / r! only starts decaying past r ~ P_k(1), so for
+    larger k (where P grows) g scales up on its own: 40, 45, 75 and 130 for
     k = 2..5.  k = 6 would need 233, past _GUARD_CAP, and there the search
     raises ArithmeticError naming k instead of building an engine that deep.
     The coefficients run to n_max = max(44, g), and r_max = n_max + 2g so
     that the inversion route (one-sided densities up to index n_max + g,
-    each g terms deep) stays inside the xi range.  The power sums gain digits
-    to pay for the larger binomial weights the deeper sums incur.
+    each g terms deep) stays inside the xi range: d runs to r_max - g.  The
+    power sums gain digits to pay for the larger binomial weights the
+    deeper sums incur.
 
     n_max and r_max are ceilings: the range checks read them, while P_k(m),
-    xi_r and a_n grow on read (shapes._Grown) up to what the caller reads.  The
-    working precision comes from the ceilings and (k, digits, p0) alone, never
-    from what was read, so a grown value is bit-identical to the eager one.
+    xi_r, a_n and d_l grow on read (shapes._Grown) up to what the caller
+    reads.  The working precision comes from the ceilings and
+    (k, digits, p0) alone, never from what was read, so a grown value is
+    bit-identical to the eager one.
     """
     with mp.workdps(15):
-        two_p = 2 * power_sum_euler(k, 1, 15, p0).hi()
-        g = max(40, int(two_p) + 4)
-        while g <= _GUARD_CAP and _exp_tail(two_p, g) > 1e-16:
+        P = power_sum_euler(k, 1, 15, p0).hi()
+        g = max(40, int(2 * P) + 4)
+        while g <= _GUARD_CAP and _tail(0, 0, g, -2, P) > 1e-16:
             g += 5
     if g > _GUARD_CAP:
         raise ArithmeticError(
@@ -260,7 +273,10 @@ def _engine(k: int, digits: int, p0: int) -> Engine:
     with mp.workdps(digits + 40 + extra):
         ps = power_sums(k, r_max, ps_digits, p0)
         xi = xi_from_power_sums(ps, r_max)
-        return Engine(ps, xi, coeffs_a(xi, n_max, g), g)
+        coeffs = coeffs_a(xi, n_max, g)
+    with mp.workdps(digits + 20):
+        d = _Grown(r_max - g, lambda l: _shift(xi.xi.__getitem__, l, 0, g, -1, ps.p(1).hi()))
+    return Engine(ps, xi, coeffs, g, d)
 
 
 def series_coefficients(k: int, digits: int = DEFAULT_DIGITS,
@@ -292,25 +308,11 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
             return e.coeffs.a[n] * mpf(comb(n, l))
         P = e.ps.p(1).hi()
         if method == "xi":
-            tail = P**n / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(2 * P, e.g)
-            return _shift(e.xi.xi.__getitem__, n, e.g, -2, tail, comb(n, l))
+            return _shift(e.xi.xi.__getitem__, l, m, e.g, -2, P)
         if method == "inversion":
-            # |d_j| <= e^P P^j / j! makes the alternating sum tail exponential
-            tail = (mp.exp(P) * P**n / (mp.factorial(l) * mp.factorial(m))
-                    * _exp_tail(P, e.g))
-            return _shift(lambda j: _one_sided(k, j, digits, p0), n, e.g, -1, tail,
-                          comb(n, l))
+            # |d_j| <= sum_i C(j+i, j) P^(j+i) / (j+i)! = e^P P^j / j!
+            return _shift(e.d.__getitem__, l, m, e.g, -1, P, mp.exp(P))
     raise ValueError(f"unknown method {method!r}")
-
-
-@lru_cache(maxsize=4096)
-def _one_sided(k: int, l: int, digits: int, p0: int) -> ErrorBoundedReal:
-    """d_l = sum_n (-1)^n C(l+n, l) xi_(l+n), truncated after g + 1 terms;
-    the caller checks that l + g stays inside the engine's xi range."""
-    e = _engine(k, digits, p0)
-    with mp.workdps(digits + 20):
-        P = e.ps.p(1).hi()
-        return _shift(e.xi.xi.__getitem__, l, e.g, -1, P**l / mp.factorial(l) * _exp_tail(P, e.g))
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
@@ -321,17 +323,15 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
     if l < 0:
         raise ValueError("l must be >= 0")
     e = _engine(k, digits, p0)
-    if l > e.xi.r_max - e.g:
-        raise ValueError(f"l = {l} beyond computed range {e.xi.r_max - e.g}")
+    if l >= len(e.d):
+        raise ValueError(f"l = {l} beyond computed range {len(e.d) - 1}")
     if method == "xi_alternating":
-        return _one_sided(k, l, digits, p0)
+        return e.d[l]
     with mp.workdps(digits + 20):
-        P = e.ps.p(1).hi()
         if method == "row_sum":
             if l > e.coeffs.n_max:
                 raise ValueError("row_sum needs l within the coefficient range")
-            M = e.coeffs.n_max - l
-            return _shift(e.coeffs.a.__getitem__, l, M, 1, P**l / mp.factorial(l) * _exp_tail(P, M))
+            return _shift(e.coeffs.a.__getitem__, l, 0, e.coeffs.n_max - l, 1, e.ps.p(1).hi())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -357,9 +357,7 @@ def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
     """sum over n of a_n 2^n, which must enclose 1 (total cell mass)."""
     e = _engine(k, digits, p0)
     with mp.workdps(digits + 20):
-        P = e.ps.p(1).hi()
-        return _shift(e.coeffs.a.__getitem__, 0, e.coeffs.n_max, 2,
-                      _exp_tail(2 * P, e.coeffs.n_max))
+        return _shift(e.coeffs.a.__getitem__, 0, 0, e.coeffs.n_max, 2, e.ps.p(1).hi())
 
 
 def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:

@@ -94,9 +94,10 @@ _INT_PAIRS = 600_000
 _SHAPE_PAIRS = 6
 _W = 2.0**-48  # relative half-width of the interval proven around each seed
 # the smallest N at which empirical_table starts a process pool.  Timed at
-# k = 2 on a 2-vCPU host (median of 7 fresh processes each): one worker
-# takes 0.05 s at N = 1e6 and 0.10 s at 2.5e6, two take 0.08 s and 0.11 s;
-# at 4e6 two win, 0.14 s against 0.18 s
+# k = 2 on a 2-vCPU host (in-process time, median of 7 fresh processes per
+# point, pool forced), two workers against one: 0.20 s against 0.17 s at
+# N = 1e6 and 0.27 s against 0.23 s at 2.5e6, then 0.18 s against 0.21 s at
+# 4e6, 0.38 s against 0.53 s at 1e7 and 0.86 s against 1.29 s at 3e7
 _POOL_MIN_N = 3_000_000
 
 

@@ -95,7 +95,7 @@ from math import exp, fsum, inf, isqrt, log
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
-from .arith import (DEFAULT_PRIME_CUTOFF, LambdaElement, _shape_walk, mobius_sieve,
+from .arith import (DEFAULT_PRIME_CUTOFF, LambdaElement, _shape_walk, introot, mobius_sieve,
                     next_prime, shape_tuples, squarefree_sieve)
 from .bounded import ErrorBoundedReal, dot
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
@@ -103,6 +103,7 @@ from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prim
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 _DIRECT_WORK_CAP = 50_000_000
+_BOX_TUPLE_CAP = 10**7  # the most box tuples B^(k-1) the k >= 4 walk accepts
 
 
 def lambda_min_radicand(k: int) -> int:
@@ -204,26 +205,39 @@ def tail_bound(k: int, m: int, B: int):
         return total
 
 
+def _box_cap(k: int) -> int:
+    """The largest box B that power_sum_direct accepts for k."""
+    if k == 2:
+        return _DIRECT_WORK_CAP
+    if k == 3:
+        return _DIRECT_WORK_CAP // 15
+    return introot(_BOX_TUPLE_CAP, k - 1)
+
+
+def default_box(k: int) -> int:
+    """The box verify sums when none is asked for: the largest that
+    power_sum_direct accepts for k, at most 10,000 (10,000 at k = 2 and 3,
+    215 at k = 4, 56 at k = 5)."""
+    return min(10_000, _box_cap(k))
+
+
 def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
     """Truncated P_k(m) over the coordinate box b_j <= B, plus a radius of
     tail_bound(k, m, B) and a float-accumulation envelope."""
     if k < 2 or m < 1 or B < 2:
         raise ValueError("need k >= 2, m >= 1, B >= 2")
+    if B > _box_cap(k):
+        raise ValueError("box too large" if k < 4
+                         else "box too large for exhaustive tuple enumeration")
     if k == 2:
-        if B > _DIRECT_WORK_CAP:
-            raise ValueError("box too large")
         sf = squarefree_sieve(B)
         s = 1.5 * m
         total = fsum(b ** (-s) for b in range(2, B + 1) if sf[b])
         work = B
     elif k == 3:
-        if B * 15 > _DIRECT_WORK_CAP:
-            raise ValueError("box too large")
         total = _box_sum_k3(m, B)
         work = int(B * (log(B) + 1))
     else:
-        if B ** (k - 1) > 10**7:
-            raise ValueError("box too large for exhaustive tuple enumeration")
         total = _box_sum_generic(k, m, B)
         work = B ** (k - 1)
     with mp.workdps(30):

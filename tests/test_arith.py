@@ -37,7 +37,8 @@ def test_factorize_range_enforced():
 
 
 def test_factorize_reconstructs():
-    for n in [2, 97, 1009, 2**20 * 3**5, 999_983 * 999_979, 2_147_483_647**2]:
+    for n in [2, 97, 1009, 2**20 * 3**5, 999_983 * 999_979, 2_147_483_647**2,
+              1_009 * 999_979, 104_729**3]:
         f = factorize(n)
         v = 1
         for p, e in f:

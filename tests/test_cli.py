@@ -981,6 +981,23 @@ def test_config_rejects_a_bad_tolerance_scale(tmp_path, capsys, text):
     assert err.startswith("error: --tolerance-scale")
 
 
+@pytest.mark.parametrize("k, trunc_B, box", [(2, None, 10_000), (4, None, 215), (4, 300, 300)])
+def test_verify_sums_the_largest_box_for_k_unless_asked(monkeypatch, k, trunc_B, box):
+    # without --trunc-B, the largest box power_sum_direct accepts, at most
+    # 10,000; the recorded stand-in walks no box and agrees with the Euler route
+    seen = set()
+
+    def recorded(k, m, B):
+        seen.add(B)
+        return density._engine(k, 30, cli.DEFAULT_PRIME_CUTOFF).ps.p(m)
+
+    monkeypatch.setattr(shapes, "power_sum_direct", recorded)
+    report = cli.run_verify(cli.RunConfig(k=k, quick=True, N=1000, trunc_B=trunc_B))
+    assert seen == {box}
+    check = {c["name"]: c for c in report["checks"]}["power_sum_routes"]
+    assert check["passed"] and f"(box {box})" in check["note"]
+
+
 @pytest.mark.parametrize("B", ["1", "0", "-3"])
 def test_verify_rejects_a_box_below_2(capsys, B):
     # the smallest box that holds a shape is B = 2; the check runs before any work

@@ -202,21 +202,21 @@ def test_inversion_cells_same_from_cold_or_warm_memo(k):
     cells = [(l, m) for l in range(4) for m in range(l, 4)]
     cold = {}
     for l, m in cells:
-        density._one_sided.cache_clear()
+        density._engine.cache_clear()
         cold[(l, m)] = _bits(density_A(k, l, m, "inversion"))
     for l, m in cells:
         assert _bits(density_A(k, l, m, "inversion")) == cold[(l, m)], (l, m)
 
 
 def test_one_sided_memo_ignores_caller_precision():
-    density._one_sided.cache_clear()
+    density._engine.cache_clear()
     with mp.workdps(15):
         low = [_bits(density_shiu(2, l)) for l in range(4)]
-    density._one_sided.cache_clear()
+    density._engine.cache_clear()
     with mp.workdps(80):
         high = [_bits(density_shiu(2, l)) for l in range(4)]
     assert low == high
-    assert density._one_sided.cache_info().maxsize is not None
+    assert density._engine.cache_info().maxsize is not None
 
 
 def test_density_B_examples():
@@ -401,6 +401,22 @@ def test_every_reader_shares_one_engine(k, g):
     e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
     assert e.g == g and e.coeffs.n_max == max(44, g)
     assert e.xi.r_max == e.coeffs.n_max + 2 * g
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_series_obey_the_majorant_of_the_one_truncation_bound(k):
+    # every shift's tail bound rests on |s_i| <= B P^i / i!, P = P_k(1):
+    # B = 1 for xi_r and a_n, B = e^P for d_j.  A full table in all three
+    # methods reads every value of the three sequences; each true value obeys
+    # the bound, so each enclosure must reach it (deep values sit at the
+    # working-precision noise floor, which may pass the bound within the radius)
+    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    with mp.workdps(60):
+        P = e.ps.p(1).hi()
+        for name, seq, B in (("xi", e.xi.xi, 1), ("a", e.coeffs.a, 1), ("d", e.d, mp.exp(P))):
+            for i in range(len(seq)):
+                x = seq[i]
+                assert abs(x.value) - x.radius <= B * P**i / mp.factorial(i), (name, i)
 
 
 # the engine at its default 30 digits: its ceilings r_max and n_max, its

@@ -432,6 +432,14 @@ def test_euler_rejects_bad_args():
         power_sum_direct(2, 1, 1)
 
 
+@pytest.mark.parametrize("k, box", [(2, 10_000), (3, 10_000), (4, 215), (5, 56)])
+def test_default_box_is_the_largest_direct_sum_accepts(k, box):
+    assert shapes.default_box(k) == box
+    if k >= 4:  # one more refuses before any tuple is walked
+        with pytest.raises(ValueError, match="box too large for exhaustive"):
+            power_sum_direct(k, 1, box + 1)
+
+
 # (r_max, power-sum digits) of the series engine at its default 30 digits
 ENGINE_POWER_SUMS = {2: (124, 61), 3: (135, 68)}
 
