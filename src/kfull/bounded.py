@@ -27,7 +27,8 @@ as the nearest mpf with its conversion error added to the radius, which is
 rounded up, so the enclosure holds every point of the one it was given.
 It rejects a negative radius.  The results of the operations are built by
 _make without those steps, so negation and widened() keep an operand's
-fields bit for bit.
+fields bit for bit.  clipped() cuts an enclosure to a range known a priori,
+and keeps one that lies inside bit for bit as well.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ class ErrorBoundedReal:
 
     def widened(self, extra) -> "ErrorBoundedReal":
         return _make(self.value, _pad(self.radius + abs(mpf(extra))))
+
+    def clipped(self, lo, hi) -> "ErrorBoundedReal":
+        """The enclosure cut to [lo, hi] (ints or mpfs, read exactly), a range
+        the exact value is known to lie in: itself, bit for bit, where it
+        lies inside; else the overlap, its midpoint rounded to nearest and
+        its radius up.  ArithmeticError when the two do not meet."""
+        a, b = self.lo(), self.hi()
+        if lo <= a and b <= hi:
+            return self
+        a, b = max(a, lo), min(b, hi)
+        if a > b:
+            raise ArithmeticError(f"{self!r} lies outside its a-priori range "
+                                  f"[{mp.nstr(lo, 3)}, {mp.nstr(hi, 3)}]")
+        v = mp.fmul(mp.fadd(a, b, exact=True), 0.5)
+        return _make(v, max(mp.fsub(v, a, rounding="c"), mp.fsub(b, v, rounding="c")))
 
     def __add__(self, other):
         return dot(((self, 1), (_coerce(other), 1)))

@@ -187,6 +187,18 @@ def _excess(a, b) -> float:
     return abs(float(a.value - b.value)) - float(a.radius + b.radius)
 
 
+def _cell_route_excess(cfg: RunConfig) -> float:
+    """The worst gap between the direct and inversion enclosures of the cells
+    up to (5,5) beyond their combined radii; at most 0 when all overlap."""
+    worst = 0.0
+    for l in range(6):
+        for m in range(l, 6):
+            d, inv = (density.density_A(cfg.k, l, m, meth, cfg.digits, cfg.prime_cutoff)
+                      for meth in ("direct", "inversion"))
+            worst = max(worst, _excess(d, inv))
+    return worst
+
+
 def run_verify(cfg: RunConfig) -> dict:
     """All cross-checks for one k; tolerances scale with cfg.tolerance_scale."""
     k = cfg.k
@@ -202,19 +214,11 @@ def run_verify(cfg: RunConfig) -> dict:
             "note": note,
         })
 
-    # the direct, inversion and xi cells up to (5,5) all shift the one xi
-    # series, so this checks weights, the truncation bound and the inversion
-    # formula, not xi itself; the head/tail split of F_k would be an
-    # independent route
-    worst = 0.0
-    for l in range(6):
-        for m in range(l, 6):
-            d, inv, xi = (density.density_A(k, l, m, meth, cfg.digits, cfg.prime_cutoff)
-                          for meth in ("direct", "inversion", "xi"))
-            worst = max(worst, _excess(d, inv), _excess(d, xi), _excess(inv, xi))
-    add("three_route_agreement", worst, 0.0,
-        "direct, inversion and xi enclosures of d(A[l,m]) beyond combined radii, "
-        "0<=l<=m<=5")
+    # the head/tail split of F_k would be a route independent of xi
+    add("cell_route_agreement", _cell_route_excess(cfg), 0.0,
+        "direct and inversion enclosures of d(A[l,m]) beyond combined radii, "
+        "0<=l<=m<=5; both routes shift the one xi series, so this checks the "
+        "shift weights, the truncation bound and the inversion formula")
 
     norm = density.normalization_check(k, cfg.digits, cfg.prime_cutoff)
     add("normalization_total_mass", abs(float(norm.value) - 1.0),
@@ -453,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="cell-density table d(A[l,m])")
     common(t)
-    t.add_argument("--method", choices=("direct", "inversion", "xi"), default=S)
+    t.add_argument("--method", choices=("direct", "inversion"), default=S)
 
     c = sub.add_parser("constants", help="named constants with radii")
     common(c)

@@ -10,13 +10,12 @@ where xi_r, the elementary symmetric functions of the shape reciprocals
 
 Every other fixed linear sum is a Taylor shift: the n-th coefficient of a
 series sum_i s_i x^i moved to x + t is sum_j C(n+j, n) t^j s_(n+j).  One
-primitive, _shift(s, l, m, T, t, P, B), computes C(l+m, l) times that sum
+primitive, _shift(s, l, m, T, t, P), computes C(l+m, l) times that sum
 for n = l + m, cut after j = T, as one exact bounded.dot, widened by the
-one truncation bound _tail for a series with |s_i| <= B P^i / i!:
+one truncation bound _tail for a series with |s_i| <= P^i / i!:
 
   - coefficients:  a_n = shift of xi by t = -2;
   - cells:         d(A[l,m]) = C(l+m, l) a_(l+m)               (direct)
-                             = C(l+m, l) * (xi shifted by -2)  (xi)
                              = C(l+m, l) * (d shifted by -1)   (inversion);
   - one-sided:     d_l = xi shifted by -1                      (xi_alternating)
                        = a shifted by +1                       (row_sum);
@@ -25,20 +24,20 @@ one truncation bound _tail for a series with |s_i| <= B P^i / i!:
     with U = I union J, evaluated as C_k rescaled by the finitely many
     excluded factors; C_k = a_0.
 
-So the direct and xi cells are the same series with C(l+m, l) folded into
-the weights, and the inversion cells shift one-sided densities of the same
-xi: the three routes check the weights, the truncation bound and the
-published inversion formula, not the xi values.  The weights are exact
-Python ints, signs and powers of two included; a rounded weight such as
-Newton's 1/r stays outside the dot as an ErrorBoundedReal multiply.
-eval_F's log series goes through dot as well, once its depth is chosen,
-with its rounded weights (-w)^j / j as ErrorBoundedReals.
+So both cell routes shift the one xi series, the direct one through the
+coefficients and the inversion one through the one-sided densities: they
+check the shift weights, the truncation bound and the published inversion
+formula, not the xi values.  The weights are exact Python ints, signs and
+powers of two included; a rounded weight such as Newton's 1/r stays
+outside the dot as an ErrorBoundedReal multiply.  eval_F's log series goes
+through dot as well, once its depth is chosen, with its rounded weights
+(-w)^j / j as ErrorBoundedReals.
 
 All infinite sums are truncated with proven bounds folded into the radius.
-Every shifted series has a majorant |s_i| <= B P^i / i!, P = P_k(1): B = 1
-for xi_r and a_n (a_n sums the products xi_n sums, each times factors
-1 - 2/lam < 1), and B = e^P for the one-sided d_j, the shifts of xi by -1.
-So every tail is B P^n / (l! m!) times sum_{j>T} (|t| P)^j / j!, which
+Every shifted series has the majorant |s_i| <= P^i / i!, P = P_k(1):
+xi_r = e_r(1/lam) <= p_1^r / r!, and a_n and d_j sum the products xi_n and
+xi_j sum, each times factors 1 - 2/lam or 1 - 1/lam that lie in [0, 1).
+So every tail is P^n / (l! m!) times sum_{j>T} (|t| P)^j / j!, which
 _exp_tail bounds by its ratio.  Every shift keeps the terms n..n + g past
 its leading index n, with one guard g per (k, digits, p0): _engine picks it
 from the same bound and every route reads it, so no caller can ask for
@@ -47,6 +46,13 @@ shallow leaves a tail the bound cannot hold tightly, and past the point
 where xi_r reaches the working-precision noise floor the binomial weights
 amplify that noise, so deeper sums would be worse, not better.  The
 tracked radii account for both effects honestly.
+
+The same majorant bounds every public read a priori: each cell lies in
+[0, P^(l+m) / (l! m!)] and each d_l in [0, P^l / l!], and density_A and
+density_shiu cut their enclosures to that interval (_within_majorant), so
+no deep read prints a negative density or a radius wider than the bound.
+An enclosure already inside is returned bit for bit, and the engine's own
+sequences stay uncut, so every sum that reads them is unchanged.
 
 The engine is the public builders composed: shapes.power_sums,
 xi_from_power_sums and coeffs_a, plus the one-sided densities d (xi
@@ -68,13 +74,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .arith import DEFAULT_PRIME_CUTOFF, LambdaElement, SubsetSpec  # noqa: F401  (re-exported)
-from .bounded import ErrorBoundedReal, dot
+from .bounded import ErrorBoundedReal, _round_up, dot
 from .shapes import (
     PowerSums,
     _Grown,
@@ -139,23 +145,31 @@ class DensityTable:
                 yield (l, m), self.entries[(l, m)]
 
 
-def _shift(s, l: int, m: int, T: int, t: int, P, B=1) -> ErrorBoundedReal:
+def _shift(s, l: int, m: int, T: int, t: int, P) -> ErrorBoundedReal:
     """C(n, l) sum_{j<=T} C(n+j, n) t^j s(n+j), n = l + m, as one exact dot
     of int weights (C(n, l) times the n-th coefficient of sum_i s(i) x^i moved
-    to x + t), widened by _tail for the majorant |s(i)| <= B P^i / i!."""
+    to x + t), widened by _tail for the majorant |s(i)| <= P^i / i!."""
     n, c = l + m, comb(l + m, l)
     terms = ((s(n + j), c * comb(n + j, n) * t**j) for j in range(T + 1))
-    return dot(terms).widened(_tail(l, m, T, t, P, B))
+    return dot(terms).widened(_tail(l, m, T, t, P))
 
 
-def _tail(l: int, m: int, T: int, t: int, P, B=1):
-    """The one truncation bound (mpf): if |s(i)| <= B P^i / i!, the terms
-    of _shift past T sum to at most
+def _tail(l: int, m: int, T: int, t: int, P):
+    """The one truncation bound (mpf): if |s(i)| <= P^i / i!, the terms of
+    _shift past T sum to at most
 
-        C(n, l) sum_{j>T} C(n+j, n) |t|^j B P^(n+j) / (n+j)!
-            = B P^n / (l! m!) * sum_{j>T} (|t| P)^j / j!."""
-    return (B * P**(l + m) / (mp.factorial(l) * mp.factorial(m))
-            * _exp_tail(abs(t) * P, T))
+        C(n, l) sum_{j>T} C(n+j, n) |t|^j P^(n+j) / (n+j)!
+            = P^n / (l! m!) * sum_{j>T} (|t| P)^j / j!."""
+    return P**(l + m) / (mp.factorial(l) * mp.factorial(m)) * _exp_tail(abs(t) * P, T)
+
+
+def _within_majorant(x: ErrorBoundedReal, P, l: int, m: int = 0) -> ErrorBoundedReal:
+    """x cut to [0, P^(l+m) / (l! m!)], where cell (l, m), and with m = 0
+    the one-sided d_l, lies a priori; the bound is the exact rational
+    rounded up, its power of two applied exactly after the rounding."""
+    n = l + m
+    bound = _round_up(Fraction(P.man ** n, factorial(l) * factorial(m)))
+    return x.clipped(0, mp.ldexp(bound, P.exp * n))
 
 
 def _exp_tail(x, T: int):
@@ -233,7 +247,8 @@ class Engine(NamedTuple):
 def _engine(k: int, digits: int, p0: int) -> Engine:
     """The series engine built from power_sums, xi_from_power_sums, coeffs_a
     and the one-sided d (xi shifted by -1), and the only place that picks a
-    series depth.
+    series depth.  The two cell routes read it: direct the coefficients,
+    inversion the one-sided d.
 
     g is the number of terms every series keeps past its leading index: at
     least 40, deepened in steps of 5 until _tail's bound on a_0's dropped
@@ -243,8 +258,8 @@ def _engine(k: int, digits: int, p0: int) -> Engine:
     k = 2..5.  k = 6 would need 233, past _GUARD_CAP, and there the search
     raises ArithmeticError naming k instead of building an engine that deep.
     The coefficients run to n_max = max(44, g), and r_max = n_max + 2g so
-    that the inversion route (one-sided densities up to index n_max + g,
-    each g terms deep) stays inside the xi range: d runs to r_max - g.  The
+    that the inversion cells (one-sided densities up to index n_max + g,
+    each g terms deep) stay inside the xi range: d runs to r_max - g.  The
     power sums gain digits to pay for the larger binomial weights the
     deeper sums incur.
 
@@ -294,7 +309,7 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
               digits: int = DEFAULT_DIGITS,
               p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers in the left
-    interval and m in the right one."""
+    interval and m in the right one, cut to [0, P^(l+m) / (l! m!)]."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if l < 0 or m < 0:
@@ -303,36 +318,38 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
     n = l + m
     if n > e.coeffs.n_max:
         raise ValueError(f"l + m = {n} beyond computed range {e.coeffs.n_max}")
+    P = e.ps.p(1).hi()
     with mp.workdps(digits + 20):
         if method == "direct":
-            return e.coeffs.a[n] * mpf(comb(n, l))
-        P = e.ps.p(1).hi()
-        if method == "xi":
-            return _shift(e.xi.xi.__getitem__, l, m, e.g, -2, P)
-        if method == "inversion":
-            # |d_j| <= sum_i C(j+i, j) P^(j+i) / (j+i)! = e^P P^j / j!
-            return _shift(e.d.__getitem__, l, m, e.g, -1, P, mp.exp(P))
-    raise ValueError(f"unknown method {method!r}")
+            cell = e.coeffs.a[n] * mpf(comb(n, l))
+        elif method == "inversion":
+            cell = _shift(e.d.__getitem__, l, m, e.g, -1, P)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        return _within_majorant(cell, P, l, m)
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
                  digits: int = DEFAULT_DIGITS,
                  p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers between
-    consecutive kth powers (the one-sided law)."""
+    consecutive kth powers (the one-sided law), cut to [0, P^l / l!]."""
     if l < 0:
         raise ValueError("l must be >= 0")
     e = _engine(k, digits, p0)
     if l >= len(e.d):
         raise ValueError(f"l = {l} beyond computed range {len(e.d) - 1}")
-    if method == "xi_alternating":
-        return e.d[l]
+    P = e.ps.p(1).hi()
     with mp.workdps(digits + 20):
-        if method == "row_sum":
+        if method == "xi_alternating":
+            d = e.d[l]
+        elif method == "row_sum":
             if l > e.coeffs.n_max:
                 raise ValueError("row_sum needs l within the coefficient range")
-            return _shift(e.coeffs.a.__getitem__, l, 0, e.coeffs.n_max - l, 1, e.ps.p(1).hi())
-    raise ValueError(f"unknown method {method!r}")
+            d = _shift(e.coeffs.a.__getitem__, l, 0, e.coeffs.n_max - l, 1, P)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        return _within_majorant(d, P, l)
 
 
 def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS,

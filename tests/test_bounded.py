@@ -275,3 +275,33 @@ def test_dot_refuses_rounded_weights(weight):
 def test_dot_refuses_non_finite_operands(x, w):
     with pytest.raises(ValueError):
         dot([(x, w)])
+
+
+def test_clipped_keeps_an_enclosure_inside_bit_for_bit():
+    x = ebr(0.5, 0.25)
+    assert x.clipped(0, 1) is x
+    assert x.clipped(mpf(0.25), mpf(0.75)) is x  # touching both ends
+
+
+@pytest.mark.parametrize("v, r, lo, hi", [
+    (-7.2e-19, 3.2e-15, 0, 8.9e-40),   # a noisy deep cell and its a-priori range
+    (0.5, 0.25, 0, 0.6),
+    (0.5, 0.25, 0.4, 1),
+    (1 / 3, 1e-3, 0, 1 / 3),
+])
+def test_clipped_holds_the_overlap_and_no_more(v, r, lo, hi):
+    x, lo, hi = ebr(v, r), mpf(lo), mpf(hi)
+    with mp.workprec(30):
+        c = x.clipped(lo, hi)
+    a, b = max(frac(x.lo()), frac(lo)), min(frac(x.hi()), frac(hi))
+    # every point of the overlap, with half its width as the radius plus the
+    # midpoint's rounding (half an ulp) and the radius's own (one ulp)
+    assert c.contains(a) and c.contains(b)
+    assert c.value._mpf_[3] <= 30 and c.radius._mpf_[3] <= 30
+    slack = abs(frac(c.value)) / 2**30
+    assert (b - a) / 2 <= frac(c.radius) <= ((b - a) / 2 + slack) * (1 + Fraction(1, 2**29))
+
+
+def test_clipped_refuses_a_range_it_misses():
+    with pytest.raises(ArithmeticError, match="a-priori range"):
+        ebr(-1, 0.5).clipped(0, 1)

@@ -5,6 +5,7 @@ import re
 from decimal import Decimal
 
 import pytest
+from mpmath import mp
 
 from kfull import cli, density, empirical, shapes
 from kfull.cli import build_parser, main
@@ -62,11 +63,11 @@ def test_table_json_and_determinism(capsys):
 
 
 def test_table_methods_agree(capsys):
-    # every route sums as deep as the engine's guard, so the xi and inversion
-    # cells stay tight at k = 4 (g = 75) too, and all three enclosures overlap
+    # every route sums as deep as the engine's guard, so the inversion cells
+    # stay tight at k = 4 (g = 75) too, and the two enclosures overlap
     for k in (2, 3, 4):
         tables = {}
-        for method in ("direct", "xi", "inversion"):
+        for method in ("direct", "inversion"):
             code, out, _ = run_cli(capsys, "table", "--k", str(k), "--max-index", "2",
                                    "--format", "csv", "--method", method)
             assert code == 0
@@ -74,11 +75,10 @@ def test_table_methods_agree(capsys):
                               for r in parse_csv(out)}
             if method != "direct":
                 assert all(rad <= Decimal("1e-12") for _, rad in tables[method].values()), k
-        for a, b in (("direct", "xi"), ("direct", "inversion"), ("xi", "inversion")):
-            assert tables[a].keys() == tables[b].keys()
-            for cell, (va, ra) in tables[a].items():
-                vb, rb = tables[b][cell]
-                assert abs(va - vb) <= ra + rb, (k, a, b, cell)
+        assert tables["direct"].keys() == tables["inversion"].keys()
+        for cell, (va, ra) in tables["direct"].items():
+            vb, rb = tables["inversion"][cell]
+            assert abs(va - vb) <= ra + rb, (k, cell)
 
 
 def test_constants_text(capsys):
@@ -207,7 +207,7 @@ def test_verify_json_report(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"three_route_agreement", "normalization_total_mass",
+    assert {"cell_route_agreement", "normalization_total_mass",
             "row_sum_consistency", "fractional_part_criterion",
             "empirical_vs_analytic", "power_sum_routes"} <= names
     for c in doc["checks"]:
@@ -274,15 +274,56 @@ def test_verify_three_routes_see_a_cell_off_by_1e_10(capsys, monkeypatch):
 
     def shifted(k, l, m, method="direct", *args):
         e = density_A(k, l, m, method, *args)
-        return e + 1e-10 if (l, m, method) == (1, 2, "xi") else e
+        return e + 1e-10 if (l, m, method) == (1, 2, "inversion") else e
 
     monkeypatch.setattr(density, "density_A", shifted)
     code, out, _ = run_cli(capsys, "verify", "--k", "2", "--quick", "--N", "3000",
                            "--format", "json")
     assert code == 1
-    check = {c["name"]: c for c in json.loads(out)["checks"]}["three_route_agreement"]
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["cell_route_agreement"]
     assert not check["passed"] and check["tolerance"] == 0.0
     assert check["observed"] == pytest.approx(1e-10, rel=1e-6)
+
+
+def _move_cell(monkeypatch, k, l, m, route, by):
+    """Make density.density_A return route's enclosure of cell (l, m) at k
+    moved by by(direct, inversion), its two routes' enclosures."""
+    density_A = density.density_A
+    direct, inversion = (density_A(k, l, m, meth) for meth in ("direct", "inversion"))
+    with mp.workdps(80):
+        moved = {"direct": direct, "inversion": inversion}[route] + by(direct, inversion)
+
+    def shifted(kk, ll, mm, method="direct", *args):
+        e = density_A(kk, ll, mm, method, *args)
+        return moved if (kk, ll, mm, method) == (k, l, m, route) else e
+
+    monkeypatch.setattr(density, "density_A", shifted)
+
+
+@pytest.mark.parametrize("route", ["direct", "inversion"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cell_route_agreement_sees_either_route_moved_by_10_radii(monkeypatch, k, route):
+    # combined radii: at k = 4 the direct radius (about 1e-17) dwarfs the
+    # inversion one (about 1e-36), so 10 inversion radii would hide in it
+    cfg = cli.RunConfig(k=k)
+    assert cli._cell_route_excess(cfg) <= 0
+    _move_cell(monkeypatch, k, 1, 2, route, lambda d, inv: 10 * (d.radius + inv.radius))
+    assert cli._cell_route_excess(cfg) > 0
+
+
+@pytest.mark.parametrize("route", ["direct", "inversion"])
+def test_cell_route_agreement_sees_a_k4_cell_off_by_10_percent(monkeypatch, route):
+    _move_cell(monkeypatch, 4, 1, 2, route, lambda d, inv: d.value / 10)
+    assert cli._cell_route_excess(cli.RunConfig(k=4)) > 0
+
+
+def test_table_method_xi_is_no_choice(capsys):
+    # the xi cells were the direct route's bytes; the choice is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--k", "2", "--method", "xi"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--method" in out.err
 
 
 def test_verify_power_sum_routes_see_a_direct_sum_moved_by_10_radii(capsys, monkeypatch):
@@ -662,8 +703,10 @@ def test_config_values_checked_like_flags(tmp_path, capsys, doc):
 
 # exact csv stdout of the engine's table and constants routes: a change in how
 # the series are summed may shrink a radius only below its printed 8 digits.
-# The k = 3 xi cells and d_3,l rows are as the engine's guard g = 45 prints
-# them; FIXED_GUARD_ROWS keeps their earlier enclosures.  The P rows are as
+# The k = 3 cells and d_3,l rows are as the engine's guard g = 45 prints
+# them (the cells were pinned through the xi method, which printed the
+# direct route's value and radius bytes); FIXED_GUARD_ROWS keeps their
+# earlier enclosures.  The P rows are as
 # the Witt-exponent Euler route prints them; LOG1P_CHAIN_P_RADII keeps the
 # wider radii of earlier routes
 EXACT_SERIES_OUTPUT = {
@@ -691,29 +734,29 @@ EXACT_SERIES_OUTPUT = {
         '2,4,5,0.0000120859130092753250317703470444,7.1282714e-38,direct\n'
         '2,5,5,0.00000141783328625129560532212190082,1.672655e-38,direct\n'
     ),
-    "table --k 3 --max-index 5 --method xi": (
+    "table --k 3 --max-index 5 --method direct": (
         'k,l,m,value,radius,method\n'
-        '3,0,0,0.000146352836245950288782280998592,1.2486594e-18,xi\n'
-        '3,0,1,0.000898954913393338273097719914563,4.5691772e-18,xi\n'
-        '3,0,2,0.00241318469443338347665411581083,8.3599177e-18,xi\n'
-        '3,0,3,0.00389944540611754468132190575991,1.0197055e-17,xi\n'
-        '3,0,4,0.00436092537010464477580206787672,9.328434e-18,xi\n'
-        '3,0,5,0.00365499793953792878025907159873,6.8270445e-18,xi\n'
-        '3,1,1,0.00482636938886676695330823162166,1.6719835e-17,xi\n'
-        '3,1,2,0.0116983362183526340439657172797,3.0591164e-17,xi\n'
-        '3,1,3,0.0174437014804185791032082715069,3.7313736e-17,xi\n'
-        '3,1,4,0.0182749896976896439012953579937,3.4135223e-17,xi\n'
-        '3,1,5,0.014504446452902380020588711374,2.4981973e-17,xi\n'
-        '3,2,2,0.0261655522206278686548124072603,5.5970604e-17,xi\n'
-        '3,2,3,0.0365499793953792878025907159873,6.8270445e-17,xi\n'
-        '3,2,4,0.0362611161322559500514717784349,6.2454932e-17,xi\n'
-        '3,2,5,0.0274727056687557545673204592916,4.5707843e-17,xi\n'
-        '3,3,3,0.0483481548430079334019623712465,8.3273243e-17,xi\n'
-        '3,3,4,0.0457878427812595909455340988193,7.6179739e-17,xi\n'
-        '3,3,5,0.0333183925139008248967551355438,5.5752388e-17,xi\n'
-        '3,4,4,0.0416479906423760311209439194298,6.9690484e-17,xi\n'
-        '3,4,5,0.0292470001726458473931758688605,5.1003206e-17,xi\n'
-        '3,5,5,0.0198968826699103982319308643708,3.7326861e-17,xi\n'
+        '3,0,0,0.000146352836245950288782280998592,1.2486594e-18,direct\n'
+        '3,0,1,0.000898954913393338273097719914563,4.5691772e-18,direct\n'
+        '3,0,2,0.00241318469443338347665411581083,8.3599177e-18,direct\n'
+        '3,0,3,0.00389944540611754468132190575991,1.0197055e-17,direct\n'
+        '3,0,4,0.00436092537010464477580206787672,9.328434e-18,direct\n'
+        '3,0,5,0.00365499793953792878025907159873,6.8270445e-18,direct\n'
+        '3,1,1,0.00482636938886676695330823162166,1.6719835e-17,direct\n'
+        '3,1,2,0.0116983362183526340439657172797,3.0591164e-17,direct\n'
+        '3,1,3,0.0174437014804185791032082715069,3.7313736e-17,direct\n'
+        '3,1,4,0.0182749896976896439012953579937,3.4135223e-17,direct\n'
+        '3,1,5,0.014504446452902380020588711374,2.4981973e-17,direct\n'
+        '3,2,2,0.0261655522206278686548124072603,5.5970604e-17,direct\n'
+        '3,2,3,0.0365499793953792878025907159873,6.8270445e-17,direct\n'
+        '3,2,4,0.0362611161322559500514717784349,6.2454932e-17,direct\n'
+        '3,2,5,0.0274727056687557545673204592916,4.5707843e-17,direct\n'
+        '3,3,3,0.0483481548430079334019623712465,8.3273243e-17,direct\n'
+        '3,3,4,0.0457878427812595909455340988193,7.6179739e-17,direct\n'
+        '3,3,5,0.0333183925139008248967551355438,5.5752388e-17,direct\n'
+        '3,4,4,0.0416479906423760311209439194298,6.9690484e-17,direct\n'
+        '3,4,5,0.0292470001726458473931758688605,5.1003206e-17,direct\n'
+        '3,5,5,0.0198968826699103982319308643708,3.7326861e-17,direct\n'
     ),
     "constants --k 3": (
         'name,value,radius\n'
@@ -808,16 +851,53 @@ INVERSION_2_3 = {
 }
 
 
+# the same for table --k 3 --method inversion --max-index 5 and
+# table --k 4 --method inversion --max-index 2, as printed while the inversion
+# tail bounded the one-sided d_j by e^P P^j / j! rather than P^j / j!
+INVERSION_3_5 = {
+    (0, 0): ('0.000146352836245950288782392145288', '1.2617832e-30'),
+    (0, 1): ('0.000898954913393338273097954341675', '4.6172007e-30'),
+    (0, 2): ('0.0024131846944333834766543616804', '8.447783e-30'),
+    (0, 3): ('0.00389944540611754468132207674936', '1.0304229e-29'),
+    (0, 4): ('0.00436092537010464477580215659144', '9.4264787e-30'),
+    (0, 5): ('0.00365499793953792878025910823006', '6.8987989e-30'),
+    (1, 1): ('0.0048263693888667669533087233608', '1.6895566e-29'),
+    (1, 2): ('0.0116983362183526340439662302481', '3.0912686e-29'),
+    (1, 3): ('0.0174437014804185791032086263657', '3.7705915e-29'),
+    (1, 4): ('0.0182749896976896439012955411503', '3.4493994e-29'),
+    (1, 5): ('0.0145044464529023800205887866158', '2.5244541e-29'),
+    (2, 2): ('0.0261655522206278686548129395486', '5.6558872e-29'),
+    (2, 3): ('0.0365499793953792878025910823006', '6.8987989e-29'),
+    (2, 4): ('0.0362611161322559500514719665395', '6.3111352e-29'),
+    (2, 5): ('0.0274727056687557545673205361786', '4.6188247e-29'),
+    (3, 3): ('0.0483481548430079334019626220526', '8.414847e-29'),
+    (3, 4): ('0.0457878427812595909455342269644', '7.6980411e-29'),
+    (3, 5): ('0.0333183925139008248967551876644', '5.6338362e-29'),
+    (4, 4): ('0.0416479906423760311209439845805', '7.0422953e-29'),
+    (4, 5): ('0.0292470001726458473931758952308', '5.1539265e-29'),
+    (5, 5): ('0.0198968826699103982319308749935', '3.7719177e-29'),
+}
+INVERSION_4_2 = {
+    (0, 0): ('0.00000000250704801450304448106994292989', '1.3490888e-36'),
+    (0, 1): ('0.0000000323988607585230906935251050075', '1.1695893e-35'),
+    (0, 2): ('0.000000197362540960667768870759988818', '5.0698627e-35'),
+    (1, 1): ('0.000000394725081921335537741519977636', '1.0139725e-34'),
+    (1, 2): ('0.00000229292959545586490765327683876', '4.3953051e-34'),
+    (2, 2): ('0.0000128035690116165662573306394943', '1.9052495e-33'),
+}
+
+
 def test_inversion_values_pinned_and_radii_never_grow(capsys):
-    code, out, err = run_cli(capsys, "table", "--k", "2", "--method", "inversion",
-                             "--max-index", "3", "--format", "csv")
-    assert (code, err) == (0, "")
-    rows = parse_csv(out)
-    assert sorted((int(r["l"]), int(r["m"])) for r in rows) == sorted(INVERSION_2_3)
-    for r in rows:
-        value, radius = INVERSION_2_3[(int(r["l"]), int(r["m"]))]
-        assert r["value"] == value
-        assert Decimal(r["radius"]) <= Decimal(radius)
+    for k, L, pinned in ((2, 3, INVERSION_2_3), (3, 5, INVERSION_3_5), (4, 2, INVERSION_4_2)):
+        code, out, err = run_cli(capsys, "table", "--k", str(k), "--method", "inversion",
+                                 "--max-index", str(L), "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert sorted((int(r["l"]), int(r["m"])) for r in rows) == sorted(pinned)
+        for r in rows:
+            value, radius = pinned[(int(r["l"]), int(r["m"]))]
+            assert r["value"] == value, (k, r["l"], r["m"])
+            assert Decimal(r["radius"]) <= Decimal(radius), (k, r["l"], r["m"])
 
 
 # name -> (value, radius) of constants --k 4: the P rows as printed before the
@@ -856,10 +936,11 @@ def test_constants_k4_values_pinned_and_radii_never_grow(capsys):
 
 # name or "l,m" -> (value, radius) of the rows that moved when the xi,
 # inversion and one-sided sums stopped at a fixed guard of 40, whatever depth
-# the engine had built; each row's value now lies inside that enclosure and
-# its radius is no larger
+# the engine had built (the k = 3 cells as the xi method, whose bytes the
+# direct route prints, printed them); each row's value now lies inside that
+# enclosure and its radius is no larger
 FIXED_GUARD_ROWS = {
-    "table --k 3 --max-index 5 --method xi": {
+    "table --k 3 --max-index 5 --method direct": {
         "0,0": ('0.000146352836245950301214880201959', '1.0002453e-14'),
         "0,1": ('0.000898954913393338300095420554776', '3.6601637e-14'),
         "0,2": ('0.00241318469443338350579042780722', '6.6967565e-14'),
