@@ -34,11 +34,6 @@ from operator import itemgetter
 
 MAX_N = 2**63 - 1
 
-# the default cutoff below which the Euler route (shapes.power_sum_euler)
-# multiplies primes in exactly; kept here so the CLI reads it without loading
-# the engine
-DEFAULT_PRIME_CUTOFF = 100
-
 # Deterministic Miller-Rabin bases for all n < 3.3 * 10^24 (covers 2^63).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -332,21 +327,19 @@ def canonical_repr(n: int, k: int) -> KFullRepr:
     return KFullRepr(k, a, tuple(b))
 
 
-def shape_tuples(k: int, X: int | None = None, box: int | None = None) -> list:
+def shape_tuples(k: int, X: int | None = None, box: int | None = None,
+                 cap: int | None = None) -> list:
     """All (M, b) with M = prod b_j^(k+j) over squarefree pairwise-coprime
     tuples b, including the trivial all-ones tuple (M = 1).  Sorted by M.
 
     X caps the radicand (M <= X), box caps every coordinate (b_j <= box);
     at least one of them must be given.  This is the one walker over the
-    tuples: the enumeration, the shape lists and the box sums all read it."""
-    return _shape_walk(k, X, box)
+    tuples: the enumeration, the shape lists and the box sums all read it.
 
-
-def _shape_walk(k: int, X: int | None, box: int | None, cap: int | None = None) -> list:
-    """shape_tuples; given cap, a ValueError instead once there are more than
-    cap shapes besides the trivial one, so the walk never holds more than
-    cap + 1.  Each squarefree b <= r = introot(X, k+1) (and <= box) is the
-    shape b^(k+1), and at most sum_p r/p^2 < 0.4523 r of the n <= r are not
+    Given cap, a ValueError instead once there are more than cap shapes
+    besides the trivial one, so the walk never holds more than cap + 1.
+    Each squarefree b <= r = introot(X, k+1) (and <= box) is the shape
+    b^(k+1), and at most sum_p r/p^2 < 0.4523 r of the n <= r are not
     squarefree, so there are at least 0.54 r - 1 non-trivial shapes: a cap
     that bound already passes is refused before the sieve is built."""
     if k < 2:
@@ -392,20 +385,16 @@ def _shape_walk(k: int, X: int | None, box: int | None, cap: int | None = None) 
     return out
 
 
-def enumerate_kfull(k: int, X: int, proper_only: bool = True):
+def enumerate_kfull(k: int, X: int, proper_only: bool = True, cap: int | None = None):
     """Yield (value, KFullRepr) for k-full integers <= X in ascending order.
 
     proper_only=True skips perfect kth powers.  Generated from canonical
     representations (never by testing every integer): one arithmetic
     progression a = 1, 2, ... per shape tuple, lazily merged with a heap, so
-    memory stays proportional to the number of shapes.
+    memory stays proportional to the number of shapes.  Given cap, a
+    ValueError up front when there are more than cap non-trivial shapes,
+    since each is a value M <= X of its own.
     """
-    return _kfull_stream(k, X, proper_only)
-
-
-def _kfull_stream(k: int, X: int, proper_only: bool, cap: int | None = None):
-    """enumerate_kfull; given cap, a ValueError up front when there are more
-    than cap non-trivial shapes, since each is a value M <= X of its own."""
     if k < 2:
         raise ValueError("enumerate_kfull requires k >= 2")
     if X < 1:
@@ -417,7 +406,7 @@ def _kfull_stream(k: int, X: int, proper_only: bool, cap: int | None = None):
 
     gens = [
         per_shape(M, b)
-        for M, b in _shape_walk(k, X, None, cap)
+        for M, b in shape_tuples(k, X, cap=cap)
         if not (proper_only and M == 1)
     ]
     # distinct shapes never collide in value (unique representation), so the

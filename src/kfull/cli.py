@@ -25,7 +25,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from math import inf
 
 from . import density, empirical, shapes, zetas
-from .arith import DEFAULT_PRIME_CUTOFF, SubsetSpec, _kfull_stream
+from .arith import SubsetSpec, enumerate_kfull
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -38,7 +38,6 @@ class RunConfig:
     max_index: int = 5
     digits: int = 30
     trunc_B: int | None = None  # None: shapes.default_box(k)
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
     N: int | None = None
     fmt: str = "text"
     out: str | None = None
@@ -57,7 +56,7 @@ class RunConfig:
             raise ValueError("--max-index must be >= 0")
         if self.trunc_B is not None and self.trunc_B < 2:
             raise ValueError("--trunc-B must be >= 2")
-        for name in ("prime_cutoff", "threads", "cap"):
+        for name in ("threads", "cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.N is not None and self.N < 1:
@@ -125,8 +124,7 @@ def _render_table_text(table) -> str:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    table = density.build_table(cfg.k, cfg.max_index, cfg.method, cfg.digits,
-                                cfg.prime_cutoff)
+    table = density.build_table(cfg.k, cfg.max_index, cfg.method, cfg.digits)
 
     def doc():
         cells = [{"l": l, "m": m, "value": _num(e.value), "radius": _rad(e.radius)}
@@ -147,16 +145,17 @@ def _constants(cfg: RunConfig) -> list:
     from mpmath import mp
 
     out = []
-    C = density.constant_C(cfg.k, cfg.digits, cfg.prime_cutoff)
+    C = density.constant_C(cfg.k, cfg.digits)
     out.append((f"C_{cfg.k}", C))
     if cfg.k == 2:
         with mp.workdps(cfg.digits + 10):
             c2 = zetas.zeta(1.5, cfg.digits) / zetas.zeta(3, cfg.digits)
         out.append(("c_2", c2))
     for l in range(cfg.max_index + 1):
-        out.append((f"d_{cfg.k},{l}", density.density_shiu(cfg.k, l, "xi_alternating",
-                                                           cfg.digits, cfg.prime_cutoff)))
-    ps = shapes.power_sums(cfg.k, 8, cfg.digits, cfg.prime_cutoff)
+        d = density.density_shiu(cfg.k, l, "xi_alternating", cfg.digits)
+        out.append((f"d_{cfg.k},{l}", d))
+    # the power sums the densities above were built from
+    ps = density._engine(cfg.k, cfg.digits).ps
     out.extend((f"P_{cfg.k}({m})", ps.p(m)) for m in range(1, 9))
     return out
 
@@ -193,7 +192,7 @@ def _cell_route_excess(cfg: RunConfig) -> float:
     worst = 0.0
     for l in range(6):
         for m in range(l, 6):
-            d, inv = (density.density_A(cfg.k, l, m, meth, cfg.digits, cfg.prime_cutoff)
+            d, inv = (density.density_A(cfg.k, l, m, meth, cfg.digits)
                       for meth in ("direct", "inversion"))
             worst = max(worst, _excess(d, inv))
     return worst
@@ -220,15 +219,15 @@ def run_verify(cfg: RunConfig) -> dict:
         "0<=l<=m<=5; both routes shift the one xi series, so this checks the "
         "shift weights, the truncation bound and the inversion formula")
 
-    norm = density.normalization_check(k, cfg.digits, cfg.prime_cutoff)
+    norm = density.normalization_check(k, cfg.digits)
     add("normalization_total_mass", abs(float(norm.value) - 1.0),
         max(1e-9, float(norm.radius)) * scale,
         "sum of all cell densities vs 1, radius includes truncation tail")
 
     worst = 0.0
     for l in range(4):
-        a = density.density_shiu(k, l, "xi_alternating", cfg.digits, cfg.prime_cutoff)
-        b = density.density_shiu(k, l, "row_sum", cfg.digits, cfg.prime_cutoff)
+        a = density.density_shiu(k, l, "xi_alternating", cfg.digits)
+        b = density.density_shiu(k, l, "row_sum", cfg.digits)
         worst = max(worst, _excess(a, b))
     add("row_sum_consistency", max(worst, 0.0), 1e-12 * scale,
         "one-sided densities: alternating route vs row sums, beyond combined radii")
@@ -262,8 +261,7 @@ def run_verify(cfg: RunConfig) -> dict:
             n_emp //= 10
     emp = empirical.empirical_table(k, n_emp, cfg.threads)
     max_idx = max(max(l, m) for l, m in emp.counts)
-    ana = density.build_table(k, max(cfg.max_index, max_idx), "direct",
-                              cfg.digits, cfg.prime_cutoff)
+    ana = density.build_table(k, max(cfg.max_index, max_idx), "direct", cfg.digits)
     comp = empirical.compare_tables(emp, ana)
     # a cell off by e deviates from this sample by at least e - observed
     # (triangle inequality), so any error above tolerance + observed fails
@@ -273,7 +271,7 @@ def run_verify(cfg: RunConfig) -> dict:
         f"{catches:.3e} (tolerance + observed)")
 
     # the Euler-route sums the densities above were built from
-    euler = density._engine(k, cfg.digits, cfg.prime_cutoff).ps
+    euler = density._engine(k, cfg.digits).ps
     B = shapes.default_box(k) if cfg.trunc_B is None else cfg.trunc_B
     worst = 0.0
     for m in range(1, 9):
@@ -353,7 +351,7 @@ def cmd_enumerate(cfg: RunConfig, what: str, bound: float, limit: int,
     if what == "kfull":
         # a limit below 1 holds no k-full value: empty output, as for a bound
         # below the smallest shape
-        stream = _kfull_stream(cfg.k, limit, proper, cfg.cap) if limit >= 1 else ()
+        stream = enumerate_kfull(cfg.k, limit, proper, cfg.cap) if limit >= 1 else ()
         rows = []
         for count, (v, rep) in enumerate(stream):
             if count >= cfg.cap:
@@ -386,8 +384,7 @@ def cmd_empirical(cfg: RunConfig, compare: bool) -> int:
     comp = None
     if compare:
         max_idx = max(max(l, m) for l, m in emp.counts)
-        ana = density.build_table(cfg.k, max_idx, "direct", cfg.digits,
-                                  cfg.prime_cutoff)
+        ana = density.build_table(cfg.k, max_idx, "direct", cfg.digits)
         comp = empirical.compare_tables(emp, ana)
     rows = []
     for (l, m) in sorted(emp.counts):
@@ -444,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--digits", type=int, default=S)
         sp.add_argument("--max-index", type=int, default=S, dest="max_index")
         sp.add_argument("--trunc-B", type=int, default=S, dest="trunc_B")
-        sp.add_argument("--prime-cutoff", type=int, default=S, dest="prime_cutoff")
         sp.add_argument("--N", type=int, default=S)
         sp.add_argument("--format", choices=("csv", "json", "text"),
                         default=S, dest="fmt")

@@ -39,7 +39,7 @@ xi_r = e_r(1/lam) <= p_1^r / r!, and a_n and d_j sum the products xi_n and
 xi_j sum, each times factors 1 - 2/lam or 1 - 1/lam that lie in [0, 1).
 So every tail is P^n / (l! m!) times sum_{j>T} (|t| P)^j / j!, which
 _exp_tail bounds by its ratio.  Every shift keeps the terms n..n + g past
-its leading index n, with one guard g per (k, digits, p0): _engine picks it
+its leading index n, with one guard g per (k, digits): _engine picks it
 from the same bound and every route reads it, so no caller can ask for
 another depth.  The depth matters for accuracy as well as cost: too
 shallow leaves a tail the bound cannot hold tightly, and past the point
@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .arith import DEFAULT_PRIME_CUTOFF, LambdaElement, SubsetSpec  # noqa: F401  (re-exported)
+from .arith import LambdaElement, SubsetSpec  # noqa: F401  (re-exported)
 from .bounded import ErrorBoundedReal, _round_up, dot
 from .shapes import (
     PowerSums,
@@ -232,7 +232,7 @@ def coeffs_a(xi: XiSequence, n_max: int, guard: int) -> SeriesCoeffs:
 
 
 class Engine(NamedTuple):
-    """The series engine for one (k, digits, p0): its power sums, xi and
+    """The series engine for one (k, digits): its power sums, xi and
     coefficients, the guard g every series reads, and the one-sided
     densities d_0..d_(r_max - g); each sequence grows on read."""
 
@@ -244,7 +244,7 @@ class Engine(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _engine(k: int, digits: int, p0: int) -> Engine:
+def _engine(k: int, digits: int) -> Engine:
     """The series engine built from power_sums, xi_from_power_sums, coeffs_a
     and the one-sided d (xi shifted by -1), and the only place that picks a
     series depth.  The two cell routes read it: direct the coefficients,
@@ -266,11 +266,11 @@ def _engine(k: int, digits: int, p0: int) -> Engine:
     n_max and r_max are ceilings: the range checks read them, while P_k(m),
     xi_r, a_n and d_l grow on read (shapes._Grown) up to what the caller
     reads.  The working precision comes from the ceilings and
-    (k, digits, p0) alone, never from what was read, so a grown value is
+    (k, digits) alone, never from what was read, so a grown value is
     bit-identical to the eager one.
     """
     with mp.workdps(15):
-        P = power_sum_euler(k, 1, 15, p0).hi()
+        P = power_sum_euler(k, 1, 15).hi()
         g = max(40, int(2 * P) + 4)
         while g <= _GUARD_CAP and _tail(0, 0, g, -2, P) > 1e-16:
             g += 5
@@ -286,7 +286,7 @@ def _engine(k: int, digits: int, p0: int) -> Engine:
     extra = max(0, int(0.65 * (r_max + n_max - 168)) + 1)
     ps_digits = digits + 30 + extra
     with mp.workdps(digits + 40 + extra):
-        ps = power_sums(k, r_max, ps_digits, p0)
+        ps = power_sums(k, r_max, ps_digits)
         xi = xi_from_power_sums(ps, r_max)
         coeffs = coeffs_a(xi, n_max, g)
     with mp.workdps(digits + 20):
@@ -294,27 +294,24 @@ def _engine(k: int, digits: int, p0: int) -> Engine:
     return Engine(ps, xi, coeffs, g, d)
 
 
-def series_coefficients(k: int, digits: int = DEFAULT_DIGITS,
-                        p0: int = DEFAULT_PRIME_CUTOFF) -> SeriesCoeffs:
-    return _engine(k, digits, p0).coeffs
+def series_coefficients(k: int, digits: int = DEFAULT_DIGITS) -> SeriesCoeffs:
+    return _engine(k, digits).coeffs
 
 
-def constant_C(k: int, digits: int = DEFAULT_DIGITS,
-               p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+def constant_C(k: int, digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
     """C_k = prod (1 - 2/lam) = F_k(0) = a_0: the no-hit density."""
-    return series_coefficients(k, digits, p0).a[0]
+    return series_coefficients(k, digits).a[0]
 
 
 def density_A(k: int, l: int, m: int, method: str = "direct",
-              digits: int = DEFAULT_DIGITS,
-              p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+              digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers in the left
     interval and m in the right one, cut to [0, P^(l+m) / (l! m!)]."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if l < 0 or m < 0:
         raise ValueError("l and m must be >= 0")
-    e = _engine(k, digits, p0)
+    e = _engine(k, digits)
     n = l + m
     if n > e.coeffs.n_max:
         raise ValueError(f"l + m = {n} beyond computed range {e.coeffs.n_max}")
@@ -330,13 +327,12 @@ def density_A(k: int, l: int, m: int, method: str = "direct",
 
 
 def density_shiu(k: int, l: int, method: str = "xi_alternating",
-                 digits: int = DEFAULT_DIGITS,
-                 p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+                 digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
     """Density of integers with exactly l proper k-full numbers between
     consecutive kth powers (the one-sided law), cut to [0, P^l / l!]."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    e = _engine(k, digits, p0)
+    e = _engine(k, digits)
     if l >= len(e.d):
         raise ValueError(f"l = {l} beyond computed range {len(e.d) - 1}")
     P = e.ps.p(1).hi()
@@ -352,8 +348,8 @@ def density_shiu(k: int, l: int, method: str = "xi_alternating",
         return _within_majorant(d, P, l)
 
 
-def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS,
-              p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+def density_B(k: int, I: SubsetSpec, J: SubsetSpec,
+              digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
     """Density of integers whose left interval is hit by exactly the shapes
     of I, the right by exactly those of J, and nothing else hits; depends
     only on the union of I and J."""
@@ -361,7 +357,7 @@ def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS
         raise ValueError("subset k mismatch")
     if I.key_set() & J.key_set():
         raise ValueError("I and J must be disjoint")
-    out = constant_C(k, digits, p0)
+    out = constant_C(k, digits)
     with mp.workdps(digits + 20):
         for e in list(I.elements) + list(J.elements):
             lam = lambda_value(e, digits + 10)
@@ -369,15 +365,14 @@ def density_B(k: int, I: SubsetSpec, J: SubsetSpec, digits: int = DEFAULT_DIGITS
         return out
 
 
-def normalization_check(k: int, digits: int = DEFAULT_DIGITS,
-                        p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+def normalization_check(k: int, digits: int = DEFAULT_DIGITS) -> ErrorBoundedReal:
     """sum over n of a_n 2^n, which must enclose 1 (total cell mass)."""
-    e = _engine(k, digits, p0)
+    e = _engine(k, digits)
     with mp.workdps(digits + 20):
         return _shift(e.coeffs.a.__getitem__, 0, 0, e.coeffs.n_max, 2, e.ps.p(1).hi())
 
 
-def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
+def eval_F(k: int, z, digits: int = 15) -> ErrorBoundedReal:
     """The entire product F_k(z) = prod (1 + w/lam), w = z - 2, as an exact
     head times the exp of one geometric power-sum tail.
 
@@ -400,7 +395,7 @@ def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> Error
     if k < 2:
         raise ValueError("k must be >= 2")
     digits = max(digits, DEFAULT_DIGITS)
-    ps = _engine(k, digits, p0).ps
+    ps = _engine(k, digits).ps
     w = mp.fsub(z, 2, exact=True)
     if not w:
         return ErrorBoundedReal.exact(1)
@@ -437,13 +432,12 @@ def eval_F(k: int, z, digits: int = 15, p0: int = DEFAULT_PRIME_CUTOFF) -> Error
 
 
 def build_table(k: int, L: int, method: str = "direct",
-                digits: int = DEFAULT_DIGITS,
-                p0: int = DEFAULT_PRIME_CUTOFF) -> DensityTable:
+                digits: int = DEFAULT_DIGITS) -> DensityTable:
     """Cell densities for 0 <= l <= m <= L."""
     if L < 0:
         raise ValueError("L must be >= 0")
     entries = {}
     for l in range(L + 1):
         for m in range(l, L + 1):
-            entries[(l, m)] = density_A(k, l, m, method, digits, p0)
+            entries[(l, m)] = density_A(k, l, m, method, digits)
     return DensityTable(k, L, method, entries)

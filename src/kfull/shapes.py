@@ -95,8 +95,8 @@ from math import exp, fsum, inf, isqrt, log
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
-from .arith import (DEFAULT_PRIME_CUTOFF, LambdaElement, _shape_walk, introot, mobius_sieve,
-                    next_prime, shape_tuples, squarefree_sieve)
+from .arith import (LambdaElement, introot, mobius_sieve, next_prime, shape_tuples,
+                    squarefree_sieve)
 from .bounded import ErrorBoundedReal, dot
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
                     _sieved_log_zeta, primes_upto, zeta)
@@ -134,7 +134,7 @@ def enumerate_lambda(k: int, bound, cap: int = DEFAULT_ELEMENT_CAP) -> list:
     if limit < lambda_min_radicand(k):
         return []
     X = int(limit)  # floor; radicands are integers so the comparison is exact
-    return [LambdaElement(k, b) for M, b in _shape_walk(k, X, None, cap) if M >= 2]
+    return [LambdaElement(k, b) for M, b in shape_tuples(k, X, cap=cap) if M >= 2]
 
 
 class _Grown:
@@ -301,6 +301,9 @@ def _box_sum_generic(k: int, m: int, B: int) -> float:
     return fsum(w.tolist())
 
 
+# the cutoff below which power_sum_euler multiplies primes in exactly; a
+# smaller one is raised until the Witt cut is expected to fit under _T_CAP
+DEFAULT_PRIME_CUTOFF = 100
 _T_CAP = 600
 _CUT_DIGITS = 13  # the Witt cut's target is 10^-(digits + _CUT_DIGITS)
 _LAMBDA_DIGITS = 12  # Lambda(j/k) is read to digits + this + _witt_digits(k, j)

@@ -401,13 +401,12 @@ def test_config_file_feeds_every_option(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_table", record)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "csv", "prime_cutoff": 500,
-                               "cap": 7, "digits": 33, "tolerance_scale": 0.5}))
+    cfg.write_text(json.dumps({"format": "csv", "cap": 7, "digits": 33,
+                               "tolerance_scale": 0.5}))
     code, _, _ = run_cli(capsys, "table", "--config", str(cfg), "--digits", "35")
     assert code == 0
     got = seen[0]
-    assert (got.fmt, got.prime_cutoff, got.cap, got.tolerance_scale) == (
-        "csv", 500, 7, 0.5)
+    assert (got.fmt, got.cap, got.tolerance_scale) == ("csv", 7, 0.5)
     assert got.digits == 35  # the flag beats the file
     assert (got.k, got.max_index, got.method, got.N) == (2, 5, "direct", None)
     # command-specific options come from the file too
@@ -434,11 +433,25 @@ def test_series_depth_is_not_an_option(tmp_path, capsys):
         assert err == f"error: unknown config key {key!r}\n"
 
 
+def test_prime_cutoff_is_not_an_option(tmp_path, capsys):
+    # the Euler route's cutoff is its own parameter; no flag or key moves it
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--prime-cutoff", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--prime-cutoff" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prime_cutoff": 3}))
+    code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: unknown config key 'prime_cutoff'\n"
+
+
 def test_constants_build_one_engine(capsys):
-    # C_k and the d_l read the engine at the same prime cutoff
+    # C_k, the d_l and the P_k(m) read one engine
     density._engine.cache_clear()
-    code, _, _ = run_cli(capsys, "constants", "--k", "2", "--prime-cutoff", "500",
-                         "--max-index", "2", "--format", "csv")
+    code, _, _ = run_cli(capsys, "constants", "--k", "2", "--max-index", "2",
+                         "--format", "csv")
     assert code == 0
     assert density._engine.cache_info().misses == 1
 
@@ -449,9 +462,9 @@ def test_table_grows_power_sums_only_as_deep_as_it_reads(capsys, monkeypatch):
     computed = []
     euler = density.power_sum_euler
 
-    def recorded(k, m, digits, p0):
+    def recorded(k, m, digits, *p0):
         computed.append((k, m, digits))
-        return euler(k, m, digits, p0)
+        return euler(k, m, digits, *p0)
 
     # the guard reads P_2(1) through density, the engine's power sums through shapes
     monkeypatch.setattr(density, "power_sum_euler", recorded)
@@ -471,29 +484,6 @@ def test_reads_past_the_engine_ceilings_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
-
-
-def test_constants_k3_certifies_at_prime_cutoff_3(capsys):
-    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", "3",
-                             "--format", "csv")
-    assert code == 0 and err == ""
-    _, default, _ = run_cli(capsys, "constants", "--k", "3", "--format", "csv")
-    # the same values; only the P_3(m) radii depend on the cutoff
-    assert [r["value"] for r in parse_csv(out)] == [r["value"] for r in parse_csv(default)]
-
-
-@pytest.mark.parametrize("cutoff", ["1", "2"])
-def test_small_prime_cutoff_certifies(capsys, cutoff):
-    # the cutoff is raised until the Witt cut is expected to fit
-    code, out, err = run_cli(capsys, "constants", "--k", "3", "--prime-cutoff", cutoff,
-                             "--format", "csv")
-    assert code == 0 and err == ""
-    _, default, _ = run_cli(capsys, "constants", "--k", "3", "--format", "csv")
-    rows, ref = parse_csv(out), parse_csv(default)
-    assert [r["name"] for r in rows] == [r["name"] for r in ref]
-    for r, d in zip(rows, ref):
-        gap = abs(Decimal(r["value"]) - Decimal(d["value"]))
-        assert gap <= Decimal(r["radius"]) + Decimal(d["radius"]), r["name"]
 
 
 def test_uncertifiable_bound_exits_2(capsys, monkeypatch):
@@ -706,9 +696,9 @@ def test_config_values_checked_like_flags(tmp_path, capsys, doc):
 # The k = 3 cells and d_3,l rows are as the engine's guard g = 45 prints
 # them (the cells were pinned through the xi method, which printed the
 # direct route's value and radius bytes); FIXED_GUARD_ROWS keeps their
-# earlier enclosures.  The P rows are as
-# the Witt-exponent Euler route prints them; LOG1P_CHAIN_P_RADII keeps the
-# wider radii of earlier routes
+# earlier enclosures.  The P rows are the engine's own power sums, as
+# the Witt-exponent Euler route prints them; SECOND_SOURCE_OUTPUT and
+# LOG1P_CHAIN_P_RADII keep the wider radii of earlier sources and routes
 EXACT_SERIES_OUTPUT = {
     "table --k 2 --max-index 5 --method direct": (
         'k,l,m,value,radius,method\n'
@@ -767,14 +757,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_3,3",0.220239555929766750371172780953,1.3267418e-31\n'
         '"d_3,4",0.204704699050673834630145073229,1.2137253e-31\n'
         '"d_3,5",0.147035502233370916475887419161,8.8826879e-32\n'
-        'P_3(1),3.65926612250065694127743110891,5.6868844e-43\n'
-        'P_3(2),0.398105028048410820538154908534,1.5626097e-43\n'
-        'P_3(3),0.114576315025302288937661068255,1.1204184e-43\n'
-        'P_3(4),0.0385373195798538272135107784855,4.0365759e-45\n'
-        'P_3(5),0.0137448928486802284206238123813,2.2614239e-45\n'
-        'P_3(6),0.00505585022863197085195559916529,3.7825323e-45\n'
-        'P_3(7),0.00189612534535890094915782893951,1.9368205e-46\n'
-        'P_3(8),0.000720702146129669997140834044113,1.7083491e-46\n'
+        'P_3(1),3.65926612250065694127743110891,8.7212743e-81\n'
+        'P_3(2),0.398105028048410820538154908534,9.0847683e-82\n'
+        'P_3(3),0.114576315025302288937661068255,1.3941296e-82\n'
+        'P_3(4),0.0385373195798538272135107784855,3.1068295e-82\n'
+        'P_3(5),0.0137448928486802284206238123813,1.8354861e-83\n'
+        'P_3(6),0.00505585022863197085195559916529,1.3646474e-83\n'
+        'P_3(7),0.00189612534535890094915782893951,4.3196585e-84\n'
+        'P_3(8),0.000720702146129669997140834044113,1.2948359e-84\n'
     ),
     "constants --k 2 --digits 50 --max-index 5": (
         'name,value,radius\n'
@@ -786,14 +776,14 @@ EXACT_SERIES_OUTPUT = {
         '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
         '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
         '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
-        'P_2(1),1.17325431251955413823708984044,1.9511734e-64\n'
-        'P_2(2),0.18156494901025691256939973416,3.1694448e-65\n'
-        'P_2(3),0.0525934895482646848881100326415,6.8822982e-65\n'
-        'P_2(4),0.0170927691304992766432721330979,7.8589083e-66\n'
-        'P_2(5),0.00579596201196013885802241486261,2.5365731e-65\n'
-        'P_2(6),0.00200456788079374398903554270148,6.4974189e-65\n'
-        'P_2(7),0.000700365374722017404107574643848,1.5216293e-66\n'
-        'P_2(8),0.000246026930453777256968562684541,6.4290123e-65\n'
+        'P_2(1),1.17325431251955413823708984044,3.5564395e-96\n'
+        'P_2(2),0.18156494901025691256939973416,5.9050592e-96\n'
+        'P_2(3),0.0525934895482646848881100326415,1.2489247e-96\n'
+        'P_2(4),0.0170927691304992766432721330979,5.6084133e-96\n'
+        'P_2(5),0.00579596201196013885802241486261,1.4012432e-96\n'
+        'P_2(6),0.00200456788079374398903554270148,1.3016822e-96\n'
+        'P_2(7),0.000700365374722017404107574643848,1.0415172e-96\n'
+        'P_2(8),0.000246026930453777256968562684541,1.0262901e-96\n'
     ),
 }
 
@@ -832,6 +822,82 @@ def test_series_power_sum_radii_only_shrank(command):
     assert new.keys() == old.keys()
     for name, radius in new.items():
         assert float(radius) <= float(old[name]), name
+
+
+# the csv constants printed while their P_k(m) rows came from a second
+# power-sum build at --digits, beside the engine's own sums at digits + 30
+# and more; reading the engine's sums may only have shrunk those radii
+SECOND_SOURCE_OUTPUT = {
+    "constants --k 3": (
+        'name,value,radius\n'
+        'C_3,0.000146352836245950288782280998592,1.2486594e-18\n'
+        '"d_3,0",0.0200375956179512025504920137545,1.6246345e-32\n'
+        '"d_3,1",0.084806202320633468385327993365,5.94497e-32\n'
+        '"d_3,2",0.171014563321717356370704572588,1.0877114e-31\n'
+        '"d_3,3",0.220239555929766750371172780953,1.3267418e-31\n'
+        '"d_3,4",0.204704699050673834630145073229,1.2137253e-31\n'
+        '"d_3,5",0.147035502233370916475887419161,8.8826879e-32\n'
+        'P_3(1),3.65926612250065694127743110891,5.6868844e-43\n'
+        'P_3(2),0.398105028048410820538154908534,1.5626097e-43\n'
+        'P_3(3),0.114576315025302288937661068255,1.1204184e-43\n'
+        'P_3(4),0.0385373195798538272135107784855,4.0365759e-45\n'
+        'P_3(5),0.0137448928486802284206238123813,2.2614239e-45\n'
+        'P_3(6),0.00505585022863197085195559916529,3.7825323e-45\n'
+        'P_3(7),0.00189612534535890094915782893951,1.9368205e-46\n'
+        'P_3(8),0.000720702146129669997140834044113,1.7083491e-46\n'
+    ),
+    "constants --k 2 --digits 50 --max-index 5": (
+        'name,value,radius\n'
+        'C_2,0.0492272730092412771280194395251,4.8735708e-35\n'
+        'c_2,2.17325431251955413823708984044,5.7025859e-52\n'
+        '"d_2,0",0.275965511407718981112319752475,2.1525544e-47\n'
+        '"d_2,1",0.395565215396236288211828683112,2.5254937e-47\n'
+        '"d_2,2",0.231299167354828379832590791901,1.4815232e-47\n'
+        '"d_2,3",0.077074272223364066667341114258,5.7940116e-48\n'
+        '"d_2,4",0.0170151788585531099879469019156,1.6994623e-48\n'
+        '"d_2,5",0.00271453958205980566931786128645,3.9878029e-49\n'
+        'P_2(1),1.17325431251955413823708984044,1.9511734e-64\n'
+        'P_2(2),0.18156494901025691256939973416,3.1694448e-65\n'
+        'P_2(3),0.0525934895482646848881100326415,6.8822982e-65\n'
+        'P_2(4),0.0170927691304992766432721330979,7.8589083e-66\n'
+        'P_2(5),0.00579596201196013885802241486261,2.5365731e-65\n'
+        'P_2(6),0.00200456788079374398903554270148,6.4974189e-65\n'
+        'P_2(7),0.000700365374722017404107574643848,1.5216293e-66\n'
+        'P_2(8),0.000246026930453777256968562684541,6.4290123e-65\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SECOND_SOURCE_OUTPUT))
+def test_engine_power_sums_moved_only_their_radii(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows, old = parse_csv(out), parse_csv(SECOND_SOURCE_OUTPUT[command])
+    assert [(r["name"], r["value"]) for r in rows] == [(r["name"], r["value"]) for r in old]
+    for r, o in zip(rows, old):
+        assert Decimal(r["radius"]) <= Decimal(o["radius"]), r["name"]
+        if not r["name"].startswith("P_"):
+            assert r["radius"] == o["radius"], r["name"]
+
+
+def test_constants_read_every_power_sum_from_the_engine(capsys, monkeypatch):
+    # the guard's P_2(1) at 15 digits, then P_2(1..45) at the engine's
+    # 50 + 31 digits for d_2,0..d_2,5; the printed P_2(1..8) are among them
+    computed = []
+    euler = density.power_sum_euler
+
+    def recorded(k, m, digits, *p0):
+        computed.append(digits)
+        return euler(k, m, digits, *p0)
+
+    monkeypatch.setattr(density, "power_sum_euler", recorded)
+    monkeypatch.setattr(shapes, "power_sum_euler", recorded)
+    density._engine.cache_clear()
+    code, _, _ = run_cli(capsys, "constants", "--k", "2", "--digits", "50",
+                         "--max-index", "5", "--format", "csv")
+    assert code == 0
+    assert len(computed) == 46
+    assert sorted(set(computed)) == [15, 81] and computed.count(15) == 1
 
 
 # (l, m) -> (value, radius) of table --k 2 --method inversion --max-index 3 as
@@ -1070,7 +1136,7 @@ def test_verify_sums_the_largest_box_for_k_unless_asked(monkeypatch, k, trunc_B,
 
     def recorded(k, m, B):
         seen.add(B)
-        return density._engine(k, 30, cli.DEFAULT_PRIME_CUTOFF).ps.p(m)
+        return density._engine(k, 30).ps.p(m)
 
     monkeypatch.setattr(shapes, "power_sum_direct", recorded)
     report = cli.run_verify(cli.RunConfig(k=k, quick=True, N=1000, trunc_B=trunc_B))

@@ -21,7 +21,6 @@ from kfull.density import (
     xi_from_power_sums,
 )
 from kfull.shapes import (
-    DEFAULT_PRIME_CUTOFF,
     LambdaElement,
     enumerate_lambda,
     lambda_value,
@@ -395,14 +394,14 @@ def test_enclosures_consistent_across_precision():
 
 @pytest.mark.parametrize("k, g", [(2, 40), (3, 45)])
 def test_every_reader_shares_one_engine(k, g):
-    # one (k, digits, p0) builds one engine, and its guard is every route's depth
+    # one (k, digits) builds one engine, and its guard is every route's depth
     density._engine.cache_clear()
     build_table(k, 2, "inversion")
     normalization_check(k)
     density_shiu(k, 3, "row_sum")
     eval_F(k, 3, 30)
     assert density._engine.cache_info().misses == 1
-    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    e = density._engine(k, 30)
     assert e.g == g and e.coeffs.n_max == max(44, g)
     assert e.xi.r_max == e.coeffs.n_max + 2 * g
 
@@ -414,7 +413,7 @@ def test_series_obey_the_majorant_of_the_one_truncation_bound(k):
     # value of the three sequences; each true value obeys the bound, so each
     # enclosure must reach it (deep values sit at the working-precision
     # noise floor, which may pass the bound within the radius)
-    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    e = density._engine(k, 30)
     with mp.workdps(60):
         P = e.ps.p(1).hi()
         for name, seq in (("xi", e.xi.xi), ("a", e.coeffs.a), ("d", e.d)):
@@ -428,7 +427,7 @@ def test_printed_densities_lie_within_their_a_priori_bound(k):
     # every cell lies in [0, P^(l+m) / (l! m!)] and every d_l in [0, P^l / l!];
     # deep reads, whose noise passes that range, are cut to it, and shallow
     # ones come back as the engine summed them
-    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    e = density._engine(k, 30)
     P = e.ps.p(1).hi()
     with mp.workdps(60):
         for l in range(23):
@@ -469,7 +468,7 @@ def test_engine_reads_match_the_eager_sums(k, order, caller_dps):
         xi = xi_from_power_sums(power_sums(k, r_max, ps_digits), r_max)
         eager = {"xi": tuple(xi.xi), "a": tuple(coeffs_a(xi, n_max, g).a)}
     density._engine.cache_clear()
-    e = density._engine(k, 30, DEFAULT_PRIME_CUTOFF)
+    e = density._engine(k, 30)
     assert (e.xi.r_max, e.coeffs.n_max, e.g) == (r_max, n_max, g)
     lazy = {"xi": e.xi.xi, "a": e.coeffs.a}
     reads = [("xi", r) for r in range(r_max + 1)] + [("a", n) for n in range(n_max + 1)]
@@ -495,7 +494,7 @@ def test_engine_is_built_from_the_public_builders(monkeypatch):
                         lambda k, m, *a: read.append(m) or euler(k, m, *a))
     density._engine.cache_clear()
     try:
-        e = density._engine(2, 30, DEFAULT_PRIME_CUTOFF)
+        e = density._engine(2, 30)
         assert sorted(built) == ["coeffs_a", "power_sums", "xi_from_power_sums"]
         assert read == []
         e.xi.xi[5]

@@ -1,8 +1,9 @@
 """Byte pins: the stdout of six engine commands, stored as the engine printed
 it before its Euler layer moved onto fixed-point integers, except radii that
 shrank since: the P_2(m) rows of constants_k2_d50_L5.csv, when +, - and *
-moved onto bounded.dot and again when the Euler route moved onto the Witt
-exponents, and then also the (1,3), (2,2), (2,3) and (3,3) cells of
+moved onto bounded.dot, again when the Euler route moved onto the Witt
+exponents and again when constants read the engine's own power sums, and
+then also the (1,3), (2,2), (2,3) and (3,3) cells of
 table_k2_inversion_L3.csv.  The k = 3 and k = 4 inversion tables were
 pinned later, as the engine printed them then.  Every radius of the three
 inversion tables shrank once more when their truncation bound took the

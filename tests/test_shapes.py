@@ -119,8 +119,8 @@ def test_cap_stops_the_walk():
     n = len(shape_tuples(5, X)) - 1
     assert 54 * introot(X, 6) // 100 - 1 <= 200 < n
     with pytest.raises(ValueError, match="cap 200"):
-        arith._shape_walk(5, X, None, 200)
-    assert arith._shape_walk(5, X, None, n) == shape_tuples(5, X)
+        shape_tuples(5, X, cap=200)
+    assert shape_tuples(5, X, cap=n) == shape_tuples(5, X)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -333,6 +333,17 @@ def test_euler_certifies_at_a_small_prime_cutoff():
     e = power_sum_euler(3, 1, 68, 3)
     assert e.radius <= mpf(10) ** (-68)
     assert e.agrees_with(power_sum_euler(3, 1, 68))
+
+
+@pytest.mark.parametrize("p0", [1, 2, 3])
+def test_small_prime_cutoff_certifies(p0):
+    # the cutoff is raised until the Witt cut is expected to fit: P_3(1..8)
+    # certify, overlap the default cutoff's and print the same 30 digits
+    for m in range(1, 9):
+        e, ref = power_sum_euler(3, m, 30, p0), power_sum_euler(3, m, 30, 100)
+        assert e.radius <= mpf(10) ** (-30), m
+        assert e.agrees_with(ref), m
+        assert mp.nstr(e.value, 30) == mp.nstr(ref.value, 30), m
 
 
 def test_euler_certifies_k4_in_one_pass(monkeypatch):
