@@ -27,10 +27,10 @@ so it never appears in a proper (non-kth-power) enumeration.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf, isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 MAX_N = 2**63 - 1
 
@@ -220,8 +220,7 @@ def is_kfull(n: int, k: int) -> bool:
     return all(e >= k for _, e in factorize(n))
 
 
-@dataclass(frozen=True)
-class KFullRepr:
+class KFullRepr(NamedTuple):
     """Canonical decomposition n = a^k * b_1^(k+1) * ... * b_(k-1)^(2k-1).
 
     The constructor trusts its arguments (enumeration creates millions of
@@ -253,24 +252,28 @@ class KFullRepr:
             raise ValueError("b-product must be squarefree")
 
 
-@dataclass(frozen=True)
-class LambdaElement:
-    """One shape, identified by its exact integer tuple b."""
-
+class _LambdaFields(NamedTuple):
     k: int
     b: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        if self.k < 2:
+
+class LambdaElement(_LambdaFields):
+    """One shape, identified by its exact integer tuple b."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, b: tuple):
+        b = tuple(int(x) for x in b)
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if len(self.b) != self.k - 1 or any(x < 1 for x in self.b):
+        if len(b) != k - 1 or any(x < 1 for x in b):
             raise ValueError("b must be a tuple of k-1 positive integers")
         prod = 1
-        for x in self.b:
+        for x in b:
             prod *= x
         if prod < 2 or not is_squarefree(prod):
             raise ValueError("b-product must be squarefree and >= 2")
+        return super().__new__(cls, k, b)
 
     def radicand(self) -> int:
         """The exact integer lam^k."""
@@ -280,25 +283,28 @@ class LambdaElement:
         return m
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A finite set of shapes, given by exact tuples."""
-
+class _SubsetFields(NamedTuple):
     k: int
     elements: tuple
 
-    def __post_init__(self):
+
+class SubsetSpec(_SubsetFields):
+    """A finite set of shapes, given by exact tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, elements: tuple):
         elems = tuple(
-            e if isinstance(e, LambdaElement) else LambdaElement(self.k, tuple(e))
-            for e in self.elements
+            e if isinstance(e, LambdaElement) else LambdaElement(k, tuple(e))
+            for e in elements
         )
-        object.__setattr__(self, "elements", elems)
         for e in elems:
-            if e.k != self.k:
+            if e.k != k:
                 raise ValueError("mixed k in subset")
         keys = [e.b for e in elems]
         if len(set(keys)) != len(keys):
             raise ValueError("subset elements must be distinct")
+        return super().__new__(cls, k, elems)
 
     def key_set(self) -> frozenset:
         return frozenset(e.b for e in self.elements)

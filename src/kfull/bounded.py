@@ -21,19 +21,23 @@ would go uncounted.
 The reciprocal and the monotone maps (exp, expm1, log, log1p, kth root)
 evaluate mpmath at the endpoints, rounded to nearest, and widened() adds
 bounds computed that way; they keep an envelope, _slop for the rounding of
-the value and _pad for that of the radius.  The public constructor keeps
-an mpf that fits the current precision bit for bit; any other value enters
-as the nearest mpf with its conversion error added to the radius, which is
-rounded up, so the enclosure holds every point of the one it was given.
-It rejects a negative radius.  The results of the operations are built by
-_make without those steps, so negation and widened() keep an operand's
-fields bit for bit.  clipped() cuts an enclosure to a range known a priori,
-and keeps one that lies inside bit for bit as well.
+the value and _pad for that of the radius.
+
+ErrorBoundedReal is a class with two slots, value and radius, that refuses
+assignment; it is a number, not a tuple, so len, indexing and iteration
+mean nothing for it, and it equals only another ErrorBoundedReal with the
+same value and radius.  Its constructor keeps an mpf that fits the current
+precision bit for bit; any other value enters as the nearest mpf with its
+conversion error added to the radius, which is rounded up, so the
+enclosure holds every point of the one it was given.  It rejects a
+negative radius.  The results of the operations are built by _make, which
+fills the slots without those steps, so negation and widened() keep an
+operand's fields bit for bit.  clipped() cuts an enclosure to a range known
+a priori, and keeps one that lies inside bit for bit as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -60,17 +64,15 @@ def _make(v: mpf, r: mpf) -> "ErrorBoundedReal":
     return out
 
 
-@dataclass(frozen=True)
 class ErrorBoundedReal:
-    value: mpf
-    radius: mpf
+    __slots__ = ("value", "radius")
 
-    def __post_init__(self):
+    def __init__(self, value, radius):
         # an mpf that fits the current precision is kept bit for bit; any
         # other value rounds to nearest, its conversion error joins the
         # radius, and any other radius rounds up
         prec = mp.prec
-        v, r = self.value, self.radius
+        v, r = value, radius
         if not (isinstance(r, mpf) and r._mpf_[3] <= prec):
             r = _rational(r)
         if r < 0:
@@ -84,6 +86,24 @@ class ErrorBoundedReal:
             r = _round_up(r)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "radius", r)
+
+    def __setattr__(self, name, val):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.radius) == (other.value, other.radius)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.radius))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _make, so the fields stay bit for bit
+        return _make, (self.value, self.radius)
 
     # -- enclosure queries ------------------------------------------------
 

@@ -9,20 +9,20 @@ Every command hands its result to one writer, _write.  Machine formats
 sorted, enclosures print as 30-digit decimal strings (a float64 round trip
 would exceed the smaller radii), and no timings or timestamps are embedded.
 The engine layers (density, shapes, zetas) and mpmath are read only when a
-command calls into them, so the exact sweep commands never load them.
+command calls into them, so the exact sweep commands never load them; csv,
+json and decimal are imported by the one function that uses each (the
+writer's branch, the config-file reader, _fmt6), so a run loads only the
+format it prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import random
 import sys
-from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_EVEN, Decimal
 from math import inf
+from typing import NamedTuple
 
 from . import density, empirical, shapes, zetas
 from .arith import SubsetSpec, enumerate_kfull
@@ -32,8 +32,7 @@ DEFAULT_ENUM_CAP = 1_000_000
 _EMPIRICAL_DEFAULTS = {2: (1_000_000, 0.005), 3: (100_000, 0.02)}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     k: int = 2
     max_index: int = 5
     digits: int = 30
@@ -67,6 +66,8 @@ class RunConfig:
 
 
 def _fmt6(x) -> str:
+    from decimal import ROUND_HALF_EVEN, Decimal
+
     return str(Decimal(repr(float(x))).quantize(Decimal("0.000001"), ROUND_HALF_EVEN))
 
 
@@ -91,12 +92,16 @@ def _write(cfg: RunConfig, header, rows, doc, text) -> None:
     string text() returns.  Only the chosen form is built, so rows may be a
     lazy iterable when no other form reads it."""
     if cfg.fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
         body = buf.getvalue()
     elif cfg.fmt == "json":
+        import json
+
         body = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
     else:
         body = text()
@@ -421,7 +426,7 @@ def cmd_empirical(cfg: RunConfig, compare: bool) -> int:
 # option precedence is flags > config file > built-in defaults; the parser
 # suppresses unset attributes so merging can tell "given" from "defaulted".
 # RunConfig's fields are the shared options; the rest are command-specific
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)} | {
+_DEFAULTS = RunConfig._field_defaults | {
     "bound": 30.0, "limit": 100, "all": False, "I": None, "J": None,
     "compare": False,
 }
@@ -520,6 +525,8 @@ def _merge_options(parser, args) -> dict:
     merged = dict(_DEFAULTS)
     cfg_path = given.pop("config", None)
     if cfg_path:
+        import json
+
         with open(cfg_path) as fh:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
@@ -542,7 +549,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opt = _merge_options(parser, args)
-        cfg = RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
+        cfg = RunConfig(**{name: opt[name] for name in RunConfig._fields})
         cfg.validate()
         if opt["command"] == "table":
             return cmd_table(cfg)

@@ -71,7 +71,6 @@ one-sided sums, not 861.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -99,8 +98,7 @@ _GUARD_CAP = 200
 _HEAD_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class XiSequence:
+class XiSequence(NamedTuple):
     """Elementary symmetric functions xi_0..xi_r_max of the 1/lam; xi is a
     sequence that grows on read (shapes._Grown), or a tuple."""
 
@@ -112,8 +110,7 @@ class XiSequence:
         return len(self.xi) - 1
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
+class SeriesCoeffs(NamedTuple):
     """Power-series coefficients a_0..a_n_max of F_k around 0; a_0 = C_k.
     a is a sequence that grows on read (shapes._Grown), or a tuple."""
 
@@ -125,8 +122,7 @@ class SeriesCoeffs:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class DensityTable:
+class DensityTable(NamedTuple):
     """Symmetric matrix of cell densities, stored as the upper triangle."""
 
     k: int

@@ -22,7 +22,8 @@ shape's own introots, read from the radicands the window already holds
   a M^(1/k) 2^_F by less than a, so r = (a L) >> _F unless the low _F bits
   of a L are within a of a carry past bit _F; such a pair, rare, is decided
   by introot.  No float is involved, so nothing needs a
-  proof.  The hits are a list, tallied into cells with a Counter.
+  proof.  The hits are a list; each cell (l, m) is coded as one small int
+  and the codes are tallied with a Counter (_pair_tally).
 
 * The numpy route (_root_blocks) is value-major: it takes every shape at
   once, as arrays, and walks the roots in blocks.  Per block it finds A(s1)
@@ -69,11 +70,12 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import KFullRepr, LambdaElement, SubsetSpec, introot, shape_tuples
 
@@ -101,8 +103,7 @@ _W = 2.0**-48  # relative half-width of the interval proven around each seed
 _POOL_MIN_N = 3_000_000
 
 
-@dataclass(frozen=True)
-class EmpiricalCounts:
+class EmpiricalCounts(NamedTuple):
     """Occurrence counts per (l, m) cell over 1 <= n <= N."""
 
     k: int
@@ -118,16 +119,14 @@ class EmpiricalCounts:
         return self.counts.get((l, m), 0) / self.N
 
 
-@dataclass(frozen=True)
-class IntervalHit:
+class IntervalHit(NamedTuple):
     n: int
     side: str  # "left" or "right"
     value: int
     repr: KFullRepr
 
 
-@dataclass(frozen=True)
-class TableComparison:
+class TableComparison(NamedTuple):
     k: int
     N: int
     cells: dict  # (l, m) -> (frequency, analytic value or None, deviation)
@@ -277,6 +276,15 @@ def _integer_route(k: int, width: int, Ms: list) -> bool:
     return True
 
 
+def _below(k: int, M: int, L: int, R: int) -> int:
+    """A(R) = floor(R / M^(1/k)) from the shape's fixed-point root
+    L = floor(M^(1/k) 2^_F): R / M^(1/k) lies strictly between
+    R 2^_F / (L + 1) and R 2^_F / L (M^(1/k) is irrational), so where the
+    two floors agree that is A(R); where they differ, introot decides."""
+    q = (R << _F) // (L + 1)
+    return q if q == (R << _F) // L else introot((R**k - 1) // M, k)
+
+
 def _int_roots(k: int, M: int, lo: int, hi: int) -> list:
     """The integer route for one shape: floor(a M^(1/k)) - lo for
     A(lo) < a <= A(hi), ascending, as a list.
@@ -285,13 +293,14 @@ def _int_roots(k: int, M: int, lo: int, hi: int) -> list:
     irrational) and acc = a L - lo 2^_F, the value (a M^(1/k) - lo) 2^_F lies
     in (acc, acc + a).  Where acc mod 2^_F <= 2^_F - a that interval holds
     no multiple of 2^_F, so the floor is acc >> _F; otherwise (a carry may
-    cross bit _F) the floor is taken by introot.
+    cross bit _F) the floor is taken by introot.  A(lo) and A(hi) are read
+    from L as well (_below), so a shape takes one big introot, not three.
     """
-    a0 = introot((lo**k - 1) // M, k)  # A(lo), as in hit_count
-    a1 = introot((hi**k - 1) // M, k)  # A(hi)
+    L = introot(M << k * _F, k)
+    a0 = _below(k, M, L, lo)
+    a1 = _below(k, M, L, hi)
     if a0 == a1:
         return []
-    L = introot(M << k * _F, k)
     acc = a0 * L - (lo << _F)
     mask = (1 << _F) - 1
     lim = mask + 1 - a1  # at most 2^_F - a for every a of the run
@@ -368,14 +377,34 @@ def _root_blocks(k: int, lo: int, hi: int, Ms: list, keep_at: dict):
         A, s0 = A1, s1
 
 
+def _pair_tally(h: list) -> dict:
+    """{(l, m): count} over the neighbours (h[i], h[i + 1]) of a list of
+    small ints >= 0, each pair coded as l 2^s + m, s = max(h).bit_length().
+
+    The codes are made for the whole list at once: h[:-1] and h[1:] are
+    packed as unsigned items of at least 2s bits, read as two integers, and
+    the first, shifted by s, is added to the second; no item carries into
+    its neighbour, so the sum's items are the codes, tallied with a Counter
+    without building a tuple per pair."""
+    s = max(h).bit_length()
+    code = next(c for c in "BHIQ" if 2 * s <= 8 * array(c).itemsize)
+    items = array(code, h).tobytes()
+    w = len(items) // len(h)
+    x = ((int.from_bytes(items[:-w], sys.byteorder) << s)
+         + int.from_bytes(items[w:], sys.byteorder))
+    tally = Counter(memoryview(x.to_bytes(len(items) - w, sys.byteorder)).cast(code))
+    mask = (1 << s) - 1
+    return {(c >> s, c & mask): n for c, n in tally.items()}
+
+
 def _window_counts(k: int, lo: int, hi: int) -> dict:
     """Cell counts for n in [lo, hi): left(n) = hits at n and right(n) =
-    hits at n + 1, tallied with a Counter on the integer route and per
+    hits at n + 1, tallied by _pair_tally on the integer route and per
     root block with bincount on the numpy route."""
     Ms, at = _window_shapes(k, hi + 1)
     if _integer_route(k, hi + 1 - lo, Ms):
         h, _ = _int_window(k, lo, hi + 1, Ms)
-        return dict(Counter(zip(h, h[1:])))
+        return _pair_tally(h)
     import numpy as np
 
     counts = {}

@@ -86,11 +86,11 @@ them, run without loading numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
 from math import exp, fsum, inf, isqrt, log
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
@@ -163,8 +163,7 @@ class _Grown:
         return vals[i]
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(NamedTuple):
     """P_k(1), ..., P_k(m_max) as enclosures; values is a tuple, or a
     sequence that computes each P_k(m) on its first read (_Grown)."""
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import random
+from collections import Counter
 
 import pytest
 from mpmath import mp, mpf
@@ -269,6 +270,38 @@ def test_int_roots_decide_the_pell_near_ties(monkeypatch, F):
     x, y = PELL_MINUS
     roots = empirical._int_roots(2, 8, 2 * x, 2 * x + 3)
     assert roots == [introot(8 * a * a, 2) - 2 * x for a in (y, y + 1)] and roots[0] == 0
+
+
+@pytest.mark.parametrize("top", [0, 1, 15, 16, 300, 2**16, 2**31])
+def test_pair_tally_matches_tuple_counts(top):
+    # codes of one, two, four and eight bytes, and a list of one pair
+    rng = random.Random(top)
+    for n in (2, 3, 1000):
+        h = [rng.choice((0, top, rng.randint(0, top))) for _ in range(n)]
+        want = Counter(zip(h, h[1:]))
+        assert empirical._pair_tally(h) == want
+        assert list(empirical._pair_tally(h)) == list(want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_bounds_fall_back_to_introot_where_the_fixed_point_floors_differ(monkeypatch, k):
+    # at 3 fraction bits R 2^F / (L + 1) and R 2^F / L often hold an integer
+    # between them; there A(R) comes from introot, elsewhere from the floors,
+    # and every A(R) and every root must be introot's
+    F, top = 3, 120
+    monkeypatch.setattr(empirical, "_F", F)
+    Ms, _ = empirical._window_shapes(k, top)
+    differ = 0
+    for M in Ms[:40]:
+        L = introot(M << k * F, k)
+        A = [0] + [introot((R**k - 1) // M, k) for R in range(1, top + 1)]
+        for R in range(1, top + 1):
+            differ += (R << F) // (L + 1) != (R << F) // L
+            assert empirical._below(k, M, L, R) == A[R]
+        for lo, hi in ((1, top), (17, 90), (top - 1, top)):
+            assert empirical._int_roots(k, M, lo, hi) == [
+                introot(a**k * M, k) - lo for a in range(A[lo] + 1, A[hi] + 1)]
+    assert differ > 0
 
 
 @pytest.mark.parametrize("k,N", [(2, 2000), (3, 400), (5, 120)])

@@ -141,3 +141,47 @@ print(seen)
 print(sorted(counts.items()))
 """)
     assert out == ["[(True, 2)]", str(sorted(oracle_counts(2, 3000).items()))]
+
+
+MACHINERY = ("dataclasses", "inspect")
+FORMATS = ("json", "csv", "decimal")
+
+
+def test_importing_the_cli_loads_no_record_machinery_and_no_format():
+    # the records are NamedTuples and the writer imports the one format it
+    # prints, so neither dataclasses (with inspect, ast, dis and tokenize)
+    # nor json, csv or decimal is paid for up front
+    out = run_fresh(f"""
+import sys
+import kfull.cli
+print([m for m in {MACHINERY + FORMATS!r} if m in sys.modules])
+""")
+    assert out == ["[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--k", "2", "--max-index", "3"],
+    ["verify", "--k", "3", "--quick", "--N", "3000"],
+    ["empirical", "--k", "3", "--N", "3000"],
+])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    out = run_fresh(f"""
+import contextlib, io, sys
+from kfull.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+print([m for m in {MACHINERY!r} if m in sys.modules])
+""")
+    assert out == ["[]"]
+
+
+@pytest.mark.parametrize("fmt,loaded,absent", [("csv", "csv", "json"), ("json", "json", "csv")])
+def test_a_format_loads_only_its_own_module(fmt, loaded, absent):
+    out = run_fresh(f"""
+import contextlib, io, sys
+from kfull.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["empirical", "--k", "2", "--N", "3000", "--format", {fmt!r}]) == 0
+print({loaded!r} in sys.modules, {absent!r} in sys.modules)
+""")
+    assert out == ["True False"]
