@@ -9,9 +9,9 @@ with b_1*...*b_(k-1) squarefree (so the b_j are squarefree and pairwise
 coprime).  That bijection is what makes representation-driven enumeration
 possible: walk the squarefree coprime tuples b and the cofactor a instead
 of factoring every integer in the range.  shape_tuples is the one walker
-over those tuples, capped by the radicand (M <= X), by a coordinate box
-(every b_j <= B), or by both; the k-full enumeration, the sweep's shape
-lists, the shape box sums and the head of eval_F all read it.
+over those tuples, capped by the radicand (M <= X); the k-full
+enumeration, the sweep's shape lists, the oracle power sums and the head
+of eval_F all read it.
 LambdaElement names one shape by its tuple b and SubsetSpec a finite set of
 them; both live here, with the integers they are made of, so that the exact
 sweep and the CLI can name shapes without loading the series engine.
@@ -333,31 +333,23 @@ def canonical_repr(n: int, k: int) -> KFullRepr:
     return KFullRepr(k, a, tuple(b))
 
 
-def shape_tuples(k: int, X: int | None = None, box: int | None = None,
-                 cap: int | None = None) -> list:
-    """All (M, b) with M = prod b_j^(k+j) over squarefree pairwise-coprime
+def shape_tuples(k: int, X: int, cap: int | None = None) -> list:
+    """All (M, b) with M = prod b_j^(k+j) <= X over squarefree pairwise-coprime
     tuples b, including the trivial all-ones tuple (M = 1).  Sorted by M.
-
-    X caps the radicand (M <= X), box caps every coordinate (b_j <= box);
-    at least one of them must be given.  This is the one walker over the
-    tuples: the enumeration, the shape lists and the box sums all read it.
+    This is the one walker over the tuples: the enumeration, the shape
+    lists and the oracle sums all read it.
 
     Given cap, a ValueError instead once there are more than cap shapes
     besides the trivial one, so the walk never holds more than cap + 1.
-    Each squarefree b <= r = introot(X, k+1) (and <= box) is the shape
-    b^(k+1), and at most sum_p r/p^2 < 0.4523 r of the n <= r are not
-    squarefree, so there are at least 0.54 r - 1 non-trivial shapes: a cap
-    that bound already passes is refused before the sieve is built."""
+    Each squarefree b <= r = introot(X, k+1) is the shape b^(k+1), and at
+    most sum_p r/p^2 < 0.4523 r of the n <= r are not squarefree, so there
+    are at least 0.54 r - 1 non-trivial shapes: a cap that bound already
+    passes is refused before the sieve is built."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if X is None and box is None:
-        raise ValueError("shape_tuples needs X or box")
-    if (X is not None and X < 1) or (box is not None and box < 1):
+    if X < 1:
         return []
-    # every b_j <= introot(X, k+1), since M >= b_j^(k+1)
-    top = box if X is None else introot(X, k + 1)
-    if box is not None:
-        top = min(top, box)
+    top = introot(X, k + 1)  # every b_j <= top, since M >= b_j^(k+1)
     most = inf if cap is None else cap + 1
     if 54 * top // 100 - 1 >= most:
         raise ValueError(f"more than {cap} shapes: the count exceeds cap {cap}")
@@ -367,7 +359,7 @@ def shape_tuples(k: int, X: int | None = None, box: int | None = None,
 
     def rec(j, m_so_far, prod_so_far, prefix):
         exp = k + j
-        bmax = top if X is None else min(top, introot(X // m_so_far, exp))
+        bmax = min(top, introot(X // m_so_far, exp))
         last = j == k - 1
         if last:
             out.append((m_so_far, prefix + (1,)))

@@ -9,16 +9,24 @@ integer radicand lam^k orders the set, so enumeration and sorting are exact.
 The power sums  P_k(m) = sum over shapes of lam^(-m)  are evaluated by two
 independent routes:
 
-* power_sum_direct: truncated summation over a coordinate box b_j <= B,
-  with the omitted mass bounded by integral comparison (tail_bound).
-  k = 2 sums a squarefree sieve, k = 3 uses the gcd-Moebius identity, and
-  k >= 4 sums over the box tuples of arith.shape_tuples (the one tuple
-  walker).  For k >= 3 the box is walked once per (k, B) and cached, and
-  each m reads it: at k = 3 the Moebius list (_mobius), each squarefree d
-  summing its multiples as list slices of the per-m power tables; at
-  k >= 4 the tuples as numpy index columns (_box), each term a product of
-  per-(m, j) power tables.  Converges like B^(-m/k) at best, so it serves
-  as the oracle route.
+* power_sum_direct: the float sum over the shapes lam <= L, which
+  arith.shape_tuples(k, L^k) lists (walked once per (k, L) for every m),
+  plus the rest, bounded by partial summation with a proven count.  For
+  each outer tuple b_2..b_(k-1), the b_1 >= 1 with b_1^(k+1) <= Y,
+  Y = x^k / prod_(j>=2) b_j^(k+j), number at most Y^(1/(k+1)).  Summed over
+  every outer tuple of positive integers, with sum_(b>=1) b^(-s) <= s/(s-1)
+  at s = (k+j)/(k+1) > 1, that counts every tuple with lam <= x, so
+
+      N(x) = #{lam <= x} <= A_k x^theta,  theta = k/(k+1),
+      A_k = prod_(j=2..k-1) (k+j)/(j-1),
+
+  and, with m > theta,
+
+      sum_(lam>L) lam^(-m) = m int_L^inf N(x) x^(-m-1) dx - N(L) L^(-m)
+                          <= T = m A_k L^(theta-m)/(m-theta) - N(L) L^(-m)
+
+  (tail_bound).  The route reads no zeta value and no prime, and its tail
+  falls like L^(theta-m), so it serves as the oracle route.
 
 * power_sum_euler: since each prime divides at most one b_j, the sum over
   all shape tuples factors over primes,
@@ -79,31 +87,26 @@ independent routes:
   primes, a = m(2k-1), plus the rounding to working precision (see
   _exact_product).
 
-numpy serves only the box sums of k >= 4 and is imported there, so the
-Euler route, the box sums of k = 2 and 3, and every command that uses only
-them, run without loading numpy.
+Neither route loads numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
-from math import exp, fsum, inf, isqrt, log
+from itertools import count
+from math import exp, fsum, inf, isqrt, log, prod
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_lt, round_ceiling, round_nearest
 
-from .arith import (LambdaElement, introot, mobius_sieve, next_prime, shape_tuples,
-                    squarefree_sieve)
+from .arith import LambdaElement, introot, mobius_sieve, next_prime, shape_tuples
 from .bounded import ErrorBoundedReal, dot
 from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
-                    _sieved_log_zeta, primes_upto, zeta)
+                    _sieved_log_zeta, primes_upto)
 
 DEFAULT_ELEMENT_CAP = 2_000_000
-_DIRECT_WORK_CAP = 50_000_000
-_BOX_TUPLE_CAP = 10**7  # the most box tuples B^(k-1) the k >= 4 walk accepts
 
 
 def lambda_min_radicand(k: int) -> int:
@@ -180,124 +183,56 @@ class PowerSums(NamedTuple):
         return self.values[m - 1]
 
 
-def tail_bound(k: int, m: int, B: int):
-    """Proven upper bound (mpf) on the shape sum of lam^(-m) omitted by a
-    coordinate box b_j <= B, i.e. over every shape outside
-    shape_tuples(k, box=B).
-
-    Union bound over which coordinate exceeds B; each case is bounded by
-    dropping the squarefree-coprimality constraint, giving a tail
-    sum_{b>B} b^(-s) <= B^(1-s)/(s-1) times full zeta factors for the other
-    coordinates.  Monotone nonincreasing in B.
-    """
-    if k < 2 or m < 1 or B < 2:
-        raise ValueError("need k >= 2, m >= 1, B >= 2")
-    with mp.workdps(30):
-        total = mpf(0)
-        for jstar in range(1, k):
-            s_star = mpf(m * (k + jstar)) / k
-            piece = mpf(B) ** (1 - s_star) / (s_star - 1)
-            for j in range(1, k):
-                if j != jstar:
-                    piece *= zeta(Fraction(m * (k + j), k), 20).hi()
-            total += piece
-        return total
-
-
-def _box_cap(k: int) -> int:
-    """The largest box B that power_sum_direct accepts for k."""
-    if k == 2:
-        return _DIRECT_WORK_CAP
-    if k == 3:
-        return _DIRECT_WORK_CAP // 15
-    return introot(_BOX_TUPLE_CAP, k - 1)
-
-
-def default_box(k: int) -> int:
-    """The box verify sums when none is asked for: the largest that
-    power_sum_direct accepts for k, at most 10,000 (10,000 at k = 2 and 3,
-    215 at k = 4, 56 at k = 5)."""
-    return min(10_000, _box_cap(k))
-
-
-def power_sum_direct(k: int, m: int, B: int) -> ErrorBoundedReal:
-    """Truncated P_k(m) over the coordinate box b_j <= B, plus a radius of
-    tail_bound(k, m, B) and a float-accumulation envelope."""
-    if k < 2 or m < 1 or B < 2:
-        raise ValueError("need k >= 2, m >= 1, B >= 2")
-    if B > _box_cap(k):
-        raise ValueError("box too large" if k < 4
-                         else "box too large for exhaustive tuple enumeration")
-    if k == 2:
-        sf = squarefree_sieve(B)
-        s = 1.5 * m
-        total = fsum(b ** (-s) for b in range(2, B + 1) if sf[b])
-        work = B
-    elif k == 3:
-        total = _box_sum_k3(m, B)
-        work = int(B * (log(B) + 1))
-    else:
-        total = _box_sum_generic(k, m, B)
-        work = B ** (k - 1)
-    with mp.workdps(30):
-        slop = mpf(work + 16) * mpf(2.3e-16) * 8
-        return ErrorBoundedReal(mpf(total), tail_bound(k, m, B) + slop)
-
-
-_mobius = lru_cache(maxsize=4)(mobius_sieve)  # the k = 3 box, once per B for every m
-
-
 @lru_cache(maxsize=4)
-def _box(k: int, B: int):
-    """The coordinate box b_j <= B for k >= 4, walked once per (k, B) for
-    every m: the proper box tuples of shape_tuples as k - 1 index columns."""
-    import numpy as np
-
-    tuples = shape_tuples(k, box=B)  # the all-ones tuple, M = 1, is one of them
-    cols = np.fromiter(chain.from_iterable(b for M, b in tuples if M > 1), dtype=np.int32,
-                       count=(len(tuples) - 1) * (k - 1))
-    return tuple(cols.reshape(-1, k - 1).T)
+def _head(k: int, L: int) -> tuple:
+    """-ln(lam) for every shape lam <= L, as floats: the walk of
+    shape_tuples(k, L^k), once per (k, L) for every m."""
+    return tuple(-log(M) / k for M, _ in shape_tuples(k, L**k, cap=DEFAULT_ELEMENT_CAP)
+                 if M > 1)
 
 
-def _box_sum_k3(m: int, B: int) -> float:
-    """The k = 3 box sum over coprime squarefree (b1, b2) != (1, 1), with
-    pairwise coprimality resolved by the gcd-Moebius identity
-
-        sum_{gcd(b1,b2)=1} f(b1) g(b2) = sum_d mu(d) (sum_{d|b1} f)(sum_{d|b2} g),
-
-    f = w1(b) = b^(-4m/3) and g = w2(b) = b^(-5m/3) on squarefree b, each
-    inner sum the list slice of the multiples of d (one term for d > B/2).
-
-    Rounding, u = 2^-53: each w is within 2u of its value (pow errs by under
-    an ulp), the n_d = B // d terms of a slice summed in order err by at
-    most (n_d - 1) u of their sum, and the product one u more, so part d
-    errs by at most (2 n_d + 3) u s1_d s2_d.  The multiples of d give
-    s1_d s2_d <= d^(-3m) S, S = s1_1 s2_1 <= zeta(4/3) zeta(5/3) < 8, so
-    the parts err by under 8 u sum_d (2B/d + 3) d^(-3) < 8 u (2.2 B + 3.7),
-    and fsum and the final - 1 add at most 8 u each: far inside
-    power_sum_direct's slop (work + 16) 2.3e-16 8, work = B (ln B + 1).
-    """
-    mu = _mobius(B)
-    e1, e2 = -4.0 * m / 3.0, -5.0 * m / 3.0
-    w1 = [b**e1 if mu[b] else 0.0 for b in range(B + 1)]
-    w2 = [b**e2 if mu[b] else 0.0 for b in range(B + 1)]
-    half = B // 2
-    parts = [mu[d] * sum(w1[d::d]) * sum(w2[d::d]) for d in range(1, half + 1) if mu[d]]
-    parts += [mu[d] * w1[d] * w2[d] for d in range(half + 1, B + 1) if mu[d]]
-    return fsum(parts) - 1.0  # remove the (1,1) tuple
+def _tail(k: int, m: int, L: int) -> Fraction:
+    """T of the module docstring as an exact rational, with L^theta taken
+    from above at 64 fraction bits."""
+    theta = Fraction(k, k + 1)
+    A = prod(Fraction(k + j, j - 1) for j in range(2, k))
+    U = Fraction(introot(L**k << 64 * (k + 1), k + 1) + 1, 1 << 64)  # > L^theta
+    return (m * A * U / (m - theta) - len(_head(k, L))) / L**m
 
 
-def _box_sum_generic(k: int, m: int, B: int) -> float:
-    # each term is prod_j b_j^(-m(k+j)/k), read from one power table per j
-    import numpy as np
+def tail_bound(k: int, m: int, L: int) -> mpf:
+    """Proven upper bound on the sum of lam^(-m) over the shapes lam > L,
+    i.e. over every shape outside shape_tuples(k, L^k): T of the module
+    docstring, rounded up.  Decreasing in L."""
+    if k < 2 or m < 1 or L < 2:
+        raise ValueError("need k >= 2, m >= 1, L >= 2")
+    T = _tail(k, m, L)
+    return mp.make_mpf(from_rational(T.numerator, T.denominator, 64, round_ceiling))
 
-    b = np.arange(B + 1, dtype=np.float64)
-    b[0] = 1.0
-    w = None
-    for j, col in enumerate(_box(k, B), start=1):
-        t = (b ** (-(m * (k + j) / k)))[col]
-        w = t if w is None else w * t
-    return fsum(w.tolist())
+
+def power_sum_direct(k: int, m: int, L: int) -> ErrorBoundedReal:
+    """P_k(m) from the shapes lam <= L: their float sum S plus [0, T],
+    T = tail_bound(k, m, L), returned as S + T/2 with radius T/2 plus the
+    float envelope E below.  Raises ValueError past DEFAULT_ELEMENT_CAP
+    shapes.
+
+    Each term is exp(m x), x = -log(M)/k.  With u = 2^-53, a correctly
+    rounded int-to-float conversion and log and exp within an ulp,
+    log(M) errs by at most 4u (ln M + 1), so x by u (5.01 ln lam + 2) and
+    m x by Delta = m u (6.1 ln lam + 2); exp makes the term's relative error
+    at most 1.01 Delta + 2.01u (Delta < 0.01 for m ln L < 10^12), plus
+    2^-1074 absolute where it falls past the normal range.  fsum rounds the
+    exact sum of the terms once.  So, with ln lam <= ln L < 0.7 b,
+    b = L.bit_length(), the computed S is within
+    E = u (m (5 b + 3) + 4) S + N(L) 2^-1070 of the exact head."""
+    if k < 2 or m < 1 or L < 2:
+        raise ValueError("need k >= 2, m >= 1, L >= 2")
+    head = _head(k, L)
+    S = Fraction(fsum([exp(m * x) for x in head]))
+    T = _tail(k, m, L)
+    E = S * Fraction(m * (5 * L.bit_length() + 3) + 4, 1 << 53) + Fraction(len(head), 1 << 1070)
+    with mp.workdps(30):
+        return ErrorBoundedReal(S + T / 2, T / 2 + E)
 
 
 # the cutoff below which power_sum_euler multiplies primes in exactly; a

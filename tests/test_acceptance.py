@@ -176,9 +176,10 @@ def test_criterion_9_lemma_equivalence():
 def test_criterion_10_power_sum_cross_checks():
     worst_gap = 0.0
     closed_ok = True
-    for k in (2, 3):
+    # the shapes lam <= ceil(1e4^((k+1)/k)), which at k = 2 is the box b <= 1e4
+    for k, L in ((2, 10**6), (3, 215_444)):
         for m in range(1, 9):
-            d = power_sum_direct(k, m, 10**4)
+            d = power_sum_direct(k, m, L)
             e = power_sum_euler(k, m, 30)
             gap = abs(float(d.value - e.value)) - float(d.radius + e.radius)
             worst_gap = max(worst_gap, gap)
@@ -188,7 +189,7 @@ def test_criterion_10_power_sum_cross_checks():
             cf = zeta(Fraction(3 * m, 2), 35) / zeta(3 * m, 35) - 1
             closed_ok = closed_ok and e.agrees_with(cf)
     report(10, worst_gap <= 0 and closed_ok,
-           f"direct(B=1e4) vs Euler within combined radii (worst excess "
+           f"direct(lam <= 1e6 / 2.2e5) vs Euler within combined radii (worst excess "
            f"{worst_gap:.2e}), k=2 closed form within radii: {closed_ok}")
 
 

@@ -159,18 +159,16 @@ def test_shape_tuples_sorted_by_radicand():
 @pytest.mark.parametrize("k, B", [(2, 60), (3, 25), (4, 12)])
 def test_shape_tuples_box_matches_brute_force(k, B):
     # a squarefree product of the b_j is exactly "each squarefree, pairwise
-    # coprime"; the box caps every coordinate, X (when given) the radicand
+    # coprime"; every tuple with M <= B^(k+1) lies in the box b_j <= B
     brute = []
     for b in itertools.product(range(1, B + 1), repeat=k - 1):
         if is_squarefree(math.prod(b)):
             brute.append((math.prod(bj ** (k + j) for j, bj in enumerate(b, 1)), b))
     brute.sort()
-    assert shape_tuples(k, box=B) == brute
-    X = brute[len(brute) // 2][0]
-    assert shape_tuples(k, X, box=B) == [t for t in brute if t[0] <= X]
-    assert shape_tuples(k, 10**40, box=B) == brute
-    with pytest.raises(ValueError):
-        shape_tuples(k)
+    brute = [t for t in brute if t[0] <= B ** (k + 1)]
+    for X in (B ** (k + 1), brute[len(brute) // 2][0], 1):
+        assert shape_tuples(k, X) == [t for t in brute if t[0] <= X]
+    assert shape_tuples(k, 0) == []
 
 
 def test_repr_validation():

@@ -329,8 +329,8 @@ def test_table_method_xi_is_no_choice(capsys):
 def test_verify_power_sum_routes_see_a_direct_sum_moved_by_10_radii(capsys, monkeypatch):
     direct = shapes.power_sum_direct
 
-    def moved(k, m, B):
-        d = direct(k, m, B)
+    def moved(k, m, L):
+        d = direct(k, m, L)
         return d + 10 * d.radius if m == 3 else d
 
     monkeypatch.setattr(shapes, "power_sum_direct", moved)
@@ -341,6 +341,23 @@ def test_verify_power_sum_routes_see_a_direct_sum_moved_by_10_radii(capsys, monk
     assert not checks["power_sum_routes"]["passed"]
     assert checks["power_sum_routes"]["tolerance"] == 0.0
     assert checks["closed_form_power_sums"]["passed"]
+
+
+def test_verify_power_sum_routes_see_an_euler_sum_moved_at_k4(capsys, monkeypatch):
+    # the engine's P_4(2) moved by 10 combined radii; xi and the coefficients
+    # are the engine's own, so only what reads the power sums sees the move
+    engine = density._engine
+    real = engine(4, 30)
+    d = shapes.power_sum_direct(4, 2, 2**16)
+    shift = 10 * (d.radius + real.ps.p(2).radius)
+    values = [real.ps.p(m) + shift if m == 2 else real.ps.p(m) for m in range(1, 9)]
+    moved = real._replace(ps=shapes.PowerSums(4, tuple(values)))
+    monkeypatch.setattr(density, "_engine",
+                        lambda k, digits: moved if k == 4 else engine(k, digits))
+    code, out, _ = run_cli(capsys, "verify", "--k", "4", "--quick", "--format", "json")
+    assert code == 1
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["power_sum_routes"]
+    assert not check["passed"] and check["tolerance"] == 0.0
 
 
 def test_usage_errors(capsys):
@@ -1128,26 +1145,42 @@ def test_config_rejects_a_bad_tolerance_scale(tmp_path, capsys, text):
     assert err.startswith("error: --tolerance-scale")
 
 
-@pytest.mark.parametrize("k, trunc_B, box", [(2, None, 10_000), (4, None, 215), (4, 300, 300)])
-def test_verify_sums_the_largest_box_for_k_unless_asked(monkeypatch, k, trunc_B, box):
-    # without --trunc-B, the largest box power_sum_direct accepts, at most
-    # 10,000; the recorded stand-in walks no box and agrees with the Euler route
+@pytest.mark.parametrize("k, L", [(2, 2**20), (4, 2**16)])
+def test_verify_sums_the_shapes_up_to_L_k(monkeypatch, k, L):
+    # one expression of k, L_k = 2^(24 - 2k); the recorded stand-in walks no
+    # shape and agrees with the Euler route
     seen = set()
 
-    def recorded(k, m, B):
-        seen.add(B)
+    def recorded(k, m, L):
+        seen.add(L)
         return density._engine(k, 30).ps.p(m)
 
     monkeypatch.setattr(shapes, "power_sum_direct", recorded)
-    report = cli.run_verify(cli.RunConfig(k=k, quick=True, N=1000, trunc_B=trunc_B))
-    assert seen == {box}
+    report = cli.run_verify(cli.RunConfig(k=k, quick=True, N=1000))
+    assert seen == {L}
     check = {c["name"]: c for c in report["checks"]}["power_sum_routes"]
-    assert check["passed"] and f"(box {box})" in check["note"]
+    assert check["passed"] and f"(shapes lambda <= {L}, no zeta)" in check["note"]
 
 
 @pytest.mark.parametrize("B", ["1", "0", "-3"])
 def test_verify_rejects_a_box_below_2(capsys, B):
-    # the smallest box that holds a shape is B = 2; the check runs before any work
-    code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", f"--trunc-B={B}")
+    # --trunc-B is no option, so the parser refuses every box
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--k", "2", "--quick", f"--trunc-B={B}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--trunc-B" in err
+
+
+def test_trunc_B_is_not_an_option(tmp_path, capsys):
+    # the oracle's shape bound is one expression of k; no flag or key moves it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--k", "4", "--quick", "--trunc-B", "200"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--trunc-B" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trunc_B": 200}))
+    code, out, err = run_cli(capsys, "verify", "--k", "2", "--quick", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err == "error: --trunc-B must be >= 2\n"
+    assert err == "error: unknown config key 'trunc_B'\n"

@@ -254,8 +254,7 @@ def test_density_B_positive_and_purely_truncated_product_bracket():
         partial = mpf(1)
         for e in elems:
             partial *= 1 - 2 / mp.root(mpf(e.radicand()), 2)
-        B = int(mpf(X) ** mpf(2.0 / 3.0))
-        T = tail_bound(2, 1, B)
+        T = tail_bound(2, 1, X)
         C2 = constant_C(2)
         assert partial * (1 - 2 * T) - mpf("1e-20") <= C2.value <= partial + mpf("1e-20")
         assert C2.lo() > 0
@@ -318,8 +317,7 @@ def test_eval_F_far_argument_uses_series():
         partial = mpf(1)
         for e in elems:
             partial *= 1 + 8 / mp.root(mpf(e.radicand()), 2)
-        B = int(mpf(X) ** mpf(2.0 / 3.0))
-        T = tail_bound(2, 1, B)
+        T = tail_bound(2, 1, X)
         F10 = eval_F(2, 10, 20)
         assert partial - mpf("1e-18") <= F10.value <= partial * mp.exp(8 * T) + mpf("1e-18")
 
@@ -329,15 +327,16 @@ def test_eval_F_beyond_series_depth_stays_enclosing():
     with mp.workdps(40):
         F = eval_F(2, 120, 15)
         assert F.lo() > 0
-        # finer box product must land inside the reported enclosure
+        # the finer product over the shapes lam <= 2^18 (the box b <= 4096)
+        # must land inside the reported enclosure
         from kfull.arith import shape_tuples
         from kfull.shapes import tail_bound
         w = mpf(120) - 2
         partial = mpf(1)
-        B = 4096
-        for M, _ in shape_tuples(2, box=B)[1:]:
+        L = 2**18
+        for M, _ in shape_tuples(2, L**2)[1:]:
             partial *= 1 + w / mp.root(mpf(M), 2)
-        t = 2 * w * tail_bound(2, 1, B)
+        t = 2 * w * tail_bound(2, 1, L)
         assert F.lo() <= partial * mp.exp(t) and partial * mp.exp(-t) <= F.hi()
 
 

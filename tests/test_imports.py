@@ -1,6 +1,6 @@
 """What a fresh process loads: mpmath only where the series engine runs,
 numpy and the process pool only where used: a sweep window past the
-integer route's pair threshold, the box sums of k >= 4, and the pool.
+integer route's pair threshold, and the pool.
 
 Each test runs its script in a new interpreter, because this test process
 has long since imported mpmath, numpy and the pool."""
@@ -85,10 +85,11 @@ print([m for m in {ENGINE!r} if type(sys.modules["kfull." + m]) is types.ModuleT
     (["enumerate", "members_B", "--k", "2", "--N", "3000", "--I", "2"], False),
     (["empirical", "--k", "2", "--N", "3000"], False),
     (["empirical", "--k", "2", "--N", "1000000"], True),
+    (["verify", "--k", "4", "--quick", "--N", "3000"], False),
 ])
 def test_only_large_sweeps_load_numpy(argv, numpy):
-    # a window below the pair threshold and the k = 3 box sum run on Python
-    # integers and floats; the numpy route keeps the large windows
+    # a window below the pair threshold and the oracle power sums run on
+    # Python integers and floats; the numpy route keeps the large windows
     out = run_fresh(f"""
 import contextlib, io, sys
 from kfull.cli import main

@@ -125,7 +125,7 @@ def test_records_normalise_and_keep_their_reprs():
 
 def test_run_config_carries_the_parser_defaults():
     assert cli.RunConfig() == cli.RunConfig(
-        k=2, max_index=5, digits=30, trunc_B=None, N=None, fmt="text", out=None,
+        k=2, max_index=5, digits=30, N=None, fmt="text", out=None,
         threads=1, quick=False, tolerance_scale=1.0, method="direct",
         cap=cli.DEFAULT_ENUM_CAP)
     parser = cli.build_parser()

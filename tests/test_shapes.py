@@ -1,19 +1,19 @@
 from fractions import Fraction
 from itertools import product
-from math import fsum, gcd, log
+from math import prod
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from kfull import arith, shapes, zetas
-from kfull.arith import introot, is_squarefree, mobius_sieve, moebius, next_prime, shape_tuples
+from kfull.arith import introot, is_squarefree, mobius_sieve, next_prime, shape_tuples
 from kfull.bounded import ErrorBoundedReal
 from kfull.shapes import (
     _T_CAP,
     LambdaElement,
-    _box_sum_k3,
     _exact_product,
+    _head,
     _log_coeffs,
     _witt_exponents,
     enumerate_lambda,
@@ -143,94 +143,108 @@ def test_lambda_value_radius_contract():
         assert lambda_value(LambdaElement(3, (2, 1)), 30).contains(mp.root(16, 3))
 
 
+def box_to_L(k, B):
+    """ceil(B^((k+1)/k)), the smallest L with L^k >= B^(k+1): at k = 2 the
+    shapes lam <= L are exactly those of the coordinate box b <= B, and at
+    every k the b_1 <= B with the other coordinates 1."""
+    return introot(B ** (k + 1) - 1, k) + 1
+
+
 def test_tail_bound_values_and_monotonicity():
-    assert float(tail_bound(2, 1, 10**4)) <= 0.02 + 1e-12
-    # the m = 2 tail: integral comparison gives B^(-2)/2 = 5e-9 at B = 1e4
-    assert float(tail_bound(2, 2, 10**4)) <= 5.1e-9
+    # at k = 2, A_2 = 1 and T = L^(-m) (m L^(2/3) / (m - 2/3) - N(L)), with
+    # N(10^6) = 6,082 squarefree b in 2..10^4: 0.03 - 0.006082 at m = 1
+    assert abs(float(tail_bound(2, 1, 10**6)) - (0.03 - 0.006082)) < 1e-12
+    assert abs(float(tail_bound(2, 2, 10**6)) - (1.5e-8 - 6.082e-9)) < 1e-20
     prev = None
-    for B in (10**2, 10**3, 10**4, 10**5):
-        t = float(tail_bound(3, 1, B))
+    for L in (10**2, 10**3, 10**4, 10**5):
+        t = float(tail_bound(3, 1, L))
         if prev is not None:
             assert t < prev
         prev = t
-    assert float(tail_bound(2, 1, 10**9)) < 1e-4
+    assert float(tail_bound(2, 1, 10**9)) < 2.4e-3
 
 
-def test_box_sum_k3_matches_brute_force():
-    m, B = 2, 40
-    brute = 0.0
-    for b1, b2 in product(range(1, B + 1), repeat=2):
-        if (b1, b2) == (1, 1):
-            continue
-        if is_squarefree(b1 * b2) and gcd(b1, b2) == 1:
-            brute += b1 ** (-8.0 / 3.0) * b2 ** (-10.0 / 3.0)
-    assert abs(_box_sum_k3(m, B) - brute) < 1e-12
+@pytest.mark.parametrize("k", range(2, 7))
+def test_shape_count_obeys_the_count_lemma(k):
+    # N(x) = #{lam <= x} <= A_k x^(k/(k+1)), A_k = prod_(j=2..k-1) (k+j)/(j-1),
+    # compared exactly as N^(k+1) <= A_k^(k+1) x^k
+    A = prod(Fraction(k + j, j - 1) for j in range(2, k))
+    for x in (3, 10, 100, 1000, 4000):
+        N = len(shape_tuples(k, x**k)) - 1
+        assert N ** (k + 1) <= A ** (k + 1) * x**k, (k, x, N)
 
 
-def box_sum_per_m(k, m, B):
-    """The box sum walked afresh for one m: a squarefree sieve at k = 2, a
-    slice per squarefree d at k = 3, the tuples of the walker at k >= 4."""
-    if k == 2:
-        return fsum(b ** (-1.5 * m) for b in range(2, B + 1) if is_squarefree(b))
-    if k == 3:
-        mu = [0] + [moebius(d) for d in range(1, B + 1)]
-        f = [0.0] + [b ** (-4.0 * m / 3.0) if mu[b] else 0.0 for b in range(1, B + 1)]
-        g = [0.0] + [b ** (-5.0 * m / 3.0) if mu[b] else 0.0 for b in range(1, B + 1)]
-        return fsum(mu[d] * fsum(f[d::d]) * fsum(g[d::d]) for d in range(1, B + 1)) - 1.0
-    terms = []
-    for M, b in shape_tuples(k, box=B):
-        if M > 1:
-            w = 1.0
-            for j, bj in enumerate(b, start=1):
-                w *= bj ** (-(m * (k + j) / k))
-            terms.append(w)
-    return fsum(terms)
-
-
-@pytest.mark.parametrize("k, B, work", [(2, 500, 500), (3, 300, 300 * (log(300) + 1)),
-                                        (4, 25, 25**3)])
-def test_box_sums_match_the_per_m_walk(k, B, work):
-    # one cached box serves every m; each value stays within the float
-    # envelope power_sum_direct adds to its radius
-    envelope = (int(work) + 16) * 2.3e-16 * 8
+@pytest.mark.parametrize("k, L", [(3, 300), (4, 60)])
+def test_head_matches_brute_force(k, L):
+    # every tuple of a coordinate box that holds all shapes lam <= L, kept
+    # where the product is squarefree and M <= L^k, summed at 40 digits: the
+    # enclosure is [head - E, head + T + E] with E within the float envelope
+    r = introot(L**k, k + 1)
+    Ms = [M for b in product(range(1, r + 1), repeat=k - 1) if is_squarefree(prod(b))
+          for M in [prod(bj ** (k + j) for j, bj in enumerate(b, 1))] if 1 < M <= L**k]
+    assert len(_head(k, L)) == len(Ms)
     for m in range(1, 9):
-        d = power_sum_direct(k, m, B)
-        assert abs(float(d.value) - box_sum_per_m(k, m, B)) <= envelope, (k, m)
-        assert float(d.radius) >= envelope
+        d = power_sum_direct(k, m, L)
+        T = tail_bound(k, m, L)
+        with mp.workdps(40):
+            head = mp.fsum(mpf(M) ** (-mpf(m) / k) for M in Ms)
+            assert d.lo() <= head and head + T <= d.hi(), (k, m)
+            assert d.radius - T / 2 <= head * m * 2e-13, (k, m)
 
 
 def test_direct_examples():
-    d = power_sum_direct(2, 1, 10**6)
-    assert abs(float(d.value) - 1.1733) < 2.5e-3
-    assert float(d.radius) <= 2.1e-3
+    d = power_sum_direct(2, 1, 10**9)
+    assert abs(float(d.value) - 1.1733) < 1.3e-3
+    assert float(d.radius) <= 1.2e-3
     e = power_sum_euler(2, 3, 25)
-    d = power_sum_direct(2, 3, 100)
+    d = power_sum_direct(2, 3, 1000)
     assert d.agrees_with(e)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("B", [10**3, 10**4])
 def test_route_agreement(k, B):
+    L = box_to_L(k, B)
     for m in range(1, 9):
-        d = power_sum_direct(k, m, B)
+        d = power_sum_direct(k, m, L)
         e = power_sum_euler(k, m, 30)
-        assert d.agrees_with(e), (k, m, B)
+        assert d.agrees_with(e), (k, m, L)
 
 
 @pytest.mark.parametrize("k, B", [(4, 100), (5, 30)])
 @pytest.mark.parametrize("m", [2, 3])
 def test_route_agreement_generic_box(k, B, m):
-    # k >= 4 sums the box tuples of the shape walker
-    d = power_sum_direct(k, m, B)
+    # k >= 4 sums the same walk of the shapes lam <= L
+    d = power_sum_direct(k, m, box_to_L(k, B))
     assert d.agrees_with(power_sum_euler(k, m, 30)), (k, m, B)
 
 
 def test_tail_bounds_honest_when_doubling():
+    # head + T falls as L grows: a shape passed adds lam^(-m) to the head
+    # and takes L^(-m) = lam^(-m) from T
     for k in (2, 3):
         for m in (1, 2):
-            base = power_sum_direct(k, m, 1000)
-            finer = power_sum_direct(k, m, 2000)
+            base = power_sum_direct(k, m, box_to_L(k, 1000))
+            finer = power_sum_direct(k, m, box_to_L(k, 2000))
             assert base.lo() <= finer.value <= base.hi(), (k, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_direct_reads_no_zeta(k):
+    # neither computed nor read from the cache
+    before = zeta.cache_info()
+    for m in range(1, 9):
+        power_sum_direct(k, m, 2**10)
+    assert zeta.cache_info() == before
+
+
+@pytest.mark.parametrize("k, L", [(5, 2**16), (6, 2**15), (7, 2**14), (8, 2**13)])
+def test_euler_lies_inside_direct_for_k5_to_k8(k, L):
+    # the Euler route's only check past k = 4; P_7(1) and P_8(1) are past the
+    # 1 + S < 2^6 count of _exact_product's docstring
+    for m in range(2, 9):
+        d, e = power_sum_direct(k, m, L), power_sum_euler(k, m, 30)
+        assert d.lo() <= e.lo() and e.hi() <= d.hi(), (k, m)
 
 
 def test_k2_closed_form():
@@ -263,7 +277,7 @@ def test_euler_large_m_makes_no_log1p_or_expm1(monkeypatch):
     for k, m, digits in [(2, 30, 61), (2, 100, 61), (3, 40, 68), (3, 135, 68)]:
         e = power_sum_euler.__wrapped__(k, m, digits)
         assert e.radius <= mpf(10) ** (-digits)
-        assert e.agrees_with(power_sum_direct(k, m, 50)), (k, m)
+        assert e.agrees_with(power_sum_direct(k, m, box_to_L(k, 50))), (k, m)
     with mp.workdps(140):
         assert power_sum_euler.__wrapped__(2, 30, 61).contains(
             mpmath.zeta(45) / mpmath.zeta(90) - 1)
@@ -443,12 +457,11 @@ def test_euler_rejects_bad_args():
         power_sum_direct(2, 1, 1)
 
 
-@pytest.mark.parametrize("k, box", [(2, 10_000), (3, 10_000), (4, 215), (5, 56)])
-def test_default_box_is_the_largest_direct_sum_accepts(k, box):
-    assert shapes.default_box(k) == box
-    if k >= 4:  # one more refuses before any tuple is walked
-        with pytest.raises(ValueError, match="box too large for exhaustive"):
-            power_sum_direct(k, 1, box + 1)
+@pytest.mark.parametrize("k", [2, 4])
+def test_direct_refuses_past_the_shape_cap(k):
+    # the walk's own cap refuses before any tuple is walked
+    with pytest.raises(ValueError, match="cap"):
+        power_sum_direct(k, 1, 10**12)
 
 
 # (r_max, power-sum digits) of the series engine at its default 30 digits
@@ -466,8 +479,9 @@ def test_k2_engine_power_sums_contain_closed_form():
 
 @pytest.mark.parametrize("k, digits, B", [(3, ENGINE_POWER_SUMS[3][1], 10**4), (4, 30, 60)])
 def test_euler_overlaps_direct_for_k3_k4(k, digits, B):
+    L = box_to_L(k, B)
     for m in range(1, 9):
-        assert power_sum_euler(k, m, digits).agrees_with(power_sum_direct(k, m, B)), (k, m)
+        assert power_sum_euler(k, m, digits).agrees_with(power_sum_direct(k, m, L)), (k, m)
 
 
 # radii of the engine's P_k(m) when the exact primes entered through one
