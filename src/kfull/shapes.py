@@ -68,24 +68,29 @@ independent routes:
   may fall short of the target by up to the 10^3 that _cut_estimate allows.
   When N = k no Lambda term survives (at the engine's digits, every m past
   about 25): each omitted factor is at least 1, so
-  S <= P_k(m) <= (1 + S) e^x - 1, x = dropped + tail, bounded by
+  S <= P_k(m) <= (1 + S) e^x - 1, x = tail, bounded by
   e^x - 1 <= x + x^2 with no log1p/expm1 round trip.  The result has radius
   <= 10^(-digits) or raises ArithmeticError naming the cause (the cut
   reached _T_CAP, or the radius it reached).  Below the default cutoff p0
-  is raised until the cut is expected to fit under _T_CAP (_cut_estimate),
-  so a cutoff as small as 1 or 2 certifies as well.  A prime whose factor
-  sum is below the working floor is moved into the radius by
-  0 <= log1p(x) <= x.
-  The exact-product factors p^(-m(k+j)/k) are integer powers of the roots
-  r_p = floor(p^(-1/k) 2^F) from zetas' fixed-point table, as is the first
-  omitted prime's y = q^(-m/k), not exp/log pairs.  The exact primes
-  accumulate as one integer S = prod_p (1 + s_p) - 1 at a scale set by the
-  first s_p, through the update S <- S + s_p + floor(s_p S), each s_p an
-  exact sum of F-bit powers.  All its terms are positive, so S keeps its
-  relative precision when every factor is 1 + tiny; its floors are counted
-  inside the old relative radius of n (a + 4) units of 2^(1-W) after n
-  primes, a = m(2k-1), plus the rounding to working precision (see
-  _exact_product).
+  is raised until the cut is expected to fit under _T_CAP (_cutoff,
+  _cut_estimate), so a cutoff as small as 1 or 2 certifies as well.
+  The exact-product factors p^(-m(k+j)/k) are entries m(k+j) of zetas'
+  stepped table of (k, F), one lane per j, so moving from m to m + 1 costs
+  k + j floored products per factor; the first omitted prime's
+  y = q^(-m/k) comes from the same table, and the cut's y^n are F-bit
+  products of it.  No exp/log pair and no binary powering is left.  Every prime up to the cutoff enters the exact
+  product, however small its factor: the primes accumulate as one integer
+  S = prod_p (1 + s_p) - 1 at a scale set by the first s_p, through the
+  update S <- S + s_p + floor(s_p S), each s_p an exact sum of F-bit
+  powers.  All its terms are positive, so S keeps its relative precision
+  when every factor is 1 + tiny.  Its floors are counted with S carried:
+  n (a + 4) units of 2^(1-W) after n primes, a = m(2k-1), wherever
+  1 + S < 2^6 (every k <= 5), and more where a large S needs it, plus the
+  rounding to working precision (see _exact_product).  The per-m step runs
+  on ints and floats: the cut searches float logarithms, its tail is one
+  integer sum rounded up once, and the N = k enclosure is formed on
+  mpmath's raw values; only the log1p, Lambda dot and expm1 of a cut with
+  Lambda terms run as interval arithmetic.
 
 Neither route loads numpy.
 """
@@ -99,12 +104,12 @@ from math import exp, fsum, inf, isqrt, log, prod
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_lt, round_ceiling, round_nearest
+from mpmath.libmp import (fone, from_man_exp, from_rational, mpf_add, mpf_lt, mpf_mul,
+                          mpf_shift, mpf_sub, round_ceiling, round_nearest)
 
 from .arith import LambdaElement, introot, mobius_sieve, next_prime, shape_tuples
 from .bounded import ErrorBoundedReal, dot
-from .zetas import (_GUARD_BITS, _fixed_roots, _float_pow, _fraction_bits, _prime_power,
-                    _sieved_log_zeta, primes_upto)
+from .zetas import _GUARD_BITS, _fraction_bits, _sieved_log_zeta, _steps, primes_upto
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 
@@ -244,6 +249,7 @@ _LAMBDA_DIGITS = 12  # Lambda(j/k) is read to digits + this + _witt_digits(k, j)
 _REST_DIGITS = 15  # the bound past the summed terms is 10^-this of that target
 _LOG_TABLES = {}  # k -> (c, h), the coefficient lists _log_coeffs grows
 _WITT_TABLES = {}  # k -> [a_0, a_1, ...], the exponents _witt_exponents grows
+_CUT_FLOATS = {}  # k -> (H, V), the float factors _cut_floats grows
 
 
 def _log_coeffs(k: int, T: int) -> tuple:
@@ -327,6 +333,25 @@ def _cut_estimate(k: int, m: int, q: int, digits: int) -> float:
                                                       + m / k * log(q)) - 3
 
 
+_PAD = from_rational(1000001, 1000000, 64, round_ceiling)  # >= 1.000001
+
+
+def _cutoff(k: int, m: int, digits: int, p0: int) -> tuple:
+    """(p0_eff, q): the exact-product cutoff p0_eff >= p0 and the first prime
+    past it.  The cutoff is raised until the tail factor polynomial is small
+    at the first omitted prime, g(q^(-m/k)) <= 1/2 on floats (keeps the log
+    series geometric), and, below the default cutoff, until the Witt cut is
+    expected to fit under _T_CAP."""
+    p = max(p0, 2)
+    while True:
+        q = next_prime(p)
+        ly = -m / k * log(q)
+        if fsum(exp((k + j) * ly) for j in range(1, k)) <= 0.5 and (
+                p >= DEFAULT_PRIME_CUTOFF or _cut_estimate(k, m, q, digits) <= _T_CAP):
+            return p, q
+        p = q
+
+
 @lru_cache(maxsize=None)
 def power_sum_euler(k: int, m: int, digits: int = 30,
                     p0: int = DEFAULT_PRIME_CUTOFF) -> ErrorBoundedReal:
@@ -337,46 +362,28 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
         raise ValueError("digits must be >= 1")
     fail = f"could not certify P_{k}({m}) to {digits} digits"
     with mp.workdps(digits + 15):
-        # raise the exact-product cutoff until the tail factor polynomial is
-        # small at the first omitted prime (keeps the log series geometric)
-        # and, below the default cutoff, until the Witt cut is expected to
-        # fit under _T_CAP
-        p0_eff = max(p0, 2)
-        while True:
-            q = next_prime(p0_eff)
-            y = _prime_power(q, Fraction(m, k))
-            gy = sum(y ** (k + j) for j in range(1, k))
-            if gy <= mpf("0.5") and (p0_eff >= DEFAULT_PRIME_CUTOFF
-                                     or _cut_estimate(k, m, q, digits) <= _T_CAP):
-                break
-            p0_eff = q
-
-        # a prime whose s_p is below the floor enters through the radius
-        # alone, by 0 <= log1p(s_p) <= s_p; s_p falls as p grows
-        floor = mpf(10) ** (-(digits + 12))
-        S, dropped = _exact_product(k, m, primes_upto(p0_eff), floor)
-
+        p0_eff, q = _cutoff(k, m, digits, p0)
+        S = _exact_product(k, m, primes_upto(p0_eff))
         # the primes past p0_eff give sum_n a_n Lambda(n m / k), cut after N
-        cut = _witt_cut(k, m, q, y, digits)
+        cut = _witt_cut(k, m, q, digits)
         if cut is None:
             raise ArithmeticError(f"{fail}: Witt cut reached t = {_T_CAP}")
         N, tail = cut
         if N == k:
             # no Lambda term: each omitted factor is at least 1, so
-            # S <= P <= (1 + S) e^x - 1, x = dropped + tail, e^x - 1 <= x + x^2
-            x = (dropped + tail) * mpf("1.000001")
-            lo = S.lo()
-            hi = mp.fadd(S.hi(), mp.fmul(mp.fadd(1, S.hi(), rounding="u"), x + x * x,
-                                         rounding="u"), rounding="u")
-            v = mp.fdiv(mp.fadd(lo, hi, exact=True), 2)
-            out = ErrorBoundedReal(v, max(mp.fsub(hi, v, rounding="u"),
-                                          mp.fsub(v, lo, rounding="u")))
+            # S <= P <= (1 + S) e^x - 1, x = 1.000001 tail, e^x - 1 <= x + x^2,
+            # on mpmath's raw values with every bound rounded up
+            prec, up = mp.prec, round_ceiling
+            x = mpf_mul(tail._mpf_, _PAD, prec, up)
+            x = mpf_add(x, mpf_mul(x, x, prec, up), prec, up)
+            lo, hi = mpf_sub(S.value._mpf_, S.radius._mpf_), mpf_add(S.value._mpf_, S.radius._mpf_)
+            hi = mpf_add(hi, mpf_mul(mpf_add(fone, hi, prec, up), x, prec, up), prec, up)
+            v = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+            r, r_lo = mpf_sub(hi, v, prec, up), mpf_sub(v, lo, prec, up)
+            out = ErrorBoundedReal(mp.make_mpf(v), mp.make_mpf(r_lo if mpf_lt(r, r_lo) else r))
         else:
             a = _witt_exponents(k, N)
             pairs = [(S.log1p(), 1)]
-            if dropped:
-                half = dropped * mpf("0.500001")
-                pairs.append((ErrorBoundedReal(half, half), 1))
             for n in range(k + 1, N + 1):
                 if a[n]:
                     lam_digits = digits + _LAMBDA_DIGITS + _witt_digits(k, n * m)
@@ -387,7 +394,27 @@ def power_sum_euler(k: int, m: int, digits: int = 30,
     return out
 
 
-def _witt_cut(k: int, m: int, q: int, y: mpf, digits: int):
+def _cut_floats(k: int, T: int) -> tuple:
+    """(H, V) for M = 0..T at least (T <= _T_CAP), grown like _log_coeffs:
+    H[M] the float sum of h_t over t <= M and V[M] = max h_s rho^s over
+    M - 2k + 2 <= s <= M, divided by rho^(M+1), with rho as in _witt_cut
+    (inf below M = 2k - 1).  R_M = y^(M+1) (V[M] / (1 - y/rho) + H[M] / 2)
+    / (1 - y)."""
+    H, V = _CUT_FLOATS.setdefault(k, ([0.0], [inf]))
+    if len(H) <= T:
+        h = _log_coeffs(k, T)[1]
+        rho = _convergence_radius(k) * (1 - 2.0**-20)
+        w = [float(h[s]) * rho**s for s in range(k + 1, len(H))]
+        for M in range(len(H), len(h)):
+            hM = float(h[M])
+            H.append(H[-1] + hM)
+            if M > k:
+                w.append(hM * rho**M)
+            V.append(max(w[-(2 * k - 1):]) / rho ** (M + 1) if M >= 2 * k - 1 else inf)
+    return H, V
+
+
+def _witt_cut(k: int, m: int, q: int, digits: int):
     """(N, tail): the cut of sum_n a_n Lambda(n m / k) over the primes >= q,
     y = q^(-m/k), and a bound tail >= |sum_{n>N} a_n Lambda(n m / k)|; None
     when no cut up to _T_CAP reaches its bound (module docstring).
@@ -396,27 +423,35 @@ def _witt_cut(k: int, m: int, q: int, y: mpf, digits: int):
     s' = (N + 1) m / k.  u_n = |a_n| y^n is summed up to the first M whose
     bound R_M on sum_{n>M} |a_n| y^n is 10^-_REST_DIGITS of the target, and
     N is the smallest cut whose bound (sum_{N<n<=M} u_n + R_M) f_N is below
-    the target.  M and N are searched on float64 logarithms; the tail is
-    then bounded at the working precision, R_M as y^(M+1) times a float64
-    factor whose few roundings, each 2^-53 relative, the pad repays."""
-    pad = mpf("1.000001")
-
+    the target.  M and N are searched on float64 logarithms, ln y =
+    -(m/k) ln q, with the factors of R_M that do not depend on m cached per
+    k (_cut_floats).  The tail is then one exact sum, rounded up once to
+    the working precision: y^n is y^(n-1) times y, each product cut to F
+    bits, where y is the scaled entry m of the stepped table (k, F), so y^n
+    errs low by less than n (m (q^(1/k) + 2) + 1) 2^(1-F) relative, far
+    less than the pad; R_M is
+    y^(M+1) times a float64 factor whose few roundings, each 2^-53
+    relative, the pad repays; and f_N is exact."""
     def f(n):  # 1 + q/(x - 1) at x = (n + 1) m / k
         return 1 + q * k / (m * (n + 1) - k)
 
     # rho < x0 by far more than x0's float error, so g(rho) < 1
-    rho, ly = _convergence_radius(k) * (1 - 2.0**-20), float(mp.log(y))
+    rho, ly = _convergence_radius(k) * (1 - 2.0**-20), -m / k * log(q)
     y_f, goal = exp(ly), -(digits + _CUT_DIGITS) * log(10)
-    w, h_sum, M = [], 0.0, k  # w holds h_s rho^s
-    B = lR = inf  # R_M = y^(M+1) B
-    while M < _T_CAP and not lR + log(f(M)) < goal - _REST_DIGITS * log(10):
+    d_rho, d_1, rest = 1 - y_f / rho, 1 - y_f, goal - _REST_DIGITS * log(10)
+    H, V = _cut_floats(k, 2 * k)
+    M, B, lR = k, inf, inf  # R_M = y^(M+1) B
+    while M < _T_CAP and not lR + log(f(M)) < rest:
         M += 1
-        h_M = float(_log_coeffs(k, M)[1][M])
-        h_sum += h_M
-        w.append(h_M * rho**M)
+        if M >= len(H):
+            H, V = _cut_floats(k, M)
         if M >= 2 * k - 1:
-            B = (max(w[-(2 * k - 1):]) / rho ** (M + 1) / (1 - y_f / rho) + h_sum / 2) / (1 - y_f)
+            B = (V[M] / d_rho + H[M] / 2) / d_1
             lR = (M + 1) * ly + log(B)
+    # at _T_CAP (small cutoffs) the cut may stop short of the target, by up
+    # to the 10^3 that _cut_estimate, which sizes p0_eff, allows for
+    if not lR + log(f(M)) < (3 - digits - _CUT_DIGITS) * log(10):
+        return None
     a = _witt_exponents(k, M)
     N, scaled = M, exp(min(lR - goal, 0))  # sum_{N<n<=M} u_n + R_M over the target
     while N > k:
@@ -424,71 +459,82 @@ def _witt_cut(k: int, m: int, q: int, y: mpf, digits: int):
         if (scaled + u_N) * f(N - 1) >= 1:
             break
         N, scaled = N - 1, scaled + u_N
-    y_n, tail = y ** (N + 1), mpf(0)
-    for n in range(N + 1, M + 1):
-        if a[n]:
-            tail += abs(a[n]) * y_n
-        y_n *= y
-    R = y_n * B
-    # at _T_CAP (small cutoffs) the cut may stop short of the target, by up
-    # to the 10^3 that _cut_estimate, which sizes p0_eff, allows for
-    if not R * f(M) < mpf(10) ** (3 - digits - _CUT_DIGITS):
-        return None
-    return N, (tail + R) * f(N) * pad
+    # y^n as F-bit products of the stepped entry y: man 2^-e is y^n here,
+    # and y^(M+1) after the loop
+    F = _fraction_bits(mp.prec)
+    ym, ye = _steps(k, F).scaled(q, m, 1)
+    man, e, terms = ym, ye, []
+    for n in range(1, M + 1):
+        if n > N and a[n]:
+            terms.append((abs(a[n]) * man, e))
+        man, e = man * ym, e + ye
+        x = man.bit_length() - F
+        if x > 0:
+            man, e = man >> x, e - x
+    Bn, Bd = B.as_integer_ratio()
+    u = sum(c << (e - e_n) for c, e_n in terms) * Bd + man * Bn  # sum over Bd 2^e
+    # times f_N and the pad 1.000001: tail = num / den 2^-e, rounded up
+    fn = m * (N + 1) - k
+    num, den = u * (fn + q * k) * 1000001, Bd * fn * 1000000
+    s = max(mp.prec + 2 + den.bit_length() - num.bit_length(), 0)
+    return N, mp.make_mpf(from_man_exp(-((-num << s) // den), -e - s, mp.prec, round_ceiling))
 
 
-def _exact_product(k, m, primes, floor):
-    """(S, dropped) at the working precision: S = prod_p (1 + s_p) - 1 as an
-    enclosure, s_p = sum_j p^(-m(k+j)/k), over the (non-empty, ascending)
-    primes up to the first whose s_p is below floor, and dropped = the sum
-    of s_p over the rest.
+def _exact_product(k, m, primes):
+    """S = prod_p (1 + s_p) - 1 at the working precision, as an enclosure,
+    s_p = sum_j p^(-m(k+j)/k), over the (non-empty, ascending) primes.
 
-    The terms are _float_pow(r_p, m(k+j)) from zetas' fixed-point table of
-    roots r_p = floor(p^(-1/k) 2^F), each a mantissa of F bits with its own
-    exponent, so a tiny term keeps its relative precision.  s_p is their
-    exact sum.  S is one integer at G fraction bits, G the exponent of the
-    first s_p, updated by S <- S + s_p + floor(s_p S / 2^G).  Every term is
-    positive, so S keeps its relative precision when each factor is
-    1 + tiny (the coefficient sums amplify absolute errors in P by up to
-    ~4^r, so the log of a rounded product prod (1 + s_p) would not do).
+    The terms are the scaled entries m(k+j) of zetas' stepped table (k, F),
+    each a mantissa of F bits with its own exponent, so a tiny term keeps
+    its relative precision.  s_p is their exact sum.  S is one integer at
+    G fraction bits, G the exponent of the first s_p, updated by
+    S <- S + s_p + floor(s_p S / 2^G).  Every term is positive, so S keeps
+    its relative precision when each factor is 1 + tiny (the coefficient
+    sums amplify absolute errors in P by up to ~4^r, so the log of a
+    rounded product prod (1 + s_p) would not do).  Once a prime's s_p
+    aligns to 0 every later one does (s_p falls from prime to prime by far
+    more than its relative error), so their updates change nothing and are
+    counted in n without being made.
 
     Every value errs low.  With a = m(2k-1) the largest exponent, a term is
     within a (p^(1/k) + 2) 2^(1-F) relative (see zetas), and so is s_p.
     Aligning s_p to 2^-G floors it by less than one unit of 2^-G, and an
     update errs by at most e(S) (1 + s_p) + e(s_p) (1 + S) + 1 units.  S is
     at least 2^(F-1) units from the first update on, so after n updates its
-    relative error is below (1 + S) (a (p^(1/k) + 2) + n (2 + S)) 2^(1-F).
-    The radius keeps the old count of n (a + 4) units of eps_W = 2^(1-W),
-    W = working precision + _GUARD_BITS, relative.  One eps_W is at least
-    2^32 units of 2^(1-F), and 1 + S <= 1 + P_k(1) < 2^6 and p^(1/k) < 2^20
-    for every k and cutoff the engine serves, so the count sits far inside
-    it.  Rounding S to working precision adds eps/2 = 2^(_GUARD_BITS-1)
-    eps_W, and 1 more pays for taking the radius relative to the rounded
-    value.
+    relative error is below C 2^(1-F), C = (1 + S) (a (p^(1/k) + 2) +
+    n (2 + S)), p the last prime.  The radius counts
+    max(n (a + 4), ceil(C 2^(W-F))) units of eps_W = 2^(1-W),
+    W = working precision + _GUARD_BITS, relative, C taken from above with
+    U = floor(S) + 3 >= 1 + S and introot(p, k) + 1 > p^(1/k).  One eps_W
+    is at least 2^32 units of 2^(1-F), so wherever 1 + S < 2^6 and
+    p^(1/k) < 2^20, as for every P_k(m) with k <= 5 at any cutoff up to
+    2^40, the first term is the larger and the count is n (a + 4); a larger
+    S (P_8(1) = 135) widens the radius instead of escaping it.  Rounding S
+    to working precision adds eps/2 = 2^(_GUARD_BITS-1) eps_W, and 1 more
+    pays for taking the radius relative to the rounded value.
     """
     prec = mp.prec
     W = prec + _GUARD_BITS
     F = _fraction_bits(prec)
-    roots = _fixed_roots(k, F, primes[-1])
+    scaled = _steps(k, F).scaled
     exps = [m * (k + j) for j in range(1, k)]
-    S = G = n = 0
-    dropped = mpf(0)
+    S = G = 0
     for p in primes:
-        terms = [_float_pow(roots[p], a, F) for a in exps]
+        terms = [scaled(p, a, j) for j, a in enumerate(exps, 1)]
         e0 = max(e for _, e in terms)
         s = sum(man << (e0 - e) for man, e in terms)  # s_p = s 2^-e0, exactly
-        s_p = from_man_exp(s, -e0)
-        if dropped or mpf_lt(s_p, floor._mpf_):
-            dropped += mp.make_mpf(s_p)
-            continue
-        if not n:
+        if not G:
             G = e0
         s = s >> (e0 - G) if e0 >= G else s << (G - e0)
+        if not s:
+            break
         S += s + (s * S >> G)
-        n += 1
+    n, a = len(primes), exps[-1]
+    U = (S >> G) + 3
+    C = U * (a * (introot(primes[-1], k) + 3) + n * (U + 1))
+    units = max(n * (a + 4), -(-C >> (F - W))) + 1 + (1 << (_GUARD_BITS - 1))
     v = mp.make_mpf(from_man_exp(S, -G, prec, round_nearest))
-    units = n * (exps[-1] + 4) + 1 + (1 << (_GUARD_BITS - 1))
-    return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u")), dropped
+    return ErrorBoundedReal(v, mp.fmul(v, mp.ldexp(units, 1 - W), rounding="u"))
 
 
 def power_sums(k: int, m_max: int, digits: int = 30,

@@ -29,21 +29,27 @@ F = prec + _GUARD_BITS + 32 rounded up to a multiple of 64 (_fraction_bits),
 so nearby precisions share one F.  _prime_powers decides where each p^(-s)
 comes from.  Every exponent the engine reaches is a rational a/q with a
 small denominator (m(k+j)/k and the cascade's multiples n s); for those
-(_ratio) it raises r_p = floor(p^(-1/q) 2^F) from _fixed_roots(q, F, n), one
-exact table per (q, F) of the primes up to a power-of-two limit past n.  A
-table only grows, and each entry is a function of (p, q, F) alone, so no
-value depends on which tables or entries already exist; it also serves
-_prime_power and shapes._exact_product.  Any other s takes one mpf power per
-prime at F + 32 bits, floored to F bits, trusted to within 2^28 ulp.  Each
-p^(-s) is raised once per (s, F) and kept (_prime_power_memo), so the
-sieved Euler factor of Lambda(s) reads the powers zeta(s)'s sieve raised
-whenever the two run at one F.
+(_ratio) p^(-a/q) is entry a of the stepped table of (q, F) (_Steps, one
+per (q, F) through _steps): entry a of prime p is entry a - 1 times the
+root r_p = floor(p^(-1/q) 2^F), floored, so a run of exponents read upward
+costs one product per step, not a binary powering per read.  The table
+keeps one cursor per prime (and lane) and steps forward from it, or from
+entry 0 when asked for a smaller a; each entry is a function of
+(p, a, q, F) alone, so no value depends on the order of reads or on which
+tables exist.  Its fixed view (F fraction bits) serves zeta's sieve and
+the sieved Euler factor of Lambda(s), which reads the entries zeta(s)'s
+sieve stepped to whenever the two run at one F; its scaled view (F
+significant bits) serves _prime_power and shapes' exact product and Witt
+cut.  Any other s takes one mpf power per prime at F + 32 bits, floored to
+F bits, trusted to within 2^28 ulp.
 
 The envelope counts every floor in units of 2^-F.  A product of two values
 in [0, 1], taken as floor(x y / 2^F), errs by at most e(x) + e(y) + 1 units,
-so _fixed_pow(r_p, a) = p^(-a/q), a < 2^12, errs by less than 2a: a from the
-root and fewer than a from the floors of its binary powering (a squaring
-doubles the error it carries).  An mpf power errs by less than 2 units: 1
+so a fixed entry a, a < 2^12, errs by less than 2a: each step adds less
+than 1 for the root and 1 for its own floor, as entry a - 1 is at most 1.
+A scaled entry loses less than p^(1/q) 2^-F relative to the root and
+2^(1-F) to the cut per step, so entry a is within a (p^(1/q) + 2) 2^(1-F)
+relative, and errs low.  An mpf power errs by less than 2 units: 1
 from the floor, and far less from the power and from rounding s to F + 32
 bits, which moves p^(-s) by at most p^(-s) s log(p) 2^(-F-32) < 2^(-F-32).
 Write 2a for either bound (a = 1 for an mpf power).  A composite n takes
@@ -75,8 +81,8 @@ eps_W = 2^(1-W), W = prec + _GUARD_BITS, relative, plus eps/2 for the
 rounding to working precision.  One eps_W is 2^(F-W+1) >= 2^33 units, and
 the product is at least prod_{p <= p0} (1 - 1/p) >= 1/p0, so the fixed-point
 error sits inside that radius for any cutoff p0 < 2^32.  _prime_power keeps
-relative precision for tiny values: _float_pow keeps F bits through the
-powering, so p^(-x) is within a (p^(1/q) + 2) 2^(1-F) relative, far below
+relative precision for tiny values: the scaled view keeps F bits through the
+steps, so p^(-x) is within a (p^(1/q) + 2) 2^(1-F) relative, far below
 eps; an x the table does not serve takes mpf's power at working precision.
 """
 
@@ -119,68 +125,66 @@ def _fraction_bits(prec: int) -> int:
 
 
 def _span(n: int) -> int:
-    # table limits are powers of two, so nearby needs share one table
+    # sieve limits are powers of two, so nearby needs share one sieve
     return max(256, 1 << (n - 1).bit_length())
 
 
-class _Roots(dict):
-    """{p: floor(p^(-1/q) 2^F)} for the primes p <= limit."""
+class _Steps:
+    """The stepped powers of r_p = floor(p^(-1/q) 2^F) for one (q, F).
 
-    limit = 1
+    Entry a >= 1 of prime p is entry a - 1 times r_p, floored, from
+    entry 0 = 1, in two views: fixed(p, a) is an int at F fraction bits and
+    scaled(p, a) a pair (man, e), man 2^-e, with man cut to F significant
+    bits after each product.  Each entry is a function of (p, a, q, F)
+    alone.  The table keeps one cursor per prime, view and lane: the last
+    entry read there.  A read steps forward from it, or from entry 0 when a
+    is below it, so memory is O(primes), and reads that climb cost one
+    product per step.  A caller that climbs several runs of exponents at
+    once (the m(k+j) of the Euler route, each growing by k+j with m) gives
+    each run its own lane, so no run restarts another."""
+
+    def __init__(self, q: int, F: int):
+        self.q, self.F = q, F
+        self._roots, self._fixed, self._scaled = {}, {}, {}
+
+    def root(self, p: int) -> int:
+        r = self._roots.get(p)
+        if r is None:
+            r = self._roots[p] = introot((1 << (self.q * self.F)) // p, self.q)
+        return r
+
+    def fixed(self, p: int, a: int) -> int:
+        b, v = self._fixed.get(p) or (0, 1 << self.F)
+        if b != a:
+            if b > a:
+                b, v = 0, 1 << self.F
+            r, F = self.root(p), self.F
+            for _ in range(a - b):
+                v = v * r >> F
+            self._fixed[p] = a, v
+        return v
+
+    def scaled(self, p: int, a: int, lane: int = 0) -> tuple:
+        b, man, e = self._scaled.get((p, lane)) or (0, 1, 0)
+        if b != a:
+            if b > a:
+                b, man, e = 0, 1, 0
+            r, F = self.root(p), self.F
+            for _ in range(a - b):
+                man *= r
+                x = man.bit_length() - F
+                if x > 0:
+                    man >>= x
+                    e += F - x
+                else:
+                    e += F
+            self._scaled[p, lane] = a, man, e
+        return man, e
 
 
 @lru_cache(maxsize=64)
-def _fixed_root_table(q: int, F: int) -> _Roots:
-    return _Roots()
-
-
-def _fixed_roots(q: int, F: int, n: int) -> _Roots:
-    """The table of r_p = floor(p^(-1/q) 2^F) for (q, F), grown to cover the
-    primes p <= n.  Every entry is exact, so growing it changes none."""
-    table = _fixed_root_table(q, F)
-    if table.limit < n:
-        limit = _span(n)
-        table.update((p, introot((1 << (q * F)) // p, q))
-                     for p in _prime_list(limit) if p > table.limit)
-        table.limit = limit
-    return table
-
-
-def _fixed_pow(r: int, a: int, F: int) -> int:
-    """(r 2^-F)^a at F fraction bits, a >= 1, by binary powering with every
-    product floored."""
-    y = 1 << F
-    while True:
-        if a & 1:
-            y = y * r >> F
-        a >>= 1
-        if not a:
-            return y
-        r = r * r >> F
-        if not r:
-            return 0
-
-
-def _float_pow(r: int, a: int, F: int) -> tuple:
-    """(man, e) with man 2^-e at or below (r 2^-F)^a, a >= 1: binary powering
-    that keeps F bits.  Each truncation loses less than 2^(1-F) relative and
-    a squaring doubles what the base carries, so the result is within
-    (a + bitlen(a)) 2^(1-F) relative."""
-    man, e = 1, 0
-    b, be = r, F
-    while True:
-        if a & 1:
-            man, e = man * b, e + be
-            x = man.bit_length() - F
-            if x > 0:
-                man, e = man >> x, e - x
-        a >>= 1
-        if not a:
-            return man, e
-        b, be = b * b, 2 * be
-        x = b.bit_length() - F
-        if x > 0:
-            b, be = b >> x, be - x
+def _steps(q: int, F: int) -> _Steps:
+    return _Steps(q, F)
 
 
 @lru_cache(maxsize=8)
@@ -194,44 +198,24 @@ def _least_prime_factors(limit: int) -> list:
     return lpf
 
 
-@lru_cache(maxsize=8)
-def _prime_power_memo(x: Fraction, F: int) -> dict:
-    """{p: p^(-x) at F fraction bits}, filled by _prime_powers: zeta(x)'s
-    sieve and the Euler factor of Lambda(x) read the same primes, usually at
-    one F.  Each entry is a function of (p, x, F) alone."""
-    return {}
-
-
-def _prime_powers(x: Fraction, F: int, n: int) -> tuple:
-    """(pw, a): pw(p) is p^(-x) at F fraction bits for the primes p <= n,
-    within 2a units of 2^-F (see the module docstring).  From the root table
-    when it serves x, a the numerator of x; otherwise one mpf power at
-    F + 32 bits, floored, and a = 1.  Each power is raised once per (x, F)
-    and kept in _prime_power_memo."""
+def _prime_powers(x: Fraction, F: int) -> tuple:
+    """(pw, a): pw(p) is p^(-x) at F fraction bits for a prime p, within 2a
+    units of 2^-F (see the module docstring).  Entry a of the stepped table
+    (q, F) when it serves x = a/q; otherwise one mpf power at F + 32 bits,
+    floored, and a = 1."""
     ratio = _ratio(x)
     if ratio is not None:
         a, q = ratio
-        roots = _fixed_roots(q, F, n)
-        power = lambda p: _fixed_pow(roots[p], a, F)
-    else:
-        a = 1
-        neg = mpf_neg(from_rational(x.numerator, x.denominator, F + 32, round_nearest))
-        power = lambda p: to_fixed(mpf_pow(from_int(p), neg, F + 32, round_floor), F)
-    memo = _prime_power_memo(x, F)
-
-    def pw(p):
-        v = memo.get(p)
-        if v is None:
-            v = memo[p] = power(p)
-        return v
-
-    return pw, a
+        fixed = _steps(q, F).fixed
+        return (lambda p: fixed(p, a)), a
+    neg = mpf_neg(from_rational(x.numerator, x.denominator, F + 32, round_nearest))
+    return (lambda p: to_fixed(mpf_pow(from_int(p), neg, F + 32, round_floor), F)), 1
 
 
-def _fixed_powers(x: Fraction, N: int, F: int) -> list:
+def _powers_upto(x: Fraction, N: int, F: int) -> list:
     """n^(-x) for n = 0..N at F fraction bits (index 0 unused): one power
     from _prime_powers per prime, one floored product per composite."""
-    pw = _prime_powers(x, F, N)[0]
+    pw = _prime_powers(x, F)[0]
     lpf = _least_prime_factors(_span(N))
     out = [0, 1 << F]
     for n in range(2, N + 1):
@@ -241,7 +225,7 @@ def _fixed_powers(x: Fraction, N: int, F: int) -> list:
 
 
 def _ratio(s):
-    """(a, q) with s = a/q when the root table serves s, else None."""
+    """(a, q) with s = a/q when a stepped table serves s, else None."""
     x = _rational(s)
     if x.denominator <= _MAX_ROOT_DENOM and x.numerator <= _MAX_ROOT_NUMER:
         return x.numerator, x.denominator
@@ -283,7 +267,7 @@ def _zeta_table(s: Fraction, N: int, digits: int):
     a, q = s.numerator, s.denominator
     prec = mp.prec
     F = _fraction_bits(prec)
-    pw = _fixed_powers(s, N, F)
+    pw = _powers_upto(s, N, F)
     X = pw[N]  # N^(-s)
     acc = sum(pw[1:N]) + (X >> 1) + X * N * q // (a - q)
     # T_j = c_j X, c_j = B_2j/(2j)! * rise_j / N^(2j-1) = cn / cd, with the
@@ -326,14 +310,13 @@ def _sieved_bound(x: Fraction, q: int) -> mpf:
 
 
 def _prime_power(p: int, x: Fraction) -> mpf:
-    """p^(-x) for a prime p at the working precision, from the root table
-    when it serves x."""
+    """p^(-x) for a prime p at the working precision, from the scaled view
+    of the stepped table when it serves x."""
     ratio = _ratio(x)
     if ratio is None:
         return mpf(p) ** (-_to_mpf(x))
     a, q = ratio
-    F = _fraction_bits(mp.prec)
-    man, e = _float_pow(_fixed_roots(q, F, p)[p], a, F)
+    man, e = _steps(q, _fraction_bits(mp.prec)).scaled(p, a)
     return mp.make_mpf(from_man_exp(man, -e, mp.prec, round_nearest))
 
 
@@ -365,7 +348,7 @@ def _euler_factor(x: Fraction, primes: tuple) -> ErrorBoundedReal:
     prec = mp.prec
     W = prec + _GUARD_BITS
     F = _fraction_bits(prec)
-    pw, a = _prime_powers(x, F, primes[-1])
+    pw, a = _prime_powers(x, F)
     one = 1 << F
     prod = one
     for p in primes:

@@ -8,8 +8,11 @@ table_k2_inversion_L3.csv.  The k = 3 and k = 4 inversion tables were
 pinned later, as the engine printed them then.  Every radius of the three
 inversion tables shrank once more when their truncation bound took the
 one-sided d_j <= P^j / j! in place of e^P P^j / j!: by 2-34 % at k = 2,
-49 % at k = 3 and 50 % at k = 4, with every value unchanged.  Any printed
-digit or radius that moves fails here."""
+49 % at k = 3 and 50 % at k = 4, with every value unchanged.  Every radius
+of table_k2_inversion_L3.csv shrank again when the exact product of the
+Euler route stopped moving its smallest prime factors into the radius
+((3,3) from 1.6481433e-46 to 6.6008796e-48), with every value unchanged.
+Any printed digit or radius that moves fails here."""
 
 from pathlib import Path
 

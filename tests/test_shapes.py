@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -240,8 +241,8 @@ def test_direct_reads_no_zeta(k):
 
 @pytest.mark.parametrize("k, L", [(5, 2**16), (6, 2**15), (7, 2**14), (8, 2**13)])
 def test_euler_lies_inside_direct_for_k5_to_k8(k, L):
-    # the Euler route's only check past k = 4; P_7(1) and P_8(1) are past the
-    # 1 + S < 2^6 count of _exact_product's docstring
+    # the Euler route's only check past k = 4; P_7(1) and P_8(1) are past
+    # 1 + S < 2^6, where _exact_product's count carries S
     for m in range(2, 9):
         d, e = power_sum_direct(k, m, L), power_sum_euler(k, m, 30)
         assert d.lo() <= e.lo() and e.hi() <= d.hi(), (k, m)
@@ -469,10 +470,12 @@ ENGINE_POWER_SUMS = {2: (124, 61), 3: (135, 68)}
 
 
 def test_k2_engine_power_sums_contain_closed_form():
+    # the subtraction of 1 loses about 0.45 m digits, so the reference runs
+    # at 2d + m digits: at m = 105 the radius is about 2e-124
     r_max, d = ENGINE_POWER_SUMS[2]
     ps = power_sums(2, r_max, d)
-    with mp.workdps(2 * d):
-        for m in range(1, r_max + 1):
+    for m in range(1, r_max + 1):
+        with mp.workdps(2 * d + m):
             exact = mpmath.zeta(mpf(3 * m) / 2) / mpmath.zeta(3 * m) - 1
             assert ps.p(m).contains(exact), m
 
@@ -513,25 +516,66 @@ def _exact_log_product(k, m, primes):
 def test_exact_product_encloses_product(k, m):
     primes = primes_upto(100)
     with mp.workdps(60):
-        S, dropped = _exact_product(k, m, primes, mpf(0))
-    assert dropped == 0
+        S = _exact_product(k, m, primes)
     with mp.workdps(400):
         exact = mp.expm1(_exact_log_product(k, m, primes))
         assert S.contains(exact), (k, m)
         assert S.radius <= S.value * mpf(10) ** (-58)
 
 
-def test_exact_product_drops_below_floor():
-    # p^(-90) is below 1e-72 from p = 7 on: 2, 3, 5 stay in the product and
-    # the rest enter dropped, which bounds their log1p sum from above
+def _plain_count_radius(S, k, m, n):
+    # the radius of n (a + 4) units of eps_W, a = m(2k-1), relative to S
+    W = mp.prec + zetas._GUARD_BITS
+    units = n * (m * (2 * k - 1) + 4) + 1 + (1 << (zetas._GUARD_BITS - 1))
+    return mp.fmul(S.value, mp.ldexp(units, 1 - W), rounding="u")
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 20, 50])
+def test_exact_product_count_carries_S(k):
+    # at 212 bits F - W is 32, its least.  While (1 + S)^2 stays below about
+    # 2^32 (a + 4) the count is n (a + 4) units, bit for bit (P_20(1) is
+    # 4869 over the primes up to 100); past it the count carries S and
+    # widens the radius (k = 50, S = 4.6e6)
     primes = primes_upto(100)
-    with mp.workdps(60):
-        S, dropped = _exact_product(2, 60, primes, mpf(10) ** (-72))
+    with mp.workprec(212):
+        assert zetas._fraction_bits(mp.prec) - mp.prec - zetas._GUARD_BITS == 32
+        S = _exact_product(k, 1, primes)
+        plain = _plain_count_radius(S, k, 1, len(primes))
     with mp.workdps(400):
-        assert S.contains(mp.expm1(_exact_log_product(2, 60, primes[:3])))
-        rest = _exact_log_product(2, 60, primes[3:])
-        assert rest <= dropped * mpf("1.000001")
-        assert dropped <= rest * (1 + mpf(10) ** (-50))
+        assert S.contains(mp.expm1(_exact_log_product(k, 1, primes))), k
+    if k <= 20:
+        assert S.radius == plain
+    else:
+        assert S.radius > 10 * plain
+
+
+def test_engine_power_sums_keep_every_prime_exact():
+    # every prime up to the cutoff enters the exact product, however small
+    # its factor: no P_2(m) carries a factor's whole sum in its radius, so
+    # the radii fall with m (P_2(47) was +- 1.9e-74 with the floor)
+    d = ENGINE_POWER_SUMS[2][1]
+    for m, most in ((47, "1e-97"), (59, "1e-100"), (105, "1e-123")):
+        assert power_sum_euler(2, m, d).radius < mpf(most), m
+
+
+def _cold_power_sums(k, ms, digits):
+    # P_k(m) read in the order ms, from cleared caches and stepped tables
+    for fn in (power_sum_euler, zetas._steps, zetas._sieved_log_zeta, zeta):
+        fn.cache_clear()
+    return {m: (power_sum_euler(k, m, digits).value._mpf_,
+                power_sum_euler(k, m, digits).radius._mpf_) for m in ms}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_power_sums_ignore_the_read_order(k):
+    # every stepped entry is a function of (p, a, q, F) alone, so reads that
+    # make the tables' cursors fall back and restart move no bit of P_k(m)
+    ms = list(range(1, 31))
+    ascending = _cold_power_sums(k, ms, 40)
+    shuffled = ms[:]
+    random.Random(k).shuffle(shuffled)
+    for order in (ms[::-1], shuffled):
+        assert _cold_power_sums(k, order, 40) == ascending, (k, order)
 
 
 def _log_coeffs_every_u(k, T):

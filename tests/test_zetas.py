@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from kfull import shapes, zetas
-from kfull.arith import _prime_list
+from kfull.arith import _prime_list, introot
 from kfull.zetas import prime_zeta, prime_zeta_tail, zeta
 
 
@@ -98,7 +100,7 @@ def test_prime_zeta_rejects_bad_s():
         prime_zeta(1.0)
 
 
-# -- powers from the root table ------------------------------------------------
+# -- powers from the stepped tables --------------------------------------------
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("digits", [15, 30, 60])
@@ -126,7 +128,7 @@ UNSERVED = [1.1, 2.3, 1.0001, 4100.5, E40]
 @pytest.mark.parametrize("s", UNSERVED, ids=["1.1", "2.3", "1.0001", "4100.5", "e40"])
 def test_zeta_any_real_s_encloses_library(s, digits):
     # a float or an mpf is a dyadic rational whose numerator or denominator
-    # is past the root table
+    # is past the stepped tables
     assert zetas._ratio(s) is None
     z = zeta(s, digits)
     with mp.workdps(2 * digits):
@@ -151,7 +153,7 @@ def test_zeta_unserved_s_cold_equals_warm():
     zeta(s, 15)
     zeta(2.3, 40)
     prime_zeta_tail(s, 100, 20)
-    zetas._fixed_powers(Fraction(s), 3000, zetas._fraction_bits(200))
+    zetas._powers_upto(Fraction(s), 3000, zetas._fraction_bits(200))
     zeta.cache_clear()
     warm = zeta(s, 40)
     assert warm.value._mpf_ == cold.value._mpf_
@@ -163,17 +165,51 @@ def test_zeta_unserved_s_cold_equals_warm():
 def test_root_table_encloses_library_roots(q, prec):
     F = zetas._fraction_bits(prec)
     assert F % 64 == 0 and F >= prec + zetas._GUARD_BITS + 32
-    roots = zetas._fixed_roots(q, F, 300)
-    assert sorted(roots) == list(_prime_list(max(roots)))
-    assert max(roots) >= 300
-    for p, r in roots.items():
+    steps = zetas._steps(q, F)
+    for p in _prime_list(300):
+        r = steps.root(p)
         assert r.bit_length() <= F
         with mp.workprec(2 * F):
             u = mp.ldexp(r, -F)
             exact = 1 / mp.root(p, q)
             assert abs(u - exact) <= u * mp.ldexp(1, 1 - prec), (p, q, prec)
-            # each entry is the floor of p^(-1/q) 2^F
+            # each root is the floor of p^(-1/q) 2^F, and entry 1 of both views
             assert r <= mp.ldexp(exact, F) < r + 1, (p, q, prec)
+        assert steps.fixed(p, 1) == r and steps.scaled(p, 1) == (r, F)
+
+
+_SMALL_PRIMES = _prime_list(200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SMALL_PRIMES), st.integers(1, 700), st.sampled_from([1, 2, 3, 4]),
+       st.sampled_from([128, 320]))
+def test_stepped_entries_lie_within_their_count(p, a, q, F):
+    # fixed: within 2a units below the exact floor(p^(-a/q) 2^F); scaled:
+    # at or below p^(-a/q), by less than a (p^(1/q) + 2) 2^(1-F) relative.
+    # The draws read the shared tables in no particular order.
+    steps = zetas._steps(q, F)
+    floor = introot((1 << (q * F)) // p**a, q)
+    v = steps.fixed(p, a)
+    assert 0 <= floor - v < 2 * a, (p, a, q, F)
+    man, e = steps.scaled(p, a)
+    assert man.bit_length() <= F
+    # man 2^-e <= p^(-a/q) <= man 2^-e (1 + d/D), all raised to the q-th power
+    assert man**q * p**a <= 1 << (e * q)
+    d, D = a * (introot(p, q) + 3), 1 << (F - 1)
+    assert (D << e) ** q <= (man * (D + d)) ** q * p**a
+
+
+def test_stepped_entries_ignore_the_read_order():
+    # each entry is a function of (p, a, q, F) alone: a table whose cursors
+    # climb, fall back and restart, on one lane or two, gives what a fresh
+    # table gives
+    table = zetas._Steps(3, 256)
+    for a in (5, 9, 40, 3, 41, 120, 2, 119):
+        for p in (2, 3, 97, 101):
+            fresh = zetas._Steps(3, 256)
+            got = table.fixed(p, a), table.scaled(p, a), table.scaled(p, a + 7, 1)
+            assert got == (fresh.fixed(p, a), fresh.scaled(p, a), fresh.scaled(p, a + 7)), (p, a)
 
 
 def _zeta_table(s, prec, digits):
@@ -204,7 +240,7 @@ def test_zeta_table_kernel_encloses_library(q, prec):
 
 def test_fixed_tables_cold_equals_warm_for_a_shared_F():
     # digits 40 and 45 run at different precisions that share one F, so one
-    # root table; whichever fills it first, every value is the same
+    # stepped table; whichever fills it first, every value is the same
     p40, p45 = (mpmath.libmp.dps_to_prec(d + 12) for d in (40, 45))
     assert p40 != p45 and zetas._fraction_bits(p40) == zetas._fraction_bits(p45)
     s, x = Fraction(7, 3), Fraction(10, 3)
@@ -213,7 +249,7 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
     def values():
         with mp.workprec(p40):
             return (zeta(s, 40), zetas._euler_factor(Fraction(10, 3), primes), zetas._prime_power(101, x),
-                    shapes._exact_product(3, 2, primes, mpf(0))[0])
+                    shapes._exact_product(3, 2, primes))
 
     _clear_every_cache()
     cold = values()
@@ -221,7 +257,7 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
     zeta(s, 45)
     with mp.workprec(p45):
         zetas._euler_factor(Fraction(10, 3), primes)
-        shapes._exact_product(3, 5, zetas.primes_upto(1000), mpf(0))
+        shapes._exact_product(3, 5, zetas.primes_upto(1000))
     zeta.cache_clear()
     warm = values()
     for c, w in zip(cold, warm):
@@ -233,7 +269,7 @@ def test_fixed_tables_cold_equals_warm_for_a_shared_F():
 
 def test_euler_factor_encloses_product():
     primes = zetas.primes_upto(100)
-    # the last three are past the root table: mpf prime powers
+    # the last three are past the stepped tables: mpf prime powers
     for x in (Fraction(5, 4), Fraction(7, 3), Fraction(40, 1), Fraction(65, 64),
               Fraction(4093, 3), Fraction(1.1), Fraction(4097, 3), Fraction(101, 100)):
         with mp.workdps(50):
@@ -246,9 +282,9 @@ def test_euler_factor_encloses_product():
 
 
 def _clear_every_cache():
-    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._fixed_root_table, zetas._em_fraction,
+    for fn in (zeta, prime_zeta, prime_zeta_tail, zetas._steps, zetas._em_fraction,
                zetas._least_prime_factors, zetas._sieved_log_zeta, zetas._bern,
-               zetas._prime_power_memo, shapes.power_sum_euler, _prime_list):
+               shapes.power_sum_euler, _prime_list):
         fn.cache_clear()
 
 
@@ -263,7 +299,7 @@ def test_zeta_cold_equals_warm_after_other_tables():
     zeta(Fraction(5, 2), 40)
     prime_zeta(Fraction(5, 4), 30)
     shapes.power_sum_euler(4, 3, 40)
-    zetas._fixed_roots(4, zetas._fraction_bits(200), 1000)
+    zetas._steps(4, zetas._fraction_bits(200)).fixed(997, 300)
     zeta.cache_clear()
     warm = zeta(s, 40)
     assert warm.value._mpf_ == cold.value._mpf_
@@ -303,30 +339,30 @@ def test_prime_zeta_tail_int_and_fraction_share_an_entry():
 def test_lambda_raises_each_prime_power_once(monkeypatch):
     # Lambda(x) = log(zeta(x) prod_{p <= p0} (1 - p^(-x))): where zeta's sieve
     # runs at the Euler factor's F and reaches p0, the factor reads the
-    # powers the sieve raised, so Lambda costs what zeta(x) alone does, one
-    # _fixed_pow per prime up to the sieve's N
+    # entries the sieve stepped to, so Lambda costs what zeta(x) alone does,
+    # one stepped run per prime up to the sieve's N
     x, p0, digits = Fraction(4, 3), 100, 80
     with mp.workdps(digits + 12):
         F = zetas._fraction_bits(mp.prec)
     with mp.workdps(digits + 14):  # zeta(x, digits + 2) runs here
         assert zetas._fraction_bits(mp.prec) == F
-    calls, sieves = [], []
-    fixed_pow, fixed_powers = zetas._fixed_pow, zetas._fixed_powers
-    monkeypatch.setattr(zetas, "_fixed_pow", lambda r, a, F: calls.append(r) or fixed_pow(r, a, F))
-    monkeypatch.setattr(zetas, "_fixed_powers",
-                        lambda s, N, F: sieves.append(N) or fixed_powers(s, N, F))
-    _clear_every_cache()
-    lam = zetas._sieved_log_zeta(x, p0, digits)
-    in_lambda = len(calls)
-    N = max(sieves)
-    assert N >= p0
-    assert in_lambda == len(_prime_list(N))
-    calls.clear()
+    sieves = []
+    powers_upto = zetas._powers_upto
+    monkeypatch.setattr(zetas, "_powers_upto",
+                        lambda s, N, F: sieves.append(N) or powers_upto(s, N, F))
     _clear_every_cache()
     zeta(x, digits + 2)
-    assert len(calls) == in_lambda
-    # the shared integers change no bit of the result
+    N = max(sieves)
+    assert N >= p0
+    table = zetas._steps(3, F)
+    after_zeta = dict(table._fixed)
+    assert sorted(after_zeta) == list(_prime_list(N))
+    lam = zetas._sieved_log_zeta(x, p0, digits)
+    # the Euler factor stepped no entry: every cursor is where zeta left it
+    assert table._fixed == after_zeta
+    # the shared entries change no bit of the result
     _clear_every_cache()
-    monkeypatch.setattr(zetas, "_prime_power_memo", lambda x, F: {})
+    with mp.workdps(digits + 12):
+        zetas._euler_factor(x, zetas.primes_upto(p0))
     fresh = zetas._sieved_log_zeta(x, p0, digits)
     assert (fresh.value._mpf_, fresh.radius._mpf_) == (lam.value._mpf_, lam.radius._mpf_)
